@@ -1,10 +1,8 @@
-"""Baseline entity extractors.
+"""Baseline entity extractor.
 
-Two interchangeable sources of predicted ADE spans: a lexicon matcher that
-scans token sequences for known event terms, and an adaptor that replays
-spans from a prediction file as if a model had produced them. Both expose
-``extract(text) -> EntitySet`` so the filtering pipeline does not care
-which one it is driving.
+A lexicon matcher that scans token sequences for known event terms and
+returns the matched spans as an :class:`~adescope.combine.EntitySet`, the
+same shape a trained extractor's predictions take after loading.
 """
 
 from __future__ import annotations
@@ -16,18 +14,23 @@ from pathlib import Path
 from typing import Union
 
 from .combine import EntitySet
-from .corpus import CorpusPartition, PredictionFile
+from .corpus import read_text
 from .errors import ParseError, ValidationError
-from .text import RawText, Span, match_key, tokenize
+from .text import (
+    PatternIndex,
+    RawText,
+    Span,
+    index_patterns,
+    longest_matches,
+    match_key,
+    tokenize,
+)
 
 __all__ = [
     "AdeLexicon",
-    "LexiconExtractor",
-    "PredictionExtractor",
     "load_ade_lexicon",
     "default_ade_lexicon",
     "extract",
-    "from_predictions",
 ]
 
 
@@ -55,39 +58,34 @@ class AdeLexicon:
         object.__setattr__(self, "terms", tuple(normalised))
 
     @cached_property
-    def _index(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(
-            tuple(match_key(t.surface) for t in tokenize(term)) for term in self.terms
+    def _index(self) -> PatternIndex:
+        return index_patterns(
+            {tuple(match_key(t.surface) for t in tokenize(term)): term for term in self.terms}
         )
 
-    @cached_property
-    def max_term_tokens(self) -> int:
-        return max(len(keys) for keys in self._index)
+
+def _term_lines(content: str) -> tuple[str, ...]:
+    return tuple(
+        line.strip()
+        for line in content.split("\n")
+        if line.strip() and not line.strip().startswith("#")
+    )
 
 
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
     """Load one term per line; ``#`` comments and blank lines are skipped."""
     path = Path(path)
-    terms = [
-        line.strip()
-        for line in path.read_text(encoding="utf-8").split("\n")
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    terms = _term_lines(read_text(path))
     if not terms:
         raise ParseError(f"{path}: lexicon contains no terms")
-    return AdeLexicon(tuple(terms))
+    return AdeLexicon(terms)
 
 
 @lru_cache(maxsize=1)
 def default_ade_lexicon() -> AdeLexicon:
     """The event term lexicon shipped with the package."""
     content = resources.files("adescope.data").joinpath("ade_terms.txt").read_text("utf-8")
-    terms = [
-        line.strip()
-        for line in content.split("\n")
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    return AdeLexicon(tuple(terms))
+    return AdeLexicon(_term_lines(content))
 
 
 def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
@@ -98,67 +96,11 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
     hashtagged term keeps its marker in the span.
     """
     tokens = tokenize(text)
-    keys = [match_key(token.surface) for token in tokens]
-    index = lexicon._index
-    spans: list[Span] = []
-    position, count = 0, len(tokens)
-    while position < count:
-        width = 0
-        for length in range(min(lexicon.max_term_tokens, count - position), 0, -1):
-            if tuple(keys[position : position + length]) in index:
-                width = length
-                break
-        if width:
-            last = position + width - 1
-            spans.append(Span(tokens[position].span.start, tokens[last].span.end))
-            position = last + 1
-        else:
-            position += 1
-    return EntitySet(text.id, frozenset(spans))
-
-
-@dataclass(frozen=True)
-class LexiconExtractor:
-    """Extractor interface around :func:`extract`."""
-
-    lexicon: AdeLexicon
-
-    def extract(self, text: RawText) -> EntitySet:
-        return extract(text, self.lexicon)
-
-
-class PredictionExtractor:
-    """Replays a prediction file that has been bound to its corpus.
-
-    Binding validates that every prediction id exists in the corpus and
-    that every span fits inside the referenced text. Texts without an
-    entry extract as empty.
-    """
-
-    def __init__(self, predictions: PredictionFile, corpus: CorpusPartition) -> None:
-        if corpus is None:
-            raise ValidationError("a prediction extractor requires a corpus to bind to")
-        unknown = sorted(set(predictions.entries) - set(corpus.by_id))
-        if unknown:
-            raise ValidationError(
-                "predictions reference unknown text ids: " + ", ".join(unknown)
-            )
-        for text_id, spans in predictions.entries.items():
-            length = len(corpus.by_id[text_id].text.content)
-            for span in spans:
-                if span.end > length:
-                    raise ValidationError(
-                        f"prediction for {text_id!r}: span "
-                        f"[{span.start}, {span.end}) exceeds text length {length}"
-                    )
-        self._entries = dict(predictions.entries)
-
-    def extract(self, text: RawText) -> EntitySet:
-        return EntitySet(text.id, self._entries.get(text.id, frozenset()))
-
-
-def from_predictions(
-    predictions: PredictionFile, corpus: CorpusPartition
-) -> PredictionExtractor:
-    """Bind a prediction file to its corpus and wrap it as an extractor."""
-    return PredictionExtractor(predictions, corpus)
+    keys = tuple(match_key(token.surface) for token in tokens)
+    return EntitySet(
+        text.id,
+        frozenset(
+            Span(tokens[first].span.start, tokens[last].span.end)
+            for first, last, _ in longest_matches(keys, lexicon._index)
+        ),
+    )

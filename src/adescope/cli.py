@@ -18,19 +18,21 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .baseline import AdeLexicon, default_ade_lexicon, extract, from_predictions, load_ade_lexicon
-from .combine import EntitySet, FilterReport, combine, filter_by_scopes
+from .baseline import AdeLexicon, default_ade_lexicon, extract, load_ade_lexicon
+from .combine import EntitySet, FilterReport, filter_by_scopes
 from .corpus import (
     CorpusPartition,
     PredictionFile,
     compose_training_set,
     load_corpus,
     load_predictions,
+    read_text,
+    validate_predictions,
     write_corpus,
     write_predictions,
 )
@@ -40,16 +42,13 @@ from .scope import (
     DEFAULT_WINDOW,
     CueLexicon,
     Phenomenon,
-    ScopeConfig,
-    ScopeSpan,
     default_negation_lexicon,
     default_speculation_lexicon,
-    detect_negation,
-    detect_speculation,
+    detect,
     load_lexicon,
     prefilter,
 )
-from .text import REPORT_CLASS_ORDER, LabeledSample
+from .text import REPORT_CLASS_ORDER, RawText
 
 __all__ = ["PipelineConfig", "main"]
 
@@ -75,7 +74,6 @@ class PipelineConfig:
     speculation_lexicon: str | None = None
     ade_lexicon: str | None = None
     window: int = DEFAULT_WINDOW
-    strict_bio: bool = False
     filters: str = "neg+spec"
     jobs: int = 1
 
@@ -89,25 +87,36 @@ class PipelineConfig:
                 f"--filters must be one of {', '.join(FILTER_CHOICES)}, "
                 f"got {self.filters!r}"
             )
-        if not isinstance(self.strict_bio, bool):
-            raise UsageError("strict_bio must be a boolean")
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+# The JSON type each config key takes, as (accepted types, description).
+_CONFIG_TYPES = {
+    "negation_lexicon": ((str, type(None)), "a string or null"),
+    "speculation_lexicon": ((str, type(None)), "a string or null"),
+    "ade_lexicon": ((str, type(None)), "a string or null"),
+    "window": ((int,), "an integer"),
+    "filters": ((str,), "a string"),
+    "jobs": ((int,), "an integer"),
+}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a JSON object of :class:`PipelineConfig` fields."""
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path)
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_CONFIG_TYPES))
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        types, expected = _CONFIG_TYPES[key]
+        # bool is an int subclass, but true is not a window or a job count.
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValidationError(f"{path}: {key}: expected {expected}, got {value!r}")
     return replace(PipelineConfig(), **data)
 
 
@@ -126,7 +135,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         _require_file(args.config, "--config")
         config = load_config(args.config)
     overrides = {}
-    for name in _CONFIG_KEYS:
+    for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -155,6 +164,16 @@ def _speculation_lexicon(config: PipelineConfig) -> CueLexicon:
     return default_speculation_lexicon()
 
 
+def _selected_lexicons(config: PipelineConfig, selection: str) -> tuple[CueLexicon, ...]:
+    """The cue lexicons a selection such as ``neg+spec`` names; none for ``none``."""
+    lexicons = []
+    if "neg" in selection:
+        lexicons.append(_negation_lexicon(config))
+    if "spec" in selection:
+        lexicons.append(_speculation_lexicon(config))
+    return tuple(lexicons)
+
+
 def _ade_lexicon(config: PipelineConfig) -> AdeLexicon:
     if config.ade_lexicon:
         path = _require_file(config.ade_lexicon, "--ade-lexicon")
@@ -179,58 +198,16 @@ def _span_field(span) -> str:
     return f"{span.start}:{span.end}"
 
 
-# Workers live at module level so process pools can pickle them.
-
-
-def _extract_worker(sample: LabeledSample, lexicon: AdeLexicon) -> EntitySet:
-    return extract(sample.text, lexicon)
-
-
-def _detect_worker(
-    sample: LabeledSample,
-    lexicon: CueLexicon,
-    window: int,
-    phenomenon: Phenomenon,
-) -> set[ScopeSpan]:
-    config = ScopeConfig(lexicon, window)
-    if phenomenon is Phenomenon.NEGATION:
-        return detect_negation(sample.text, config)
-    return detect_speculation(sample.text, config)
+# The filter worker lives at module level so process pools can pickle it.
 
 
 def _filter_worker(
-    item: tuple[LabeledSample, frozenset],
-    neg_lexicon: CueLexicon | None,
-    spec_lexicon: CueLexicon | None,
+    item: tuple[RawText, frozenset],
+    lexicons: tuple[CueLexicon, ...],
     window: int,
 ) -> FilterReport:
-    sample, spans = item
-    ades = EntitySet(sample.text.id, spans)
-    negations = (
-        detect_negation(sample.text, ScopeConfig(neg_lexicon, window))
-        if neg_lexicon is not None
-        else set()
-    )
-    speculations = (
-        detect_speculation(sample.text, ScopeConfig(spec_lexicon, window))
-        if spec_lexicon is not None
-        else set()
-    )
-    if neg_lexicon is not None and spec_lexicon is not None:
-        return combine(ades, negations, speculations)
-    if neg_lexicon is not None:
-        return filter_by_scopes(ades, negations)
-    if spec_lexicon is not None:
-        return filter_by_scopes(ades, speculations)
-    return FilterReport(ades, ())
-
-
-def _bind_predictions(
-    predictions: PredictionFile, corpus: CorpusPartition
-) -> PredictionFile:
-    # Validation only; raises on unknown ids or out-of-bounds spans.
-    from_predictions(predictions, corpus)
-    return predictions
+    text, spans = item
+    return filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, window))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -240,7 +217,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.out is None:
         raise UsageError("--out is required")
     entity_sets = _parallel_map(
-        partial(_extract_worker, lexicon=lexicon), corpus.samples, config.jobs
+        partial(extract, lexicon=lexicon),
+        [sample.text for sample in corpus.samples],
+        config.jobs,
     )
     predictions = PredictionFile(
         {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))},
@@ -255,24 +234,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     if args.out is None:
         raise UsageError("--out is required")
-    if args.phenomenon == "neg":
-        phenomenon = Phenomenon.NEGATION
-        if args.lexicon is not None:
-            config = replace(config, negation_lexicon=args.lexicon)
-        lexicon = _negation_lexicon(config)
-    else:
-        phenomenon = Phenomenon.SPECULATION
-        if args.lexicon is not None:
-            config = replace(config, speculation_lexicon=args.lexicon)
-        lexicon = _speculation_lexicon(config)
+    if args.lexicon is not None:
+        key = "negation_lexicon" if args.phenomenon == "neg" else "speculation_lexicon"
+        config = replace(config, **{key: args.lexicon})
     scope_sets = _parallel_map(
         partial(
-            _detect_worker,
-            lexicon=lexicon,
+            detect,
+            lexicons=_selected_lexicons(config, args.phenomenon),
             window=config.window,
-            phenomenon=phenomenon,
         ),
-        corpus.samples,
+        [sample.text for sample in corpus.samples],
         config.jobs,
     )
     rows = []
@@ -300,47 +271,41 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     predictions_path = _require_file(args.predictions, "--predictions")
     if args.out is None:
         raise UsageError("--out is required")
-    predictions = _bind_predictions(load_predictions(predictions_path), corpus)
+    predictions = load_predictions(predictions_path)
+    validate_predictions(predictions, corpus)
 
-    if config.filters == "none":
-        write_predictions(predictions, args.out)
-        audit_rows: list[tuple] = []
-    else:
-        neg_lexicon = _negation_lexicon(config) if "neg" in config.filters else None
-        spec_lexicon = _speculation_lexicon(config) if "spec" in config.filters else None
-        items = [
-            (sample, predictions.spans_for(sample.text.id))
-            for sample in corpus.samples
-        ]
-        reports = _parallel_map(
-            partial(
-                _filter_worker,
-                neg_lexicon=neg_lexicon,
-                spec_lexicon=spec_lexicon,
-                window=config.window,
-            ),
-            items,
-            config.jobs,
-        )
-        entries = {}
-        audit_rows = []
-        for sample, report in zip(corpus.samples, reports):
-            text_id = sample.text.id
-            if text_id in predictions.entries:
-                entries[text_id] = report.kept.spans
-            content = sample.text.content
-            for discard in report.discarded:
-                trigger = discard.scope.trigger.span
-                audit_rows.append(
-                    (
-                        text_id,
-                        _span_field(discard.span),
-                        discard.phenomenon.value,
-                        _span_field(discard.scope.span),
-                        content[trigger.start : trigger.end],
-                    )
+    items = [
+        (sample.text, predictions.spans_for(sample.text.id))
+        for sample in corpus.samples
+    ]
+    reports = _parallel_map(
+        partial(
+            _filter_worker,
+            lexicons=_selected_lexicons(config, config.filters),
+            window=config.window,
+        ),
+        items,
+        config.jobs,
+    )
+    entries = {}
+    audit_rows = []
+    for sample, report in zip(corpus.samples, reports):
+        text_id = sample.text.id
+        if text_id in predictions.entries:
+            entries[text_id] = report.kept.spans
+        content = sample.text.content
+        for discard in report.discarded:
+            trigger = discard.scope.trigger.span
+            audit_rows.append(
+                (
+                    text_id,
+                    _span_field(discard.span),
+                    discard.phenomenon.value,
+                    _span_field(discard.scope.span),
+                    content[trigger.start : trigger.end],
                 )
-        write_predictions(PredictionFile(dict(predictions.metadata), entries), args.out)
+            )
+    write_predictions(PredictionFile(dict(predictions.metadata), entries), args.out)
 
     audit_path = args.audit if args.audit is not None else f"{args.out}.audit"
     audit_rows.sort()
@@ -354,7 +319,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     predictions_path = _require_file(args.predictions, "--predictions")
     if args.out is None:
         raise UsageError("--out is required")
-    predictions = _bind_predictions(load_predictions(predictions_path), corpus)
+    predictions = load_predictions(predictions_path)
+    validate_predictions(predictions, corpus)
     entity_sets = [
         EntitySet(text_id, spans) for text_id, spans in predictions.entries.items()
     ]
@@ -408,12 +374,7 @@ def _cmd_prefilter(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     if args.out is None:
         raise UsageError("--out is required")
-    lexicons = []
-    if "neg" in args.phenomena:
-        lexicons.append(_negation_lexicon(config))
-    if "spec" in args.phenomena:
-        lexicons.append(_speculation_lexicon(config))
-    kept = prefilter(corpus.samples, lexicons)
+    kept = prefilter(corpus.samples, _selected_lexicons(config, args.phenomena))
     write_corpus(
         CorpusPartition(corpus.name, tuple(kept)), args.out, format=args.format
     )

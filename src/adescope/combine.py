@@ -78,7 +78,15 @@ def _witness_order(scope: ScopeSpan) -> tuple:
     )
 
 
-def _filter(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterReport:
+def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterReport:
+    """Drop every predicted span that intersects any of the given scopes.
+
+    Every input span lands in exactly one of ``kept`` and ``discarded``.
+    Each discarded span records a witness scope: the earliest-starting
+    overlapping scope, ties broken by the longest. Scopes bound to a
+    different text id are a validation error; an empty scope set returns
+    the input unchanged.
+    """
     ordered = sorted(scopes, key=_witness_order)
     for scope in ordered:
         if scope.text_id is not None and scope.text_id != ades.text_id:
@@ -97,18 +105,6 @@ def _filter(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterReport:
     return FilterReport(EntitySet(ades.text_id, frozenset(kept)), tuple(discarded))
 
 
-def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterReport:
-    """Drop every predicted span that intersects any of the given scopes.
-
-    Every input span lands in exactly one of ``kept`` and ``discarded``.
-    Each discarded span records a witness scope: the earliest-starting
-    overlapping scope, ties broken by the longest. Scopes bound to a
-    different text id are a validation error; an empty scope set returns
-    the input unchanged.
-    """
-    return _filter(ades, scopes)
-
-
 def combine(
     ades: EntitySet,
     negations: Iterable[ScopeSpan],
@@ -121,4 +117,4 @@ def combine(
     scopes are chosen across both phenomena by the same earliest-start,
     longest-scope rule.
     """
-    return _filter(ades, [*negations, *speculations])
+    return filter_by_scopes(ades, [*negations, *speculations])

@@ -19,6 +19,7 @@ both formats.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ __all__ = [
     "distribution_report",
     "load_predictions",
     "write_predictions",
+    "validate_predictions",
+    "read_text",
 ]
 
 LOGGER = logging.getLogger(__name__)
@@ -94,6 +97,21 @@ class DistributionReport:
             "counts": {c.value: self.counts[c] for c in REPORT_CLASS_ORDER},
             "percentages": {c.value: self.percentages[c] for c in REPORT_CLASS_ORDER},
         }
+
+
+def read_text(path: Union[str, Path]) -> str:
+    """Decode an input file as UTF-8 text with universal newlines.
+
+    A leading byte order mark is dropped. Undecodable bytes raise
+    :class:`ParseError` naming the file and line.
+    """
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        content = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+    return content.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _escape_text(text: str) -> str:
@@ -200,6 +218,9 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
         if missing:
             raise ParseError(f"{where}: missing keys {sorted(missing)}")
         sample_id = record["id"]
+        for key in ("id", "text"):
+            if not isinstance(record[key], str):
+                raise ParseError(f"{where}: {key} must be a string")
         if sample_id in seen:
             raise ParseError(f"{where}: duplicate sample id {sample_id!r}")
         seen.add(sample_id)
@@ -231,7 +252,7 @@ def load_corpus(
     logged warning.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
+    raw = read_text(path)
     if format == "tsv":
         samples = _parse_corpus_tsv(raw, str(path))
     elif format == "jsonl":
@@ -361,7 +382,7 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
     metadata: dict[str, str] = {}
     entries: dict[str, frozenset[Span]] = {}
     in_header = True
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -383,6 +404,27 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
             raise ParseError(f"{where}: duplicate entry for id {text_id!r}")
         entries[text_id] = frozenset(_parse_span_field(span_field, where))
     return PredictionFile(metadata, entries)
+
+
+def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -> None:
+    """Check that predictions fit their corpus.
+
+    Every prediction id must name a corpus sample and every span must lie
+    inside that sample's text; otherwise :class:`ValidationError` is raised.
+    """
+    unknown = sorted(set(predictions.entries) - set(corpus.by_id))
+    if unknown:
+        raise ValidationError(
+            "predictions reference unknown text ids: " + ", ".join(unknown)
+        )
+    for text_id, spans in predictions.entries.items():
+        length = len(corpus.by_id[text_id].text.content)
+        for span in spans:
+            if span.end > length:
+                raise ValidationError(
+                    f"prediction for {text_id!r}: span "
+                    f"[{span.start}, {span.end}) exceeds text length {length}"
+                )
 
 
 def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> None:

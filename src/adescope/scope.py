@@ -27,8 +27,19 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from .corpus import read_text
 from .errors import ParseError, ValidationError
-from .text import RawText, LabeledSample, Span, Token, match_key, tokenize
+from .text import (
+    LabeledSample,
+    PatternIndex,
+    RawText,
+    Span,
+    Token,
+    index_patterns,
+    longest_matches,
+    match_key,
+    tokenize,
+)
 
 __all__ = [
     "Phenomenon",
@@ -45,6 +56,7 @@ __all__ = [
     "default_speculation_lexicon",
     "find_cues",
     "resolve_scopes",
+    "detect",
     "detect_negation",
     "detect_speculation",
     "prefilter",
@@ -127,7 +139,7 @@ class CueLexicon:
             seen.add(entry)
 
     @cached_property
-    def _index(self) -> dict[tuple[str, ...], Cue]:
+    def _index(self) -> PatternIndex:
         table: dict[tuple[str, ...], Cue] = {}
         for cue in self.cues:
             current = table.get(cue.pattern_keys)
@@ -135,11 +147,7 @@ class CueLexicon:
                 _CATEGORY_PRIORITY[cue.category] < _CATEGORY_PRIORITY[current.category]
             ):
                 table[cue.pattern_keys] = cue
-        return table
-
-    @cached_property
-    def max_pattern_tokens(self) -> int:
-        return max(len(keys) for keys in self._index)
+        return index_patterns(table)
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,7 @@ def parse_lexicon(
 def load_lexicon(path: Union[str, Path], phenomenon: Phenomenon) -> CueLexicon:
     """Load a ``pattern|category`` lexicon file (UTF-8)."""
     path = Path(path)
-    return parse_lexicon(path.read_text(encoding="utf-8"), phenomenon, str(path))
+    return parse_lexicon(read_text(path), phenomenon, str(path))
 
 
 def save_lexicon(lexicon: CueLexicon, path: Union[str, Path]) -> None:
@@ -256,33 +264,11 @@ def find_cues(tokens: Sequence[Token], lexicon: CueLexicon) -> list[CueMatch]:
     after it, so matches never overlap and a pseudo-trigger swallows the
     shorter trigger it subsumes. Returns matches in text order.
     """
-    keys = [match_key(token.surface) for token in tokens]
-    matches: list[CueMatch] = []
-    index = lexicon._index
-    position, count = 0, len(tokens)
-    longest = min(lexicon.max_pattern_tokens, count)
-    while position < count:
-        found: Cue | None = None
-        width = 0
-        for length in range(min(longest, count - position), 0, -1):
-            found = index.get(tuple(keys[position : position + length]))
-            if found is not None:
-                width = length
-                break
-        if found is None:
-            position += 1
-            continue
-        last = position + width - 1
-        matches.append(
-            CueMatch(
-                cue=found,
-                span=Span(tokens[position].span.start, tokens[last].span.end),
-                first_token=position,
-                last_token=last,
-            )
-        )
-        position = last + 1
-    return matches
+    keys = tuple(match_key(token.surface) for token in tokens)
+    return [
+        CueMatch(cue, Span(tokens[first].span.start, tokens[last].span.end), first, last)
+        for first, last, cue in longest_matches(keys, lexicon._index)
+    ]
 
 
 def resolve_scopes(
@@ -365,10 +351,22 @@ def resolve_scopes(
     return scopes
 
 
-def _detect(text: Union[str, RawText], config: ScopeConfig) -> set[ScopeSpan]:
+def detect(
+    text: Union[str, RawText],
+    lexicons: Iterable[CueLexicon],
+    window: int = DEFAULT_WINDOW,
+) -> set[ScopeSpan]:
+    """Scopes of every given lexicon over one tokenization of the text.
+
+    The result is the union of the scopes each lexicon resolves on its own;
+    an empty lexicon collection yields no scopes.
+    """
     tokens = tokenize(text)
-    matches = find_cues(tokens, config.lexicon)
-    return set(resolve_scopes(text, tokens, matches, config.window))
+    return {
+        scope
+        for lexicon in lexicons
+        for scope in resolve_scopes(text, tokens, find_cues(tokens, lexicon), window)
+    }
 
 
 def detect_negation(
@@ -379,7 +377,7 @@ def detect_negation(
         config = ScopeConfig(default_negation_lexicon())
     if config.lexicon.phenomenon is not Phenomenon.NEGATION:
         raise ValidationError("detect_negation requires a negation lexicon")
-    return _detect(text, config)
+    return detect(text, (config.lexicon,), config.window)
 
 
 def detect_speculation(
@@ -390,7 +388,7 @@ def detect_speculation(
         config = ScopeConfig(default_speculation_lexicon())
     if config.lexicon.phenomenon is not Phenomenon.SPECULATION:
         raise ValidationError("detect_speculation requires a speculation lexicon")
-    return _detect(text, config)
+    return detect(text, (config.lexicon,), config.window)
 
 
 def prefilter(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import ValidationError
 
@@ -23,6 +23,8 @@ __all__ = [
     "TagSequence",
     "tokenize",
     "match_key",
+    "index_patterns",
+    "longest_matches",
     "spans_to_bio",
     "bio_to_spans",
 ]
@@ -194,6 +196,46 @@ def match_key(surface: str) -> str:
     if key.startswith("#"):
         key = key[1:]
     return key
+
+
+V = TypeVar("V")
+
+#: Patterns grouped by their first key, each group ordered longest first.
+PatternIndex = Mapping[str, Sequence[tuple[tuple[str, ...], V]]]
+
+
+def index_patterns(patterns: Mapping[tuple[str, ...], V]) -> PatternIndex:
+    """Group non-empty key-tuple patterns by first key, longest first."""
+    groups: dict[str, list[tuple[tuple[str, ...], V]]] = {}
+    for keys, value in patterns.items():
+        groups.setdefault(keys[0], []).append((keys, value))
+    return {
+        first: tuple(sorted(group, key=lambda entry: -len(entry[0])))
+        for first, group in groups.items()
+    }
+
+
+def longest_matches(
+    keys: tuple[str, ...], index: PatternIndex
+) -> list[tuple[int, int, V]]:
+    """Greedy leftmost-longest, non-overlapping pattern matches over keys.
+
+    At each position the longest pattern starting there wins and the scan
+    resumes after it. Returns ``(first, last, value)`` triples in order;
+    ``first`` and ``last`` are inclusive key positions.
+    """
+    matches: list[tuple[int, int, V]] = []
+    position, count = 0, len(keys)
+    while position < count:
+        for pattern, value in index.get(keys[position], ()):
+            end = position + len(pattern)
+            if keys[position:end] == pattern:
+                matches.append((position, end - 1, value))
+                position = end
+                break
+        else:
+            position += 1
+    return matches
 
 
 def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:

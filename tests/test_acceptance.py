@@ -34,12 +34,12 @@ from adescope import (
     filter_by_scopes,
     load_corpus,
     load_predictions,
-    main,
     relaxed_scores,
     spans_to_bio,
     tokenize,
     write_corpus,
 )
+from adescope.cli import main
 from adescope.metrics import MatchKind
 
 

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adescope
 from adescope import (
     CORPUS_HEADER,
     load_corpus,
     load_predictions,
-    main,
 )
-from adescope.cli import AUDIT_HEADER, DETECT_HEADER
+from adescope.cli import AUDIT_HEADER, DETECT_HEADER, main
 
 E2E_IDS = {f"s{i:02d}" for i in range(1, 13)}
 
@@ -430,6 +434,38 @@ class TestExitCodes:
         assert code == 2
         assert "windw" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"window": "5"}, {"jobs": True}, {"window": 2.5}, {"filters": 1}, {"ade_lexicon": 7}],
+        ids=["window-string", "jobs-bool", "window-float", "filters-int", "lexicon-int"],
+    )
+    def test_mistyped_config_values_are_data_errors(
+        self, tmp_path, e2e_corpus_path, capsys, setting
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting), encoding="utf-8")
+        code = main(
+            [
+                "extract",
+                "--corpus",
+                str(e2e_corpus_path),
+                "--out",
+                str(tmp_path / "o.tsv"),
+                "--config",
+                str(config),
+            ]
+        )
+        assert code == 2
+        (key,) = setting
+        assert f"{config}: {key}: expected" in capsys.readouterr().err
+
+    def test_undecodable_corpus_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(f"{CORPUS_HEADER}\nx1\tcaf\xe9\tX\t\n".encode("latin-1"))
+        code = main(["extract", "--corpus", str(bad), "--out", str(tmp_path / "o.tsv")])
+        assert code == 2
+        assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_config_file_is_usage_error(self, tmp_path, e2e_corpus_path):
         code = main(
             [
@@ -443,3 +479,27 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+
+class TestEntryPoints:
+    def run_module(self, *argv):
+        src = Path(adescope.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    @pytest.mark.parametrize("module", ["adescope", "adescope.cli"])
+    def test_module_runs_the_cli_without_warnings(self, tmp_path, e2e_corpus_path, module):
+        out = tmp_path / "kept.tsv"
+        result = self.run_module(
+            "-m", module, "prefilter", "--corpus", str(e2e_corpus_path), "--out", str(out)
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(load_corpus(out)) == 7
+
+    def test_package_import_leaves_the_cli_unloaded(self):
+        result = self.run_module(
+            "-c", "import sys, adescope; print('adescope.cli' in sys.modules)"
+        )
+        assert result.stdout.strip() == "False"

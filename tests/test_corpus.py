@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from adescope import (
     CORPUS_HEADER,
     CorpusPartition,
+    Phenomenon,
     LabeledSample,
     ParseError,
     PredictionFile,
@@ -17,8 +18,11 @@ from adescope import (
     ValidationError,
     compose_training_set,
     distribution_report,
+    load_ade_lexicon,
     load_corpus,
+    load_lexicon,
     load_predictions,
+    validate_predictions,
     write_corpus,
     write_predictions,
 )
@@ -189,6 +193,51 @@ class TestCorpusParsing:
         with pytest.raises(ParseError, match="duplicate sample id"):
             load_corpus(path, format="jsonl")
 
+    @pytest.mark.parametrize(
+        "row,key",
+        [
+            ('{"id": 7, "text": "hi there", "class": "X", "spans": []}', "id"),
+            ('{"id": ["a1"], "text": "hi there", "class": "X", "spans": []}', "id"),
+            ('{"id": "a1", "text": 5, "class": "X", "spans": []}', "text"),
+        ],
+    )
+    def test_jsonl_non_string_fields_rejected(self, tmp_path, row, key):
+        path = tmp_path / "types.jsonl"
+        write_lines(path, '{"id": "x0", "text": "fine", "class": "X", "spans": []}', row)
+        with pytest.raises(ParseError, match=rf"types\.jsonl:2: {key} must be a string"):
+            load_corpus(path, format="jsonl")
+
+
+# One valid file per input kind, with the loader that reads it.
+INPUT_FILES = {
+    "corpus": (f"{CORPUS_HEADER}\nx1\tall quiet\tX\t\n", load_corpus),
+    "predictions": ("# model: m\nx1\t0:3\n", load_predictions),
+    "ade_lexicon": ("# terms\npain\n", load_ade_lexicon),
+    "cue_lexicon": (
+        "# cues\nno|pre_trigger\n",
+        lambda path: load_lexicon(path, Phenomenon.NEGATION),
+    ),
+}
+
+
+class TestInputDecoding:
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_byte_order_mark_is_tolerated(self, tmp_path, kind):
+        content, load = INPUT_FILES[kind]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(content.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        assert repr(load(marked)) == repr(load(plain))
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path, kind):
+        content, load = INPUT_FILES[kind]
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(content.encode("utf-8") + "caf\xe9\n".encode("latin-1"))
+        line = content.count("\n") + 1
+        with pytest.raises(ParseError, match=rf"latin1\.txt:{line}: not valid UTF-8"):
+            load(path)
+
 
 class TestPartitionAndComposition:
     def test_partition_rejects_duplicate_ids(self):
@@ -330,6 +379,30 @@ class TestPredictionFiles:
     def test_multiline_metadata_rejected(self):
         with pytest.raises(ValidationError):
             PredictionFile({"model": "two\nlines"}, {})
+
+
+class TestValidatePredictions:
+    CORPUS = CorpusPartition(
+        "custom",
+        (
+            make("a1", "the nausea is back", SampleClass.ADE, Span(4, 10)),
+            make("x1", "all quiet today", SampleClass.NO_ADE),
+        ),
+    )
+
+    def test_fitting_predictions_pass(self):
+        predictions = PredictionFile({}, {"a1": frozenset({Span(4, 10)}), "x1": frozenset()})
+        validate_predictions(predictions, self.CORPUS)
+
+    def test_unknown_ids_rejected(self):
+        predictions = PredictionFile({}, {"nope": frozenset({Span(0, 2)})})
+        with pytest.raises(ValidationError, match="nope"):
+            validate_predictions(predictions, self.CORPUS)
+
+    def test_out_of_bounds_spans_rejected(self):
+        predictions = PredictionFile({}, {"x1": frozenset({Span(0, 99)})})
+        with pytest.raises(ValidationError, match="exceeds text length"):
+            validate_predictions(predictions, self.CORPUS)
 
 
 ids = st.text(alphabet="abcdefghij0123456789_-", min_size=1, max_size=8)

@@ -16,6 +16,7 @@ from adescope import (
     ValidationError,
     default_negation_lexicon,
     default_speculation_lexicon,
+    detect,
     detect_negation,
     detect_speculation,
     find_cues,
@@ -242,6 +243,26 @@ class TestDetect:
         assert detect_negation(content, ScopeConfig(base)) <= detect_negation(
             content, ScopeConfig(extended)
         )
+
+    @given(
+        st.lists(
+            st.sampled_from([
+                "no", "not", "never", "without", "no wonder", "might", "maybe",
+                "possible", "could be", "but", "pain", "rash", "#nausea", "the",
+                ".", "?", ",", "\n",
+            ]),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_detect_is_the_union_of_the_single_detectors(self, words, window):
+        text = RawText("p", " ".join(words) + " end")
+        neg, spec = default_negation_lexicon(), default_speculation_lexicon()
+        assert detect(text, (neg, spec), window) == detect_negation(
+            text, ScopeConfig(neg, window)
+        ) | detect_speculation(text, ScopeConfig(spec, window))
+        assert detect(text, (), window) == set()
 
 
 class TestPrefilter:
