@@ -21,11 +21,8 @@ sys.path.insert(0, str(REPO / "src"))
 from adescope import (  # noqa: E402
     EntitySet,
     REPORT_CLASS_ORDER,
-    ScopeConfig,
     combine,
     default_ade_lexicon,
-    default_negation_lexicon,
-    default_speculation_lexicon,
     detect_negation,
     detect_speculation,
     evaluate_corpus,
@@ -33,6 +30,7 @@ from adescope import (  # noqa: E402
     filter_by_scopes,
     load_corpus,
 )
+from adescope.scope import DEFAULT_WINDOW  # noqa: E402
 
 SELECTIONS = ("none", "neg", "spec", "neg+spec")
 
@@ -46,22 +44,25 @@ def main(argv: list[str] | None = None) -> int:
         help="corpus TSV to evaluate on (default: bundled test split)",
     )
     parser.add_argument(
-        "--window", type=int, default=None, help="scope window in tokens"
+        "--window",
+        type=int,
+        default=DEFAULT_WINDOW,
+        help=f"scope window in tokens (default: {DEFAULT_WINDOW})",
     )
     args = parser.parse_args(argv)
+    if args.window < 1:
+        parser.error(f"--window must be >= 1, got {args.window}")
 
     corpus = load_corpus(args.corpus)
     lexicon = default_ade_lexicon()
-    neg_config = (
-        ScopeConfig(default_negation_lexicon(), args.window) if args.window else None
-    )
-    spec_config = (
-        ScopeConfig(default_speculation_lexicon(), args.window) if args.window else None
-    )
 
     baseline = [extract(sample.text, lexicon) for sample in corpus.samples]
-    negations = [detect_negation(s.text, neg_config) for s in corpus.samples]
-    speculations = [detect_speculation(s.text, spec_config) for s in corpus.samples]
+    negations = [
+        detect_negation(s.text, window=args.window) for s in corpus.samples
+    ]
+    speculations = [
+        detect_speculation(s.text, window=args.window) for s in corpus.samples
+    ]
 
     def filtered(selection: str) -> list[EntitySet]:
         if selection == "none":

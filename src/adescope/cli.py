@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .baseline import AdeLexicon, default_ade_lexicon, extract, load_ade_lexicon
 from .combine import EntitySet, FilterReport, filter_by_scopes
@@ -34,10 +34,11 @@ from .corpus import (
     read_text,
     validate_predictions,
     write_corpus,
+    write_lines,
     write_predictions,
 )
 from .errors import ValidationError
-from .metrics import evaluate_corpus, report_to_dict
+from .metrics import evaluate_corpus, write_report
 from .scope import (
     DEFAULT_WINDOW,
     CueLexicon,
@@ -120,18 +121,17 @@ def load_config(path: str | Path) -> PipelineConfig:
     return replace(PipelineConfig(), **data)
 
 
-def _require_file(path: str | None, flag: str) -> Path:
-    if path is None:
-        raise UsageError(f"{flag} is required")
+def _require_file(path: str, name: str) -> Path:
+    """``path`` as a Path; a missing file is a usage error naming the flag or setting."""
     resolved = Path(path)
     if not resolved.is_file():
-        raise UsageError(f"{flag}: file not found: {path}")
+        raise UsageError(f"{name}: file not found: {path}")
     return resolved
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig()
-    if getattr(args, "config", None):
+    if args.config:
         _require_file(args.config, "--config")
         config = load_config(args.config)
     overrides = {}
@@ -144,40 +144,32 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _load_corpus_arg(args: argparse.Namespace, flag: str = "--corpus") -> CorpusPartition:
-    attr = flag.lstrip("-").replace("-", "_")
-    path = _require_file(getattr(args, attr, None), flag)
-    return load_corpus(path, format=getattr(args, "format", "tsv"))
+def _load_corpus_arg(args: argparse.Namespace) -> CorpusPartition:
+    return load_corpus(_require_file(args.corpus, "--corpus"), format=args.format)
 
 
-def _negation_lexicon(config: PipelineConfig) -> CueLexicon:
-    if config.negation_lexicon:
-        path = _require_file(config.negation_lexicon, "--neg-lexicon")
-        return load_lexicon(path, Phenomenon.NEGATION)
-    return default_negation_lexicon()
-
-
-def _speculation_lexicon(config: PipelineConfig) -> CueLexicon:
-    if config.speculation_lexicon:
-        path = _require_file(config.speculation_lexicon, "--spec-lexicon")
-        return load_lexicon(path, Phenomenon.SPECULATION)
-    return default_speculation_lexicon()
+# Per cue phenomenon: its name in selections, its setting, its default lexicon.
+_CUE_LEXICONS = (
+    ("neg", "negation_lexicon", Phenomenon.NEGATION, default_negation_lexicon),
+    ("spec", "speculation_lexicon", Phenomenon.SPECULATION, default_speculation_lexicon),
+)
 
 
 def _selected_lexicons(config: PipelineConfig, selection: str) -> tuple[CueLexicon, ...]:
     """The cue lexicons a selection such as ``neg+spec`` names; none for ``none``."""
     lexicons = []
-    if "neg" in selection:
-        lexicons.append(_negation_lexicon(config))
-    if "spec" in selection:
-        lexicons.append(_speculation_lexicon(config))
+    for name, setting, phenomenon, default in _CUE_LEXICONS:
+        if name in selection:
+            path = getattr(config, setting)
+            lexicons.append(
+                load_lexicon(_require_file(path, setting), phenomenon) if path else default()
+            )
     return tuple(lexicons)
 
 
 def _ade_lexicon(config: PipelineConfig) -> AdeLexicon:
     if config.ade_lexicon:
-        path = _require_file(config.ade_lexicon, "--ade-lexicon")
-        return load_ade_lexicon(path)
+        return load_ade_lexicon(_require_file(config.ade_lexicon, "ade_lexicon"))
     return default_ade_lexicon()
 
 
@@ -188,10 +180,6 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     chunk = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
-
-
-def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _span_field(span) -> str:
@@ -214,8 +202,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
     lexicon = _ade_lexicon(config)
-    if args.out is None:
-        raise UsageError("--out is required")
     entity_sets = _parallel_map(
         partial(extract, lexicon=lexicon),
         [sample.text for sample in corpus.samples],
@@ -232,8 +218,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    if args.out is None:
-        raise UsageError("--out is required")
     if args.lexicon is not None:
         key = "negation_lexicon" if args.phenomenon == "neg" else "speculation_lexicon"
         config = replace(config, **{key: args.lexicon})
@@ -261,7 +245,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 )
             )
     rows.sort()
-    _write_lines(args.out, [DETECT_HEADER, *("\t".join(row) for row in rows)])
+    write_lines(args.out, [DETECT_HEADER, *("\t".join(row) for row in rows)])
     return EXIT_OK
 
 
@@ -269,8 +253,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
     predictions_path = _require_file(args.predictions, "--predictions")
-    if args.out is None:
-        raise UsageError("--out is required")
     predictions = load_predictions(predictions_path)
     validate_predictions(predictions, corpus)
 
@@ -309,7 +291,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
     audit_path = args.audit if args.audit is not None else f"{args.out}.audit"
     audit_rows.sort()
-    _write_lines(audit_path, [AUDIT_HEADER, *("\t".join(row) for row in audit_rows)])
+    write_lines(audit_path, [AUDIT_HEADER, *("\t".join(row) for row in audit_rows)])
     return EXIT_OK
 
 
@@ -317,18 +299,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _resolve_config(args)
     corpus = _load_corpus_arg(args)
     predictions_path = _require_file(args.predictions, "--predictions")
-    if args.out is None:
-        raise UsageError("--out is required")
     predictions = load_predictions(predictions_path)
     validate_predictions(predictions, corpus)
     entity_sets = [
         EntitySet(text_id, spans) for text_id, spans in predictions.entries.items()
     ]
     report = evaluate_corpus(corpus.samples, entity_sets)
-    payload = report_to_dict(report, verbose=args.verbose)
-    Path(args.out).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_report(report, args.out, verbose=args.verbose)
 
     scores = report.scores
     fp_cells = "  ".join(
@@ -360,8 +337,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         if args.s_pool
         else None
     )
-    if args.out is None:
-        raise UsageError("--out is required")
     composed = compose_training_set(
         base, add_n=args.add_n, add_s=args.add_s, n_pool=n_pool, s_pool=s_pool
     )
@@ -372,8 +347,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_prefilter(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    if args.out is None:
-        raise UsageError("--out is required")
     kept = prefilter(corpus.samples, _selected_lexicons(config, args.phenomena))
     write_corpus(
         CorpusPartition(corpus.name, tuple(kept)), args.out, format=args.format

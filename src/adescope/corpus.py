@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParseError, ValidationError
 from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span
@@ -43,11 +43,13 @@ __all__ = [
     "write_predictions",
     "validate_predictions",
     "read_text",
+    "write_lines",
 ]
 
 LOGGER = logging.getLogger(__name__)
 
 CORPUS_HEADER = "id\ttext\tclass\tspans"
+_JSONL_KEYS = ("id", "text", "class", "spans")
 
 _PARTITION_NAMES = ("train", "test", "custom")
 
@@ -114,11 +116,12 @@ def read_text(path: Union[str, Path]) -> str:
     return content.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _escape_text(text: str) -> str:
-    return text.translate(_ESCAPE)
+def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
+    """Write lines as a UTF-8 file, joined by ``\\n`` with one trailing newline."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _unescape_text(field: str, where: str) -> str:
+def _unescape_text(field: str) -> str:
     out: list[str] = []
     i = 0
     while i < len(field):
@@ -128,35 +131,61 @@ def _unescape_text(field: str, where: str) -> str:
             i += 1
             continue
         if i + 1 >= len(field) or field[i + 1] not in _UNESCAPE:
-            raise ParseError(f"{where}: bad escape sequence in text field")
+            raise ValidationError("bad escape sequence in text field")
         out.append(_UNESCAPE[field[i + 1]])
         i += 2
     return "".join(out)
 
 
-def _parse_span_field(field: str, where: str) -> list[Span]:
+def _parse_span_field(field: str) -> list[Span]:
     spans: list[Span] = []
     if not field:
         return spans
     for chunk in field.split(";"):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise ParseError(f"{where}: malformed span {chunk!r}, expected start:end")
+            raise ValidationError(f"malformed span {chunk!r}, expected start:end")
         try:
             start, end = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(
-                f"{where}: non-integer span offsets in {chunk!r}"
-            ) from None
-        try:
-            spans.append(Span(start, end))
-        except ValidationError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ValidationError(f"non-integer span offsets in {chunk!r}") from None
+        spans.append(Span(start, end))
     return spans
 
 
 def _format_span_field(spans: Iterable[Span]) -> str:
     return ";".join(f"{s.start}:{s.end}" for s in sorted(spans))
+
+
+def _decode_tsv(text: str, spans: str) -> tuple[str, list[Span]]:
+    return _unescape_text(text), _parse_span_field(spans)
+
+
+def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
+    return text, [Span(int(s), int(e)) for s, e in spans]
+
+
+def _row_sample(row: Sequence, where: str, seen: set[str], decode) -> LabeledSample:
+    """The sample of an ``(id, text, class, spans)`` row; ``decode`` reads its
+    format's text and spans. Faults raise :class:`ParseError` at ``where``,
+    which names the id once it is known to be new.
+    """
+    sample_id, text, class_name, spans = row
+    if not sample_id:
+        raise ParseError(f"{where}: empty sample id")
+    if sample_id in seen:
+        raise ParseError(f"{where}: duplicate sample id {sample_id!r}")
+    seen.add(sample_id)
+    where = f"{where} (id {sample_id!r})"
+    try:
+        sample_class = SampleClass(class_name)
+    except ValueError:
+        raise ParseError(f"{where}: unknown class {class_name!r}") from None
+    try:
+        content, span_list = decode(text, spans)
+        return LabeledSample(RawText(sample_id, content), frozenset(span_list), sample_class)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
@@ -177,25 +206,7 @@ def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"{where}: expected 4 tab-separated fields")
-        sample_id, text_field, class_field, span_field = fields
-        if not sample_id:
-            raise ParseError(f"{where}: empty sample id")
-        if sample_id in seen:
-            raise ParseError(f"{where}: duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-        where = f"{where} (id {sample_id!r})"
-        try:
-            sample_class = SampleClass(class_field)
-        except ValueError:
-            raise ParseError(f"{where}: unknown class {class_field!r}") from None
-        content = _unescape_text(text_field, where)
-        spans = _parse_span_field(span_field, where)
-        try:
-            samples.append(
-                LabeledSample(RawText(sample_id, content), frozenset(spans), sample_class)
-            )
-        except ValidationError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        samples.append(_row_sample(fields, where, seen, _decode_tsv))
     if not samples:
         LOGGER.warning("corpus file %s contains no samples", source)
     return samples
@@ -214,28 +225,14 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
             raise ParseError(f"{where}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected a JSON object")
-        missing = {"id", "text", "class", "spans"} - set(record)
+        missing = set(_JSONL_KEYS) - set(record)
         if missing:
             raise ParseError(f"{where}: missing keys {sorted(missing)}")
-        sample_id = record["id"]
         for key in ("id", "text"):
             if not isinstance(record[key], str):
                 raise ParseError(f"{where}: {key} must be a string")
-        if sample_id in seen:
-            raise ParseError(f"{where}: duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-        where = f"{where} (id {sample_id!r})"
-        try:
-            sample_class = SampleClass(record["class"])
-        except ValueError:
-            raise ParseError(f"{where}: unknown class {record['class']!r}") from None
-        try:
-            spans = frozenset(Span(int(s), int(e)) for s, e in record["spans"])
-            samples.append(
-                LabeledSample(RawText(sample_id, record["text"]), spans, sample_class)
-            )
-        except (ValidationError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        row = [record[key] for key in _JSONL_KEYS]
+        samples.append(_row_sample(row, where, seen, _decode_jsonl))
     if not samples:
         LOGGER.warning("corpus file %s contains no samples", source)
     return samples
@@ -279,7 +276,7 @@ def write_corpus(
                 "\t".join(
                     (
                         sample.text.id,
-                        _escape_text(sample.text.content),
+                        sample.text.content.translate(_ESCAPE),
                         sample.sample_class.value,
                         _format_span_field(sample.gold_spans),
                     )
@@ -300,7 +297,7 @@ def write_corpus(
         ]
     else:
         raise ValidationError(f"unknown corpus format {format!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def compose_training_set(
@@ -402,7 +399,10 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
             raise ParseError(f"{where}: empty text id")
         if text_id in entries:
             raise ParseError(f"{where}: duplicate entry for id {text_id!r}")
-        entries[text_id] = frozenset(_parse_span_field(span_field, where))
+        try:
+            entries[text_id] = frozenset(_parse_span_field(span_field))
+        except ValidationError as exc:
+            raise ParseError(f"{where}: {exc}") from None
     return PredictionFile(metadata, entries)
 
 
@@ -441,4 +441,4 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
                 f"text id {text_id!r} cannot be serialised in a prediction file"
             )
         lines.append(f"{text_id}\t{_format_span_field(predictions.entries[text_id])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)

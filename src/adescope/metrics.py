@@ -22,8 +22,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combine import EntitySet, overlap_length, overlaps
+from .corpus import write_lines
 from .errors import ValidationError
-from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span
+from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans
 
 __all__ = [
     "MatchKind",
@@ -112,13 +113,7 @@ def match_spans(
     Unpaired predictions become FP, unpaired golds FN; every input span
     appears in exactly one outcome.
     """
-    gold_list = sorted(set(gold))
-    for left, right in zip(gold_list, gold_list[1:]):
-        if left.end > right.start:
-            raise ValidationError(
-                f"gold spans [{left.start}, {left.end}) and "
-                f"[{right.start}, {right.end}) overlap"
-            )
+    gold_list = disjoint_spans(set(gold), "gold spans")
     predicted_set = set(predicted)
 
     outcomes: list[MatchOutcome] = []
@@ -291,6 +286,4 @@ def write_report(
 ) -> None:
     """Serialise a report as UTF-8 JSON with a trailing newline."""
     payload = report_to_dict(report, verbose=verbose)
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_lines(path, [json.dumps(payload, indent=2, ensure_ascii=False)])

@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .corpus import read_text
+from .corpus import read_text, write_lines
 from .errors import ParseError, ValidationError
 from .text import (
     LabeledSample,
@@ -48,7 +48,6 @@ __all__ = [
     "CueLexicon",
     "CueMatch",
     "ScopeSpan",
-    "ScopeConfig",
     "load_lexicon",
     "parse_lexicon",
     "save_lexicon",
@@ -176,18 +175,6 @@ class ScopeSpan:
     text_id: str | None = None
 
 
-@dataclass(frozen=True)
-class ScopeConfig:
-    """Detection settings: which lexicon to apply and how wide the window is."""
-
-    lexicon: CueLexicon
-    window: int = DEFAULT_WINDOW
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")
-
-
 def parse_lexicon(
     content: str, phenomenon: Phenomenon, source: str = "<string>"
 ) -> CueLexicon:
@@ -236,8 +223,7 @@ def save_lexicon(lexicon: CueLexicon, path: Union[str, Path]) -> None:
     Comments are not preserved; saving a lexicon loaded from a comment-free
     file reproduces that file byte for byte.
     """
-    lines = [f"{cue.pattern}|{cue.category.value}" for cue in lexicon.cues]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [f"{cue.pattern}|{cue.category.value}" for cue in lexicon.cues])
 
 
 @lru_cache(maxsize=None)
@@ -299,54 +285,38 @@ def resolve_scopes(
         if match.cue.category is not CueCategory.PSEUDO_TRIGGER:
             occupied.update(range(match.first_token, match.last_token + 1))
 
-    def newline_gap(left: int, right: int) -> bool:
+    def extends(previous: int, position: int) -> bool:
+        """Whether a scope at token ``previous`` may take in its neighbour."""
+        if not 0 <= position < len(tokens) or position in occupied:
+            return False
+        if tokens[position].surface in TERMINAL_TOKENS:
+            return False
+        left, right = min(previous, position), max(previous, position)
         gap = content[tokens[left].span.end : tokens[right].span.start]
-        return "\n" in gap or "\r" in gap
-
-    def blocked(position: int) -> bool:
-        return position in occupied or tokens[position].surface in TERMINAL_TOKENS
+        return "\n" not in gap and "\r" not in gap
 
     scopes: list[ScopeSpan] = []
     for match in matches:
         category = match.cue.category
         if category is CueCategory.PRE_TRIGGER:
-            first = last = -1
-            position = match.last_token + 1
-            while position < len(tokens) and position - match.last_token <= window:
-                if blocked(position) or newline_gap(position - 1, position):
-                    break
-                if first < 0:
-                    first = position
-                last = position
-                position += 1
-            if first >= 0:
-                scopes.append(
-                    ScopeSpan(
-                        Span(tokens[first].span.start, tokens[last].span.end),
-                        match,
-                        match.cue.phenomenon,
-                        text_id,
-                    )
-                )
+            edge, step = match.last_token, 1
         elif category is CueCategory.POST_TRIGGER:
-            first = last = -1
-            position = match.first_token - 1
-            while position >= 0 and match.first_token - position <= window:
-                if blocked(position) or newline_gap(position, position + 1):
-                    break
-                if last < 0:
-                    last = position
-                first = position
-                position -= 1
-            if last >= 0:
-                scopes.append(
-                    ScopeSpan(
-                        Span(tokens[first].span.start, tokens[last].span.end),
-                        match,
-                        match.cue.phenomenon,
-                        text_id,
-                    )
+            edge, step = match.first_token, -1
+        else:
+            continue
+        reached = edge
+        while abs(reached - edge) < window and extends(reached, reached + step):
+            reached += step
+        if reached != edge:
+            first, last = sorted((edge + step, reached))
+            scopes.append(
+                ScopeSpan(
+                    Span(tokens[first].span.start, tokens[last].span.end),
+                    match,
+                    match.cue.phenomenon,
+                    text_id,
                 )
+            )
     scopes.sort(key=lambda s: (s.span.start, s.span.end, s.trigger.span.start))
     return scopes
 
@@ -359,8 +329,11 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own;
-    an empty lexicon collection yields no scopes.
+    an empty lexicon collection yields no scopes without tokenizing.
     """
+    lexicons = tuple(lexicons)
+    if not lexicons:
+        return set()
     tokens = tokenize(text)
     return {
         scope
@@ -370,25 +343,29 @@ def detect(
 
 
 def detect_negation(
-    text: Union[str, RawText], config: ScopeConfig | None = None
+    text: Union[str, RawText],
+    lexicon: CueLexicon | None = None,
+    window: int = DEFAULT_WINDOW,
 ) -> set[ScopeSpan]:
     """Detect negation scopes; defaults to the bundled negation lexicon."""
-    if config is None:
-        config = ScopeConfig(default_negation_lexicon())
-    if config.lexicon.phenomenon is not Phenomenon.NEGATION:
+    if lexicon is None:
+        lexicon = default_negation_lexicon()
+    if lexicon.phenomenon is not Phenomenon.NEGATION:
         raise ValidationError("detect_negation requires a negation lexicon")
-    return detect(text, (config.lexicon,), config.window)
+    return detect(text, (lexicon,), window)
 
 
 def detect_speculation(
-    text: Union[str, RawText], config: ScopeConfig | None = None
+    text: Union[str, RawText],
+    lexicon: CueLexicon | None = None,
+    window: int = DEFAULT_WINDOW,
 ) -> set[ScopeSpan]:
     """Detect speculation scopes; defaults to the bundled speculation lexicon."""
-    if config is None:
-        config = ScopeConfig(default_speculation_lexicon())
-    if config.lexicon.phenomenon is not Phenomenon.SPECULATION:
+    if lexicon is None:
+        lexicon = default_speculation_lexicon()
+    if lexicon.phenomenon is not Phenomenon.SPECULATION:
         raise ValidationError("detect_speculation requires a speculation lexicon")
-    return detect(text, (config.lexicon,), config.window)
+    return detect(text, (lexicon,), window)
 
 
 def prefilter(

@@ -21,6 +21,7 @@ __all__ = [
     "LabeledSample",
     "Token",
     "TagSequence",
+    "disjoint_spans",
     "tokenize",
     "match_key",
     "index_patterns",
@@ -49,6 +50,18 @@ class Span:
     @property
     def length(self) -> int:
         return self.end - self.start
+
+
+def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
+    """The spans in sorted order; any overlapping pair is a :class:`ValidationError`."""
+    ordered = sorted(spans)
+    for left, right in zip(ordered, ordered[1:]):
+        if left.end > right.start:
+            raise ValidationError(
+                f"{what} [{left.start}, {left.end}) and "
+                f"[{right.start}, {right.end}) overlap"
+            )
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -116,13 +129,7 @@ class LabeledSample:
                 f"sample {self.text.id!r}: class {self.sample_class.value} "
                 "must not carry gold spans"
             )
-        ordered = sorted(self.gold_spans)
-        for left, right in zip(ordered, ordered[1:]):
-            if left.end > right.start:
-                raise ValidationError(
-                    f"sample {self.text.id!r}: gold spans [{left.start}, {left.end}) "
-                    f"and [{right.start}, {right.end}) overlap"
-                )
+        disjoint_spans(self.gold_spans, f"sample {self.text.id!r}: gold spans")
 
 
 @dataclass(frozen=True)
@@ -245,15 +252,8 @@ def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:
     so a partially covered token is tagged. Overlapping input spans are
     rejected.
     """
-    ordered = sorted(spans)
-    for left, right in zip(ordered, ordered[1:]):
-        if left.end > right.start:
-            raise ValidationError(
-                f"spans [{left.start}, {left.end}) and "
-                f"[{right.start}, {right.end}) overlap"
-            )
     tags = ["O"] * len(tokens)
-    for span in ordered:
+    for span in disjoint_spans(spans):
         begin = True
         for position, token in enumerate(tokens):
             if token.span.start < span.end and span.start < token.span.end:
@@ -275,14 +275,11 @@ def bio_to_spans(
     Token-boundary-aligned spans round-trip exactly through
     :func:`spans_to_bio`.
     """
-    sequence = tuple(tags.tags if isinstance(tags, TagSequence) else tags)
+    sequence = TagSequence(tags).tags
     if len(sequence) != len(tokens):
         raise ValidationError(
             f"{len(sequence)} tags for {len(tokens)} tokens"
         )
-    bad = [t for t in sequence if t not in _VALID_TAGS]
-    if bad:
-        raise ValidationError(f"invalid BIO tags: {sorted(set(bad))}")
 
     spans: set[Span] = set()
     run_start: int | None = None

@@ -459,6 +459,27 @@ class TestExitCodes:
         (key,) = setting
         assert f"{config}: {key}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,setting",
+        [
+            (["detect", "--phenomenon", "neg", "--config", "{config}"], "negation_lexicon"),
+            (["extract", "--config", "{config}"], "ade_lexicon"),
+            (["detect", "--phenomenon", "spec", "--lexicon", "{missing}"], "speculation_lexicon"),
+        ],
+        ids=["config-negation", "config-ade", "detect-spec-lexicon"],
+    )
+    def test_missing_lexicon_names_its_setting(
+        self, tmp_path, e2e_corpus_path, capsys, args, setting
+    ):
+        missing = tmp_path / "missing.txt"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({setting: str(missing)}), encoding="utf-8")
+        argv = [arg.format(config=config, missing=missing) for arg in args]
+        out = tmp_path / "o.tsv"
+        assert main([*argv, "--corpus", str(e2e_corpus_path), "--out", str(out)]) == 1
+        expected = f"adescope: error: {setting}: file not found: {missing}\n"
+        assert capsys.readouterr().err == expected
+
     def test_undecodable_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(f"{CORPUS_HEADER}\nx1\tcaf\xe9\tX\t\n".encode("latin-1"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
@@ -206,6 +207,57 @@ class TestCorpusParsing:
         write_lines(path, '{"id": "x0", "text": "fine", "class": "X", "spans": []}', row)
         with pytest.raises(ParseError, match=rf"types\.jsonl:2: {key} must be a string"):
             load_corpus(path, format="jsonl")
+
+
+# One faulty (id, text, class, spans) row per fault, with the message both
+# corpus formats must give for it at the row's file:line.
+ROW_FAULTS = {
+    "empty-id": (("", "hello world", "X", []), "{where}: empty sample id"),
+    "duplicate-id": (("x0", "second one", "X", []), "{where}: duplicate sample id 'x0'"),
+    "unknown-class": (
+        ("a1", "hello world", "B", []),
+        "{where} (id 'a1'): unknown class 'B'",
+    ),
+    "class-span-mismatch": (
+        ("x1", "quiet day today", "X", [(0, 5)]),
+        "{where} (id 'x1'): sample 'x1': class X must not carry gold spans",
+    ),
+    "span-past-end": (
+        ("a1", "short", "A", [(0, 50)]),
+        "{where} (id 'a1'): sample 'a1': span [0, 50) exceeds text length 5",
+    ),
+    "overlapping-spans": (
+        ("a1", "short text here", "A", [(0, 5), (3, 8)]),
+        "{where} (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+    ),
+}
+
+
+def write_rows(path, format: str, *rows) -> None:
+    if format == "tsv":
+        lines = [CORPUS_HEADER] + [
+            "\t".join((sid, text, cls, ";".join(f"{s}:{e}" for s, e in spans)))
+            for sid, text, cls, spans in rows
+        ]
+    else:
+        lines = [
+            json.dumps({"id": sid, "text": text, "class": cls, "spans": spans})
+            for sid, text, cls, spans in rows
+        ]
+    write_lines(path, *lines)
+
+
+class TestRowFaults:
+    @pytest.mark.parametrize("format", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_both_formats_report_a_fault_alike(self, tmp_path, fault, format):
+        row, message = ROW_FAULTS[fault]
+        path = tmp_path / f"rows.{format}"
+        write_rows(path, format, ("x0", "all fine", "X", []), row)
+        line = 3 if format == "tsv" else 2
+        with pytest.raises(ParseError) as caught:
+            load_corpus(path, format=format)
+        assert str(caught.value) == message.format(where=f"{path}:{line}")
 
 
 # One valid file per input kind, with the loader that reads it.

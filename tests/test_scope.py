@@ -12,7 +12,6 @@ from adescope import (
     Phenomenon,
     RawText,
     SampleClass,
-    ScopeConfig,
     ValidationError,
     default_negation_lexicon,
     default_speculation_lexicon,
@@ -211,14 +210,13 @@ class TestDetect:
             assert scope_texts(content, scopes) == {expected}
 
     def test_phenomenon_mismatch_rejected(self):
-        config = ScopeConfig(default_speculation_lexicon())
         with pytest.raises(ValidationError):
-            detect_negation("maybe later", config)
+            detect_negation("maybe later", default_speculation_lexicon())
 
     def test_narrow_window_shrinks_scope(self):
         text = "not feeling my legs at all today"
-        wide = detect_negation(text, ScopeConfig(default_negation_lexicon(), window=5))
-        narrow = detect_negation(text, ScopeConfig(default_negation_lexicon(), window=1))
+        wide = detect_negation(text, default_negation_lexicon(), window=5)
+        narrow = detect_negation(text, default_negation_lexicon(), window=1)
         assert scope_texts(text, narrow) == {"feeling"}
         assert scope_texts(text, wide) == {"feeling my legs at all"}
 
@@ -240,9 +238,7 @@ class TestDetect:
             base.cues + (Cue("zzgrobble", CueCategory.PRE_TRIGGER, NEG),),
             NEG,
         )
-        assert detect_negation(content, ScopeConfig(base)) <= detect_negation(
-            content, ScopeConfig(extended)
-        )
+        assert detect_negation(content, base) <= detect_negation(content, extended)
 
     @given(
         st.lists(
@@ -260,9 +256,16 @@ class TestDetect:
         text = RawText("p", " ".join(words) + " end")
         neg, spec = default_negation_lexicon(), default_speculation_lexicon()
         assert detect(text, (neg, spec), window) == detect_negation(
-            text, ScopeConfig(neg, window)
-        ) | detect_speculation(text, ScopeConfig(spec, window))
+            text, neg, window
+        ) | detect_speculation(text, spec, window)
         assert detect(text, (), window) == set()
+
+    def test_no_lexicons_skip_tokenizing(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("tokenized with no lexicons")
+
+        monkeypatch.setattr("adescope.scope.tokenize", refuse)
+        assert detect("no pain today", (), 5) == set()
 
 
 class TestPrefilter:

@@ -12,6 +12,7 @@ from adescope import (
     Token,
     ValidationError,
     bio_to_spans,
+    match_spans,
     spans_to_bio,
     tokenize,
 )
@@ -156,6 +157,30 @@ class TestBio:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             bio_to_spans(make_tokens((0, 2)), ["B", "I"])
+
+    def test_bio_to_spans_rejects_unknown_tags(self):
+        with pytest.raises(ValidationError, match=r"invalid BIO tags: \['Q'\]"):
+            bio_to_spans(make_tokens((0, 2), (3, 6)), ["B", "Q"])
+
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (
+                lambda spans: LabeledSample(RawText("t", "x" * 10), spans, SampleClass.ADE),
+                "sample 't': gold spans [0, 5) and [3, 8) overlap",
+            ),
+            (
+                lambda spans: spans_to_bio(make_tokens((0, 2), (3, 6)), spans),
+                "spans [0, 5) and [3, 8) overlap",
+            ),
+            (lambda spans: match_spans(spans, []), "gold spans [0, 5) and [3, 8) overlap"),
+        ],
+        ids=["sample", "spans_to_bio", "match_spans"],
+    )
+    def test_overlap_messages_name_the_pair(self, check, message):
+        with pytest.raises(ValidationError) as caught:
+            check(frozenset({Span(3, 8), Span(0, 5)}))
+        assert str(caught.value) == message
 
     def test_tag_sequence_validates_alphabet(self):
         with pytest.raises(ValidationError):
