@@ -19,20 +19,17 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from adescope import (  # noqa: E402
-    EntitySet,
     REPORT_CLASS_ORDER,
-    combine,
     default_ade_lexicon,
-    detect_negation,
-    detect_speculation,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    detect,
     evaluate_corpus,
     extract,
     filter_by_scopes,
     load_corpus,
 )
 from adescope.scope import DEFAULT_WINDOW  # noqa: E402
-
-SELECTIONS = ("none", "neg", "spec", "neg+spec")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,28 +52,15 @@ def main(argv: list[str] | None = None) -> int:
 
     corpus = load_corpus(args.corpus)
     lexicon = default_ade_lexicon()
-
+    negation, speculation = default_negation_lexicon(), default_speculation_lexicon()
+    # The same selections, and the same detect-then-filter path, as the CLI's --filters.
+    selections = {
+        "none": (),
+        "neg": (negation,),
+        "spec": (speculation,),
+        "neg+spec": (negation, speculation),
+    }
     baseline = [extract(sample.text, lexicon) for sample in corpus.samples]
-    negations = [
-        detect_negation(s.text, window=args.window) for s in corpus.samples
-    ]
-    speculations = [
-        detect_speculation(s.text, window=args.window) for s in corpus.samples
-    ]
-
-    def filtered(selection: str) -> list[EntitySet]:
-        if selection == "none":
-            return baseline
-        if selection == "neg":
-            return [filter_by_scopes(e, n).kept for e, n in zip(baseline, negations)]
-        if selection == "spec":
-            return [
-                filter_by_scopes(e, s).kept for e, s in zip(baseline, speculations)
-            ]
-        return [
-            combine(e, n, s).kept
-            for e, n, s in zip(baseline, negations, speculations)
-        ]
 
     print(f"corpus: {args.corpus} ({len(corpus)} samples)")
     class_header = " ".join(f"FP:{c.value}" for c in REPORT_CLASS_ORDER)
@@ -84,8 +68,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{'selection':<9} {'pred':>5} {'TP':>4} {'Par':>4} {'FP':>4} {'FN':>4}  "
         f"{class_header}  {'P':>7} {'R':>7} {'F1':>7}"
     )
-    for selection in SELECTIONS:
-        entity_sets = filtered(selection)
+    for selection, lexicons in selections.items():
+        entity_sets = [
+            filter_by_scopes(entities, detect(sample.text, lexicons, args.window)).kept
+            for entities, sample in zip(baseline, corpus.samples)
+        ]
         report = evaluate_corpus(corpus.samples, entity_sets)
         scores = report.scores
         predicted = sum(len(e.spans) for e in entity_sets)

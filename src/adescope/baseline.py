@@ -16,15 +16,7 @@ from typing import Union
 from .combine import EntitySet
 from .corpus import read_text
 from .errors import ParseError, ValidationError
-from .text import (
-    PatternIndex,
-    RawText,
-    Span,
-    index_patterns,
-    longest_matches,
-    match_key,
-    tokenize,
-)
+from .text import PatternIndex, RawText, index_patterns, longest_matches, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -59,9 +51,7 @@ class AdeLexicon:
 
     @cached_property
     def _index(self) -> PatternIndex:
-        return index_patterns(
-            {tuple(match_key(t.surface) for t in tokenize(term)): term for term in self.terms}
-        )
+        return index_patterns((term, term) for term in self.terms)
 
 
 def _term_lines(content: str) -> tuple[str, ...]:
@@ -95,12 +85,5 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
     and non-overlapping; the returned spans cover whole tokens, so a
     hashtagged term keeps its marker in the span.
     """
-    tokens = tokenize(text)
-    keys = tuple(match_key(token.surface) for token in tokens)
-    return EntitySet(
-        text.id,
-        frozenset(
-            Span(tokens[first].span.start, tokens[last].span.end)
-            for first, last, _ in longest_matches(keys, lexicon._index)
-        ),
-    )
+    matches = longest_matches(tokenize(text), lexicon._index)
+    return EntitySet(text.id, frozenset(span for span, _, _, _ in matches))

@@ -148,6 +148,12 @@ def _load_corpus_arg(args: argparse.Namespace) -> CorpusPartition:
     return load_corpus(_require_file(args.corpus, "--corpus"), format=args.format)
 
 
+def _load_predictions_arg(args: argparse.Namespace, corpus: CorpusPartition) -> PredictionFile:
+    predictions = load_predictions(_require_file(args.predictions, "--predictions"))
+    validate_predictions(predictions, corpus)
+    return predictions
+
+
 # Per cue phenomenon: its name in selections, its setting, its default lexicon.
 _CUE_LEXICONS = (
     ("neg", "negation_lexicon", Phenomenon.NEGATION, default_negation_lexicon),
@@ -219,8 +225,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
     if args.lexicon is not None:
-        key = "negation_lexicon" if args.phenomenon == "neg" else "speculation_lexicon"
-        config = replace(config, **{key: args.lexicon})
+        setting = next(setting for name, setting, *_ in _CUE_LEXICONS if name == args.phenomenon)
+        config = replace(config, **{setting: args.lexicon})
     scope_sets = _parallel_map(
         partial(
             detect,
@@ -252,10 +258,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    predictions_path = _require_file(args.predictions, "--predictions")
-    predictions = load_predictions(predictions_path)
-    validate_predictions(predictions, corpus)
-
+    predictions = _load_predictions_arg(args, corpus)
     items = [
         (sample.text, predictions.spans_for(sample.text.id))
         for sample in corpus.samples
@@ -298,9 +301,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    predictions_path = _require_file(args.predictions, "--predictions")
-    predictions = load_predictions(predictions_path)
-    validate_predictions(predictions, corpus)
+    predictions = _load_predictions_arg(args, corpus)
     entity_sets = [
         EntitySet(text_id, spans) for text_id, spans in predictions.entries.items()
     ]
@@ -454,10 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"adescope: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"adescope: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"adescope: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

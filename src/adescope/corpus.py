@@ -22,6 +22,7 @@ from __future__ import annotations
 import codecs
 import json
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,6 +55,7 @@ _JSONL_KEYS = ("id", "text", "class", "spans")
 _PARTITION_NAMES = ("train", "test", "custom")
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
 _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\r"}
 
 
@@ -121,20 +123,18 @@ def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _unescape_text(field: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(field):
-        ch = field[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(field) or field[i + 1] not in _UNESCAPE:
-            raise ValidationError("bad escape sequence in text field")
-        out.append(_UNESCAPE[field[i + 1]])
-        i += 2
-    return "".join(out)
+def _unescape(match: re.Match) -> str:
+    try:
+        return _UNESCAPE[match[1]]
+    except KeyError:
+        raise ValidationError("bad escape sequence in text field") from None
+
+
+def _offset(digits: str) -> int:
+    # int() alone would also take signs, spaces, "_" and non-ASCII digits.
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(digits)
+    return int(digits)
 
 
 def _parse_span_field(field: str) -> list[Span]:
@@ -146,7 +146,7 @@ def _parse_span_field(field: str) -> list[Span]:
         if len(parts) != 2:
             raise ValidationError(f"malformed span {chunk!r}, expected start:end")
         try:
-            start, end = int(parts[0]), int(parts[1])
+            start, end = _offset(parts[0]), _offset(parts[1])
         except ValueError:
             raise ValidationError(f"non-integer span offsets in {chunk!r}") from None
         spans.append(Span(start, end))
@@ -158,11 +158,17 @@ def _format_span_field(spans: Iterable[Span]) -> str:
 
 
 def _decode_tsv(text: str, spans: str) -> tuple[str, list[Span]]:
-    return _unescape_text(text), _parse_span_field(spans)
+    return _ESCAPE_RE.sub(_unescape, text), _parse_span_field(spans)
 
 
 def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
-    return text, [Span(int(s), int(e)) for s, e in spans]
+    pairs = spans if isinstance(spans, list) else [spans]
+    for pair in pairs:
+        # type(), not isinstance(): JSON true loads as a bool, an int subclass.
+        offsets_ok = isinstance(pair, list) and all(type(offset) is int for offset in pair)
+        if not offsets_ok or len(pair) != 2:
+            raise ValidationError(f"malformed span {json.dumps(pair)}, expected [start, end]")
+    return text, [Span(start, end) for start, end in pairs]
 
 
 def _row_sample(row: Sequence, where: str, seen: set[str], decode) -> LabeledSample:
@@ -184,7 +190,7 @@ def _row_sample(row: Sequence, where: str, seen: set[str], decode) -> LabeledSam
     try:
         content, span_list = decode(text, spans)
         return LabeledSample(RawText(sample_id, content), frozenset(span_list), sample_class)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 

@@ -37,7 +37,7 @@ from .text import (
     Token,
     index_patterns,
     longest_matches,
-    match_key,
+    token_span,
     tokenize,
 )
 
@@ -103,13 +103,6 @@ class Cue:
             raise ValidationError(f"bad cue pattern {self.pattern!r}")
         object.__setattr__(self, "pattern", self.pattern.casefold())
 
-    @cached_property
-    def pattern_keys(self) -> tuple[str, ...]:
-        keys = tuple(match_key(t.surface) for t in tokenize(self.pattern))
-        if not keys:
-            raise ValidationError(f"cue pattern {self.pattern!r} has no tokens")
-        return keys
-
 
 @dataclass(frozen=True)
 class CueLexicon:
@@ -139,14 +132,8 @@ class CueLexicon:
 
     @cached_property
     def _index(self) -> PatternIndex:
-        table: dict[tuple[str, ...], Cue] = {}
-        for cue in self.cues:
-            current = table.get(cue.pattern_keys)
-            if current is None or (
-                _CATEGORY_PRIORITY[cue.category] < _CATEGORY_PRIORITY[current.category]
-            ):
-                table[cue.pattern_keys] = cue
-        return index_patterns(table)
+        ranked = sorted(self.cues, key=lambda cue: _CATEGORY_PRIORITY[cue.category])
+        return index_patterns((cue.pattern, cue) for cue in ranked)
 
 
 @dataclass(frozen=True)
@@ -250,10 +237,9 @@ def find_cues(tokens: Sequence[Token], lexicon: CueLexicon) -> list[CueMatch]:
     after it, so matches never overlap and a pseudo-trigger swallows the
     shorter trigger it subsumes. Returns matches in text order.
     """
-    keys = tuple(match_key(token.surface) for token in tokens)
     return [
-        CueMatch(cue, Span(tokens[first].span.start, tokens[last].span.end), first, last)
-        for first, last, cue in longest_matches(keys, lexicon._index)
+        CueMatch(cue, span, first, last)
+        for span, first, last, cue in longest_matches(tokens, lexicon._index)
     ]
 
 
@@ -310,12 +296,7 @@ def resolve_scopes(
         if reached != edge:
             first, last = sorted((edge + step, reached))
             scopes.append(
-                ScopeSpan(
-                    Span(tokens[first].span.start, tokens[last].span.end),
-                    match,
-                    match.cue.phenomenon,
-                    text_id,
-                )
+                ScopeSpan(token_span(tokens, first, last), match, match.cue.phenomenon, text_id)
             )
     scopes.sort(key=lambda s: (s.span.start, s.span.end, s.trigger.span.start))
     return scopes

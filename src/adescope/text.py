@@ -1,8 +1,13 @@
-"""Texts, character spans, tokens and BIO tag sequences.
+"""Texts, character spans, tokens, lexicon matching and BIO tag sequences.
 
 Offsets throughout the package are half-open ``[start, end)`` counts of
 Unicode scalar values into the owning text, so ``text[span.start:span.end]``
 is always the covered surface.
+
+Cue phrases and event terms are found by one shared matcher:
+:func:`index_patterns` keys lexicon patterns the way :func:`tokenize` splits
+texts, and :func:`longest_matches` scans a token sequence for the longest
+pattern at each position, returning the character span each match covers.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ __all__ = [
     "TagSequence",
     "disjoint_spans",
     "tokenize",
-    "match_key",
+    "token_span",
     "index_patterns",
     "longest_matches",
     "spans_to_bio",
@@ -192,7 +197,7 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     ]
 
 
-def match_key(surface: str) -> str:
+def _match_key(surface: str) -> str:
     """Comparison key for lexicon matching against a token surface.
 
     Casefolds, straightens curly apostrophes, and drops a leading hashtag
@@ -205,16 +210,29 @@ def match_key(surface: str) -> str:
     return key
 
 
+def token_span(tokens: Sequence[Token], first: int, last: int) -> Span:
+    """The character span that tokens ``first..last`` (inclusive) cover."""
+    return Span(tokens[first].span.start, tokens[last].span.end)
+
+
 V = TypeVar("V")
 
 #: Patterns grouped by their first key, each group ordered longest first.
 PatternIndex = Mapping[str, Sequence[tuple[tuple[str, ...], V]]]
 
 
-def index_patterns(patterns: Mapping[tuple[str, ...], V]) -> PatternIndex:
-    """Group non-empty key-tuple patterns by first key, longest first."""
+def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
+    """Index ``(pattern, value)`` pairs for :func:`longest_matches`.
+
+    Each pattern is tokenized and keyed the way texts are, so it must hold
+    at least one token. When patterns share a key sequence the first
+    entry's value wins.
+    """
+    table: dict[tuple[str, ...], V] = {}
+    for pattern, value in entries:
+        table.setdefault(tuple(_match_key(t.surface) for t in tokenize(pattern)), value)
     groups: dict[str, list[tuple[tuple[str, ...], V]]] = {}
-    for keys, value in patterns.items():
+    for keys, value in table.items():
         groups.setdefault(keys[0], []).append((keys, value))
     return {
         first: tuple(sorted(group, key=lambda entry: -len(entry[0])))
@@ -223,22 +241,24 @@ def index_patterns(patterns: Mapping[tuple[str, ...], V]) -> PatternIndex:
 
 
 def longest_matches(
-    keys: tuple[str, ...], index: PatternIndex
-) -> list[tuple[int, int, V]]:
-    """Greedy leftmost-longest, non-overlapping pattern matches over keys.
+    tokens: Sequence[Token], index: PatternIndex
+) -> list[tuple[Span, int, int, V]]:
+    """Greedy leftmost-longest, non-overlapping pattern matches over tokens.
 
-    At each position the longest pattern starting there wins and the scan
-    resumes after it. Returns ``(first, last, value)`` triples in order;
-    ``first`` and ``last`` are inclusive key positions.
+    A token run matches a pattern when their comparison keys are equal. At
+    each position the longest pattern starting there wins and the scan
+    resumes after it. Returns ``(span, first, last, value)`` in order;
+    ``first`` and ``last`` are inclusive token positions.
     """
-    matches: list[tuple[int, int, V]] = []
+    keys = tuple(_match_key(token.surface) for token in tokens)
+    matches: list[tuple[Span, int, int, V]] = []
     position, count = 0, len(keys)
     while position < count:
         for pattern, value in index.get(keys[position], ()):
-            end = position + len(pattern)
-            if keys[position:end] == pattern:
-                matches.append((position, end - 1, value))
-                position = end
+            last = position + len(pattern) - 1
+            if keys[position : last + 1] == pattern:
+                matches.append((token_span(tokens, position, last), position, last, value))
+                position = last + 1
                 break
         else:
             position += 1

@@ -134,15 +134,19 @@ class TestCorpusParsing:
 
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "esc.tsv"
-        write_lines(path, CORPUS_HEADER, "a1\tbad \\q escape\tX\t")
-        with pytest.raises(ParseError, match="bad escape"):
-            load_corpus(path)
+        for text in ("bad \\q escape", "trailing \\"):
+            write_lines(path, CORPUS_HEADER, f"a1\t{text}\tX\t")
+            with pytest.raises(ParseError, match="bad escape sequence in text field"):
+                load_corpus(path)
 
-    @pytest.mark.parametrize("field", ["3-4", "a:b", "5:5", "3:2", "1:4;"])
+    @pytest.mark.parametrize(
+        "field",
+        ["3-4", "a:b", "5:5", "3:2", "1:4;", "0:1_2", " 0:12", "+0:12", "0:\u0661\u0662"],
+    )
     def test_malformed_span_field(self, tmp_path, field):
         path = tmp_path / "span.tsv"
         write_lines(path, CORPUS_HEADER, f"a1\tlong enough text\tA\t{field}")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"span\.tsv:2 \(id 'a1'\): "):
             load_corpus(path)
 
     def test_class_span_consistency_enforced(self, tmp_path):
@@ -207,6 +211,31 @@ class TestCorpusParsing:
         write_lines(path, '{"id": "x0", "text": "fine", "class": "X", "spans": []}', row)
         with pytest.raises(ParseError, match=rf"types\.jsonl:2: {key} must be a string"):
             load_corpus(path, format="jsonl")
+
+    @pytest.mark.parametrize(
+        "spans,shown",
+        [
+            ("7", "7"),
+            ("null", "null"),
+            ('"0:3"', '"0:3"'),
+            ("[[0]]", "[0]"),
+            ("[[0, 3, 5]]", "[0, 3, 5]"),
+            ("[[0.9, 3]]", "[0.9, 3]"),
+            ('[["0", "3"]]', '["0", "3"]'),
+            ("[[true, 3]]", "[true, 3]"),
+        ],
+    )
+    def test_jsonl_spans_must_be_integer_pairs(self, tmp_path, spans, shown):
+        path = tmp_path / "spans.jsonl"
+        path.write_text(
+            f'{{"id": "a1", "text": "some text", "class": "A", "spans": {spans}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as caught:
+            load_corpus(path, format="jsonl")
+        assert str(caught.value) == (
+            f"{path}:1 (id 'a1'): malformed span {shown}, expected [start, end]"
+        )
 
 
 # One faulty (id, text, class, spans) row per fault, with the message both
@@ -420,6 +449,9 @@ class TestPredictionFiles:
             load_predictions(path)
         write_lines(path, "a1\t0:2:4")
         with pytest.raises(ParseError, match="malformed span"):
+            load_predictions(path)
+        write_lines(path, "a1\t0:1_2")
+        with pytest.raises(ParseError, match=r"bad\.tsv:1: non-integer span offsets in '0:1_2'"):
             load_predictions(path)
 
     def test_unserialisable_ids_rejected(self, tmp_path):

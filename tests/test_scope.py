@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,28 @@ class TestFindCues:
         text = "and there's no way I'm sleeping"
         (match,) = find_cues(tokenize(text), lex)
         assert text[match.span.start : match.span.end] == "there's no way"
+
+    # Cues whose patterns differ but share token keys ("no" and "#no"): the
+    # safest category wins whatever the lexicon order.
+    SAFEST_FIRST = [
+        CueCategory.PSEUDO_TRIGGER,
+        CueCategory.TERMINATOR,
+        CueCategory.PRE_TRIGGER,
+        CueCategory.POST_TRIGGER,
+    ]
+
+    @pytest.mark.parametrize("plain,hashed", list(permutations(CueCategory, 2)))
+    def test_colliding_cues_resolve_to_the_safest_category(self, plain, hashed):
+        expected = min(plain, hashed, key=self.SAFEST_FIRST.index)
+        for entries in ((("no", plain), ("#no", hashed)), (("#no", hashed), ("no", plain))):
+            (match,) = find_cues(tokenize("no"), lexicon(*entries))
+            assert match.cue.category is expected
+
+    @pytest.mark.parametrize("category", list(CueCategory))
+    def test_colliding_cues_of_one_category_keep_the_earlier(self, category):
+        for patterns in (("no", "#no"), ("#no", "no")):
+            (match,) = find_cues(tokenize("no"), lexicon(*((p, category) for p in patterns)))
+            assert match.cue.pattern == patterns[0]
 
 
 class TestResolveScopes:
