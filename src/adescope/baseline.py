@@ -68,7 +68,10 @@ def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
     terms = _term_lines(read_text(path))
     if not terms:
         raise ParseError(f"{path}: lexicon contains no terms")
-    return AdeLexicon(terms)
+    try:
+        return AdeLexicon(terms)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=1)

@@ -15,20 +15,20 @@ deterministic: identical inputs produce byte-identical files, whatever
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .baseline import AdeLexicon, default_ade_lexicon, extract, load_ade_lexicon
+from .baseline import default_ade_lexicon, extract, load_ade_lexicon
 from .combine import EntitySet, FilterReport, filter_by_scopes
 from .corpus import (
     CorpusPartition,
     PredictionFile,
     compose_training_set,
+    decode_json,
     load_corpus,
     load_predictions,
     read_text,
@@ -43,6 +43,7 @@ from .scope import (
     DEFAULT_WINDOW,
     CueLexicon,
     Phenomenon,
+    ScopeSpan,
     default_negation_lexicon,
     default_speculation_lexicon,
     detect,
@@ -51,7 +52,7 @@ from .scope import (
 )
 from .text import REPORT_CLASS_ORDER, RawText
 
-__all__ = ["PipelineConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,58 +68,38 @@ class UsageError(Exception):
     """A problem with flags or referenced paths; maps to exit code 1."""
 
 
-@dataclass
-class PipelineConfig:
-    """Pipeline settings; a JSON config file fills in what flags do not."""
-
-    negation_lexicon: str | None = None
-    speculation_lexicon: str | None = None
-    ade_lexicon: str | None = None
-    window: int = DEFAULT_WINDOW
-    filters: str = "neg+spec"
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.window < 1:
-            raise UsageError(f"--window must be >= 1, got {self.window}")
-        if self.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {self.jobs}")
-        if self.filters not in FILTER_CHOICES:
-            raise UsageError(
-                f"--filters must be one of {', '.join(FILTER_CHOICES)}, "
-                f"got {self.filters!r}"
-            )
-
-
-# The JSON type each config key takes, as (accepted types, description).
-_CONFIG_TYPES = {
-    "negation_lexicon": ((str, type(None)), "a string or null"),
-    "speculation_lexicon": ((str, type(None)), "a string or null"),
-    "ade_lexicon": ((str, type(None)), "a string or null"),
-    "window": ((int,), "an integer"),
-    "filters": ((str,), "a string"),
-    "jobs": ((int,), "an integer"),
+# Pipeline settings: a flag overrides the --config file, which overrides
+# the default. Each is (default, accepted JSON types, their description).
+_SETTINGS = {
+    "negation_lexicon": (None, (str, type(None)), "a string or null"),
+    "speculation_lexicon": (None, (str, type(None)), "a string or null"),
+    "ade_lexicon": (None, (str, type(None)), "a string or null"),
+    "window": (DEFAULT_WINDOW, (int,), "an integer"),
+    "filters": ("neg+spec", (str,), "a string"),
+    "jobs": (1, (int,), "an integer"),
 }
 
+# Per cue phenomenon: its name in selections, its setting, its default lexicon.
+_CUE_LEXICONS = (
+    ("neg", "negation_lexicon", Phenomenon.NEGATION, default_negation_lexicon),
+    ("spec", "speculation_lexicon", Phenomenon.SPECULATION, default_speculation_lexicon),
+)
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON object of :class:`PipelineConfig` fields."""
-    raw = read_text(path)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from None
+
+def load_config(path: str | Path) -> dict:
+    """Read a JSON object of settings, checking each key and its JSON type."""
+    data = decode_json(read_text(path), str(path))
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_TYPES))
+    unknown = sorted(set(data) - set(_SETTINGS))
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key, value in data.items():
-        types, expected = _CONFIG_TYPES[key]
+        _, types, expected = _SETTINGS[key]
         # bool is an int subclass, but true is not a window or a job count.
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValidationError(f"{path}: {key}: expected {expected}, got {value!r}")
-    return replace(PipelineConfig(), **data)
+    return data
 
 
 def _require_file(path: str, name: str) -> Path:
@@ -129,19 +110,28 @@ def _require_file(path: str, name: str) -> Path:
     return resolved
 
 
-def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig()
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Set each setting no flag gave on ``args`` from ``--config`` or its
+    default, then check the ranges of window, jobs and filters.
+    """
+    if getattr(args, "lexicon", None) is not None:  # detect's override
+        setting = next(setting for name, setting, *_ in _CUE_LEXICONS if name == args.phenomenon)
+        setattr(args, setting, args.lexicon)
+    config = {}
     if args.config:
         _require_file(args.config, "--config")
         config = load_config(args.config)
-    overrides = {}
-    for name in _CONFIG_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    config = replace(config, **overrides)
-    config.validate()
-    return config
+    for name, (default, _, _) in _SETTINGS.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, config.get(name, default))
+    if args.window < 1:
+        raise UsageError(f"--window must be >= 1, got {args.window}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.filters not in FILTER_CHOICES:
+        raise UsageError(
+            f"--filters must be one of {', '.join(FILTER_CHOICES)}, got {args.filters!r}"
+        )
 
 
 def _load_corpus_arg(args: argparse.Namespace) -> CorpusPartition:
@@ -150,41 +140,35 @@ def _load_corpus_arg(args: argparse.Namespace) -> CorpusPartition:
 
 def _load_predictions_arg(args: argparse.Namespace, corpus: CorpusPartition) -> PredictionFile:
     predictions = load_predictions(_require_file(args.predictions, "--predictions"))
-    validate_predictions(predictions, corpus)
+    try:
+        validate_predictions(predictions, corpus)
+    except ValidationError as exc:
+        # Either file can be the faulty one.
+        raise ValidationError(f"{args.predictions} against {args.corpus}: {exc}") from None
     return predictions
 
 
-# Per cue phenomenon: its name in selections, its setting, its default lexicon.
-_CUE_LEXICONS = (
-    ("neg", "negation_lexicon", Phenomenon.NEGATION, default_negation_lexicon),
-    ("spec", "speculation_lexicon", Phenomenon.SPECULATION, default_speculation_lexicon),
-)
-
-
-def _selected_lexicons(config: PipelineConfig, selection: str) -> tuple[CueLexicon, ...]:
+def _selected_lexicons(args: argparse.Namespace, selection: str) -> tuple[CueLexicon, ...]:
     """The cue lexicons a selection such as ``neg+spec`` names; none for ``none``."""
     lexicons = []
     for name, setting, phenomenon, default in _CUE_LEXICONS:
         if name in selection:
-            path = getattr(config, setting)
+            path = getattr(args, setting)
             lexicons.append(
                 load_lexicon(_require_file(path, setting), phenomenon) if path else default()
             )
     return tuple(lexicons)
 
 
-def _ade_lexicon(config: PipelineConfig) -> AdeLexicon:
-    if config.ade_lexicon:
-        return load_ade_lexicon(_require_file(config.ade_lexicon, "ade_lexicon"))
-    return default_ade_lexicon()
-
-
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, fanned out over processes when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
+    """Order-preserving map over ``jobs`` processes, capped at the CPU count."""
+    # Workers past the CPUs cannot run at once, and a fork-based pool starts
+    # every one of them on the first submit.
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -192,7 +176,14 @@ def _span_field(span) -> str:
     return f"{span.start}:{span.end}"
 
 
-# The filter worker lives at module level so process pools can pickle it.
+def _cue_text(text: RawText, scope: ScopeSpan) -> str:
+    trigger = scope.trigger.span
+    return text.content[trigger.start : trigger.end]
+
+
+def _write_rows(path: str, header: str, rows: Iterable[tuple[str, ...]]) -> None:
+    """Write a TSV of sorted rows under its header."""
+    write_lines(path, [header, *("\t".join(row) for row in sorted(rows))])
 
 
 def _filter_worker(
@@ -200,18 +191,22 @@ def _filter_worker(
     lexicons: tuple[CueLexicon, ...],
     window: int,
 ) -> FilterReport:
+    """Filter one text's spans; at module level so process pools can pickle it."""
     text, spans = item
     return filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, window))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    lexicon = _ade_lexicon(config)
+    lexicon = (
+        load_ade_lexicon(_require_file(args.ade_lexicon, "ade_lexicon"))
+        if args.ade_lexicon
+        else default_ade_lexicon()
+    )
     entity_sets = _parallel_map(
         partial(extract, lexicon=lexicon),
         [sample.text for sample in corpus.samples],
-        config.jobs,
+        args.jobs,
     )
     predictions = PredictionFile(
         {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))},
@@ -222,84 +217,66 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    corpus = _load_corpus_arg(args)
-    if args.lexicon is not None:
-        setting = next(setting for name, setting, *_ in _CUE_LEXICONS if name == args.phenomenon)
-        config = replace(config, **{setting: args.lexicon})
+    texts = [sample.text for sample in _load_corpus_arg(args).samples]
     scope_sets = _parallel_map(
         partial(
             detect,
-            lexicons=_selected_lexicons(config, args.phenomenon),
-            window=config.window,
+            lexicons=_selected_lexicons(args, args.phenomenon),
+            window=args.window,
         ),
-        [sample.text for sample in corpus.samples],
-        config.jobs,
+        texts,
+        args.jobs,
     )
-    rows = []
-    for sample, scopes in zip(corpus.samples, scope_sets):
-        content = sample.text.content
-        for scope in scopes:
-            trigger = scope.trigger.span
-            rows.append(
-                (
-                    sample.text.id,
-                    scope.phenomenon.value,
-                    _span_field(scope.span),
-                    _span_field(trigger),
-                    content[trigger.start : trigger.end],
-                )
-            )
-    rows.sort()
-    write_lines(args.out, [DETECT_HEADER, *("\t".join(row) for row in rows)])
+    rows = [
+        (
+            text.id,
+            scope.phenomenon.value,
+            _span_field(scope.span),
+            _span_field(scope.trigger.span),
+            _cue_text(text, scope),
+        )
+        for text, scopes in zip(texts, scope_sets)
+        for scope in scopes
+    ]
+    _write_rows(args.out, DETECT_HEADER, rows)
     return EXIT_OK
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
     items = [
-        (sample.text, predictions.spans_for(sample.text.id))
-        for sample in corpus.samples
+        (corpus.by_id[text_id].text, spans)
+        for text_id, spans in predictions.entries.items()
     ]
     reports = _parallel_map(
         partial(
             _filter_worker,
-            lexicons=_selected_lexicons(config, config.filters),
-            window=config.window,
+            lexicons=_selected_lexicons(args, args.filters),
+            window=args.window,
         ),
         items,
-        config.jobs,
+        args.jobs,
     )
-    entries = {}
-    audit_rows = []
-    for sample, report in zip(corpus.samples, reports):
-        text_id = sample.text.id
-        if text_id in predictions.entries:
-            entries[text_id] = report.kept.spans
-        content = sample.text.content
-        for discard in report.discarded:
-            trigger = discard.scope.trigger.span
-            audit_rows.append(
-                (
-                    text_id,
-                    _span_field(discard.span),
-                    discard.phenomenon.value,
-                    _span_field(discard.scope.span),
-                    content[trigger.start : trigger.end],
-                )
-            )
+    entries = {report.kept.text_id: report.kept.spans for report in reports}
     write_predictions(PredictionFile(dict(predictions.metadata), entries), args.out)
-
+    rows = [
+        (
+            text.id,
+            _span_field(discard.span),
+            discard.phenomenon.value,
+            _span_field(discard.scope.span),
+            _cue_text(text, discard.scope),
+        )
+        for (text, _), report in zip(items, reports)
+        for discard in report.discarded
+    ]
     audit_path = args.audit if args.audit is not None else f"{args.out}.audit"
-    audit_rows.sort()
-    write_lines(audit_path, [AUDIT_HEADER, *("\t".join(row) for row in audit_rows)])
+    _write_rows(audit_path, AUDIT_HEADER, rows)
     return EXIT_OK
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _resolve_config(args)
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
     entity_sets = [
@@ -322,21 +299,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    _resolve_config(args)
     if args.add_n and not args.n_pool:
         raise UsageError("--n-pool is required with --add-n")
     if args.add_s and not args.s_pool:
         raise UsageError("--s-pool is required with --add-s")
-    base = load_corpus(_require_file(args.base, "--base"), format=args.format)
-    n_pool = (
-        load_corpus(_require_file(args.n_pool, "--n-pool"), format=args.format)
-        if args.n_pool
-        else None
-    )
-    s_pool = (
-        load_corpus(_require_file(args.s_pool, "--s-pool"), format=args.format)
-        if args.s_pool
-        else None
+    corpora = (("--base", args.base), ("--n-pool", args.n_pool), ("--s-pool", args.s_pool))
+    base, n_pool, s_pool = (
+        None if path is None else load_corpus(_require_file(path, flag), format=args.format)
+        for flag, path in corpora
     )
     composed = compose_training_set(
         base, add_n=args.add_n, add_s=args.add_s, n_pool=n_pool, s_pool=s_pool
@@ -346,9 +316,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_prefilter(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     corpus = _load_corpus_arg(args)
-    kept = prefilter(corpus.samples, _selected_lexicons(config, args.phenomena))
+    kept = prefilter(corpus.samples, _selected_lexicons(args, args.phenomena))
     write_corpus(
         CorpusPartition(corpus.name, tuple(kept)), args.out, format=args.format
     )
@@ -419,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True, help="JSON report to write")
     p.add_argument("--verbose", action="store_true", help="include per-sample outcomes")
-    _add_common(p)
+    _add_common(p, jobs=False)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = subparsers.add_parser("compose", help="assemble a training corpus from pools")
@@ -451,13 +420,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        _resolve_settings(args)
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValidationError, OSError) as exc:
         print(f"adescope: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, OSError) as exc:
-        print(f"adescope: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ __all__ = [
     "write_predictions",
     "validate_predictions",
     "read_text",
+    "decode_json",
     "write_lines",
 ]
 
@@ -116,6 +117,19 @@ def read_text(path: Union[str, Path]) -> str:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
     return content.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def decode_json(content: str, where: str):
+    """Parse one JSON document; any fault is a :class:`ParseError` at ``where``."""
+    try:
+        return json.loads(content)
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    except ValueError:  # an integer literal longer than the interpreter converts
+        reason = "integer literal too long"
+    except RecursionError:
+        reason = "nested too deeply"
+    raise ParseError(f"{where}: invalid JSON ({reason})")
 
 
 def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
@@ -225,10 +239,7 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
         if not line.strip():
             continue
         where = f"{source}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON ({exc.msg})") from None
+        record = decode_json(line, where)
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected a JSON object")
         missing = set(_JSONL_KEYS) - set(record)

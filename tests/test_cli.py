@@ -502,6 +502,105 @@ class TestExitCodes:
         assert code == 1
 
 
+    def test_evaluate_takes_no_jobs(self, tmp_path, e2e_corpus_path, preds_path, capsys):
+        argv = ["evaluate", "--corpus", str(e2e_corpus_path), "--predictions", str(preds_path)]
+        assert main([*argv, "--out", str(tmp_path / "r.json"), "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestDataErrorsNameTheirFiles:
+    """Every data error (exit 2) names the file at fault; JSON faults included."""
+
+    @pytest.mark.parametrize(
+        "kind,content",
+        [
+            ("config", "[" * 100_000),
+            ("config", '{"window": 1' + "0" * 5000 + "}"),
+            ("jsonl", "[" * 100_000),
+            ("jsonl", '{"id": "a", "text": "ab", "class": "A", "spans": [[0, 1' + "0" * 5000 + "]]}"),
+        ],
+        ids=["config-deep", "config-huge-int", "jsonl-deep", "jsonl-huge-span"],
+    )
+    def test_json_faults_exit_two(self, tmp_path, e2e_corpus_path, capsys, kind, content):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text(content + "\n", encoding="utf-8")
+        out = str(tmp_path / "o.tsv")
+        if kind == "config":
+            argv = ["prefilter", "--corpus", str(e2e_corpus_path), "--config", str(bad)]
+            where = f"{bad}: invalid JSON ("
+        else:
+            argv = ["prefilter", "--corpus", str(bad), "--format", "jsonl"]
+            where = f"{bad}:1"
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert where in err
+        # On a Python without an integer digit limit the huge span is
+        # well-formed JSON and fails the text-length check instead.
+        assert "invalid JSON (" in err or "exceeds text length" in err
+        assert "sys." not in err
+
+    def run_evaluate(self, tmp_path, corpus, rows):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(rows, encoding="utf-8")
+        argv = ["evaluate", "--corpus", str(corpus), "--predictions", str(preds)]
+        return preds, main([*argv, "--out", str(tmp_path / "r.json")])
+
+    def test_unknown_ids_name_both_files(self, tmp_path, e2e_corpus_path, capsys):
+        preds, code = self.run_evaluate(tmp_path, e2e_corpus_path, "zzz\t0:4\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {preds} against {e2e_corpus_path}: "
+            "predictions reference unknown text ids: zzz\n"
+        )
+
+    def test_spans_past_the_text_name_both_files(self, tmp_path, e2e_corpus_path, capsys):
+        preds, code = self.run_evaluate(tmp_path, e2e_corpus_path, "s04\t0:9999\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {preds} against {e2e_corpus_path}: "
+            "prediction for 's04': span [0, 9999) exceeds text length 45\n"
+        )
+
+    def test_duplicate_ade_term_names_the_term_list(self, tmp_path, e2e_corpus_path, capsys):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("headache\nHeadache\n", encoding="utf-8")
+        argv = ["extract", "--corpus", str(e2e_corpus_path), "--ade-lexicon", str(terms)]
+        assert main([*argv, "--out", str(tmp_path / "p.tsv")]) == 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {terms}: duplicate ADE lexicon term 'headache'\n"
+        )
+
+
+class TestJobs:
+    def test_workers_are_capped_at_the_cpu_count(
+        self, tmp_path, e2e_corpus_path, preds_path, monkeypatch
+    ):
+        recorded = []
+
+        class InProcessPool:
+            """Records the worker count and maps in this process; forks nothing."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("adescope.cli.ProcessPoolExecutor", InProcessPool)
+        out = tmp_path / "preds.tsv"
+        argv = ["extract", "--corpus", str(e2e_corpus_path), "--out", str(out)]
+        assert main([*argv, "--jobs", "100000"]) == 0
+        workers = min(os.cpu_count() or 1, len(E2E_IDS))
+        assert recorded == ([workers] if workers > 1 else [])
+        assert out.read_bytes() == preds_path.read_bytes()
+
+
 class TestEntryPoints:
     def run_module(self, *argv):
         src = Path(adescope.__file__).resolve().parents[1]

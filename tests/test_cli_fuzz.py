@@ -1,0 +1,100 @@
+"""Fuzz the command line with mutated input files.
+
+Each example mutates one input file (the corpus as TSV or JSONL, the
+predictions, a cue lexicon, an ADE term list or a config) and runs
+``extract``, ``filter`` and ``evaluate`` over it through ``main()``. Every
+run must exit 0, 1 or 2 without an exception escaping, and every data
+error (exit 2) must name the mutated file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adescope import load_corpus, write_corpus
+from adescope.cli import main
+
+FILES = ("corpus.tsv", "corpus.jsonl", "preds.tsv", "neg.txt", "terms.txt", "config.json")
+
+# Byte runs that reach the parsers' edge cases more often than random bytes
+# do: separators, a BOM, undecodable bytes, JSON literals, an integer past
+# the interpreter's digit limit and nesting past its recursion limit.
+SPECIALS = (
+    b"\t", b"\n", b"\r", b"#", b":", b";", b"|", b",", b'"', b"\\", b"[", b"]", b"{", b"}",
+    b"-1", b"0", b"99999", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"null", b"true", b"1.5",
+    b"9" * 5001, b"[" * 5000,
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, e2e_corpus_path):
+    """Valid input files, plus a directory for mutated copies and outputs."""
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "corpus.tsv").write_bytes(e2e_corpus_path.read_bytes())
+    write_corpus(load_corpus(e2e_corpus_path), base / "corpus.jsonl", format="jsonl")
+    for name, content in (
+        ("neg.txt", "no|pre_trigger\nnot|pre_trigger\nzero|pre_trigger\n"),
+        ("terms.txt", "# terms\nheadaches\nnausea\nhives\npain\n"),
+        ("config.json", json.dumps({"window": 5, "filters": "neg+spec"})),
+    ):
+        (base / name).write_text(content, encoding="utf-8")
+    argv = ["extract", "--corpus", str(base / "corpus.tsv"), "--out", str(base / "preds.tsv")]
+    assert main(argv) == 0
+    (base / "mutated").mkdir()
+    (base / "out").mkdir()
+    return base
+
+
+@st.composite
+def mutations(draw):
+    """One input file's name and a single splice: delete a run, insert bytes."""
+    name = draw(st.sampled_from(FILES))
+    start = draw(st.integers(0, 2000))
+    deleted = draw(st.integers(0, 12))
+    inserted = draw(st.one_of(st.binary(max_size=8), st.sampled_from(SPECIALS)))
+    return name, start, deleted, inserted
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutation=mutations())
+def test_mutated_inputs_exit_cleanly_and_name_the_file(inputs, mutation):
+    name, start, deleted, inserted = mutation
+    original = (inputs / name).read_bytes()
+    start %= len(original) + 1
+    mutated = inputs / "mutated" / name
+    mutated.write_bytes(original[:start] + inserted + original[start + deleted :])
+
+    path = {other: str(inputs / other) for other in FILES}
+    path[name] = str(mutated)
+    jsonl = name == "corpus.jsonl"
+    corpus = ["--corpus", path["corpus.jsonl" if jsonl else "corpus.tsv"]]
+    common = [*corpus, "--format", "jsonl" if jsonl else "tsv", "--config", path["config.json"]]
+    out = inputs / "out"
+    commands = [
+        ["extract", *common, "--ade-lexicon", path["terms.txt"], "--out", str(out / "p.tsv")],
+        [
+            "filter", *common, "--predictions", path["preds.tsv"],
+            "--neg-lexicon", path["neg.txt"], "--out", str(out / "f.tsv"),
+        ],
+        ["evaluate", *common, "--predictions", path["preds.tsv"], "--out", str(out / "r.json")],
+    ]
+    for argv in commands:
+        code, err = run(argv)
+        assert code in (0, 1, 2), (argv[0], code, err)
+        if code == 2:
+            assert str(mutated) in err, (argv[0], err)
+        if mutated.read_bytes() == original:
+            assert code == 0, (argv[0], err)
