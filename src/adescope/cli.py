@@ -110,6 +110,15 @@ def _require_file(path: str, name: str) -> Path:
     return resolved
 
 
+def _require_out_dirs(args: argparse.Namespace) -> None:
+    """A missing directory for ``--out`` or ``--audit`` is a usage error,
+    raised before any input is read or any output written.
+    """
+    for flag, path in (("--out", args.out), ("--audit", getattr(args, "audit", None))):
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"{flag}: directory not found: {Path(path).parent}")
+
+
 def _resolve_settings(args: argparse.Namespace) -> None:
     """Set each setting no flag gave on ``args`` from ``--config`` or its
     default, then check the ranges of window, jobs and filters.
@@ -420,6 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        _require_out_dirs(args)
         _resolve_settings(args)
         return args.handler(args)
     except (UsageError, ValidationError, OSError) as exc:

@@ -86,6 +86,11 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     overlapping scope, ties broken by the longest. Scopes bound to a
     different text id are a validation error; an empty scope set returns
     the input unchanged.
+
+    One sweep finds the witnesses: the spans, sorted by start, walk a
+    pointer through the scopes in witness order, which only moves forward
+    past scopes that end before the current span starts. The cost is
+    O(S log S + A log A) for S scopes and A spans, not O(S * A).
     """
     ordered = sorted(scopes, key=_witness_order)
     for scope in ordered:
@@ -96,12 +101,19 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
             )
     kept: set[Span] = set()
     discarded: list[DiscardedSpan] = []
+    first = 0
     for span in sorted(ades.spans):
-        witness = next((s for s in ordered if overlaps(span, s.span)), None)
-        if witness is None:
-            kept.add(span)
-        else:
+        # Span starts never decrease, so a scope ending at or before this
+        # start misses every later span too.
+        while first < len(ordered) and ordered[first].span.end <= span.start:
+            first += 1
+        # Scopes are sorted by start: if the first one still open starts at
+        # or after this span's end, no later scope overlaps it either.
+        if first < len(ordered) and ordered[first].span.start < span.end:
+            witness = ordered[first]
             discarded.append(DiscardedSpan(span, witness, witness.phenomenon))
+        else:
+            kept.add(span)
     return FilterReport(EntitySet(ades.text_id, frozenset(kept)), tuple(discarded))
 
 

@@ -15,6 +15,7 @@ with the convention that an undefined ratio (0/0) is 0.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -112,6 +113,11 @@ def match_spans(
     character overlap, ties broken by earliest gold start, as Partial.
     Unpaired predictions become FP, unpaired golds FN; every input span
     appears in exactly one outcome.
+
+    Sorted disjoint gold spans have increasing ends, so the golds a
+    prediction overlaps form one run, found by bisecting the ends. Listing
+    the partial candidates costs O(P log G) plus the number of overlapping
+    pairs for P predictions and G golds, not O(P * G).
     """
     gold_list = disjoint_spans(set(gold), "gold spans")
     predicted_set = set(predicted)
@@ -125,12 +131,18 @@ def match_spans(
             gold_open.discard(span)
             pred_open.discard(span)
 
-    candidates = [
-        (overlap_length(pred, gld), gld, pred)
-        for pred in pred_open
-        for gld in gold_open
-        if overlaps(pred, gld)
-    ]
+    candidates = []
+    if pred_open:
+        ends = [gld.end for gld in gold_list]
+        for pred in pred_open:
+            # The run starts at the first gold ending after pred.start and
+            # stops at the first one starting at or after pred.end.
+            index = bisect_right(ends, pred.start)
+            while index < len(gold_list) and gold_list[index].start < pred.end:
+                gld = gold_list[index]
+                if gld in gold_open:
+                    candidates.append((overlap_length(pred, gld), gld, pred))
+                index += 1
     candidates.sort(
         key=lambda c: (-c[0], c[1].start, c[1].end, c[2].start, c[2].end)
     )

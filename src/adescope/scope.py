@@ -13,9 +13,9 @@ Cue categories:
   suppresses any shorter trigger it subsumes, and opens no scope.
 * ``terminator`` closes an open scope ("but", "however").
 
-A scope ends at the earliest of: the window being exhausted, another cue
-match, terminal punctuation (. ! ? or a newline between tokens), or the
-edge of the text. Scopes never cross sentence boundaries.
+A scope ends at the earliest of: the window being exhausted, a non-pseudo
+cue match, terminal punctuation (. ! ? or a newline between tokens), or
+the edge of the text. Scopes never cross sentence boundaries.
 """
 
 from __future__ import annotations
@@ -254,9 +254,9 @@ def resolve_scopes(
     ``text`` must be the string the tokens were produced from; it is needed
     to spot newlines between tokens. Pre-triggers scan forward from the
     token after the cue, post-triggers scan backward from the token before
-    it; both stop at another cue match, terminal punctuation, a newline
-    gap, the window limit, or the text edge. Cues with nothing left to
-    govern produce no scope. Scopes are returned ordered by position.
+    it; both stop at a non-pseudo cue match, terminal punctuation, a
+    newline gap, the window limit, or the text edge. Cues with nothing left
+    to govern produce no scope. Scopes are returned ordered by position.
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")

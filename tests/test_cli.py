@@ -507,6 +507,26 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "r.json"), "--jobs", "2"]) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, outputs",
+        [
+            ("filter", "--audit", {"--out": "f.tsv", "--audit": "nodir/a.tsv"}),
+            ("filter", "--out", {"--out": "nodir/f.tsv"}),
+            ("evaluate", "--out", {"--out": "nodir/r.json"}),
+        ],
+    )
+    def test_missing_output_directory_is_usage_error_before_any_write(
+        self, tmp_path, e2e_corpus_path, preds_path, capsys, command, flag, outputs
+    ):
+        argv = [command, "--corpus", str(e2e_corpus_path), "--predictions", str(preds_path)]
+        for name, path in outputs.items():
+            argv += [name, str(tmp_path / path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        expected = f"adescope: error: {flag}: directory not found: {tmp_path / 'nodir'}\n"
+        assert (captured.out, captured.err) == ("", expected)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDataErrorsNameTheirFiles:
     """Every data error (exit 2) names the file at fault; JSON faults included."""

@@ -7,6 +7,7 @@ from adescope import (
     Cue,
     CueCategory,
     CueMatch,
+    DiscardedSpan,
     EntitySet,
     Phenomenon,
     ScopeSpan,
@@ -17,6 +18,7 @@ from adescope import (
     overlap_length,
     overlaps,
 )
+from adescope.combine import _witness_order
 
 
 def make_scope(start: int, end: int, phenomenon=Phenomenon.NEGATION, text_id=None) -> ScopeSpan:
@@ -153,3 +155,41 @@ class TestFilterProperties:
     def test_filtering_never_grows_the_set(self, case):
         ades, negs, specs = case
         assert combine(ades, negs, specs).kept.spans <= ades.spans
+
+
+# Coordinates from a small range, so that nested scopes, scopes sharing a
+# start and scopes touching a span's edge come up often.
+small_spans = st.builds(
+    lambda s, w: Span(s, s + w),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+def scope_at(span: Span, phenomenon: Phenomenon, cue_start: int) -> ScopeSpan:
+    cue = Cue("no", CueCategory.PRE_TRIGGER, phenomenon)
+    trigger = CueMatch(cue, Span(cue_start, cue_start + 2), 0, 0)
+    return ScopeSpan(span, trigger, phenomenon)
+
+
+# Same-span scopes differ by phenomenon and trigger, the witness tie-breaks.
+scopes = st.builds(
+    scope_at,
+    small_spans,
+    st.sampled_from(list(Phenomenon)),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+class TestWitnessOracle:
+    @given(st.frozensets(small_spans, max_size=8), st.lists(scopes, max_size=8))
+    def test_witness_is_first_overlapping_scope_in_witness_order(self, ades, scope_list):
+        ordered = sorted(scope_list, key=_witness_order)
+        expected = []
+        for span in sorted(ades):
+            witness = next((s for s in ordered if overlaps(span, s.span)), None)
+            if witness is not None:
+                expected.append(DiscardedSpan(span, witness, witness.phenomenon))
+        report = filter_by_scopes(EntitySet("t", ades), scope_list)
+        assert report.discarded == tuple(expected)
+        assert report.kept.spans == ades - {d.span for d in expected}

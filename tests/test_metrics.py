@@ -17,6 +17,8 @@ from adescope import (
     evaluate_corpus,
     match_spans,
     merge_reports,
+    overlap_length,
+    overlaps,
     relaxed_scores,
     report_to_dict,
 )
@@ -113,6 +115,16 @@ class TestMatchSpans:
             MatchOutcome(MatchKind.PARTIAL, Span(0, 2), Span(5, 8))
 
 
+random_predictions = st.lists(
+    st.builds(
+        lambda s, w: Span(s, s + w),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=1, max_value=12),
+    ),
+    max_size=8,
+)
+
+
 @st.composite
 def gold_and_predictions(draw):
     cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=60), max_size=10)))
@@ -120,17 +132,7 @@ def gold_and_predictions(draw):
     for left, right in zip(cuts, cuts[1:]):
         if right > left and draw(st.booleans()):
             gold.append(Span(left, right))
-    predicted = draw(
-        st.lists(
-            st.builds(
-                lambda s, w: Span(s, s + w),
-                st.integers(min_value=0, max_value=60),
-                st.integers(min_value=1, max_value=12),
-            ),
-            max_size=8,
-        )
-    )
-    return gold, predicted
+    return gold, draw(random_predictions)
 
 
 class TestMatchProperties:
@@ -152,6 +154,62 @@ class TestMatchProperties:
         fp, fn = kinds.count(MatchKind.FP), kinds.count(MatchKind.FN)
         assert tp + par + fn == len(set(gold))
         assert tp + par + fp == len(set(predicted))
+
+
+def all_pairs_match(gold, predicted) -> list[MatchOutcome]:
+    """Reference matcher: lists partial candidates over every open pair."""
+    gold_list = sorted(set(gold))
+    gold_open = set(gold_list)
+    pred_open = set(predicted)
+    outcomes = []
+    for span in gold_list:
+        if span in pred_open:
+            outcomes.append(MatchOutcome(MatchKind.TP, span, span))
+            gold_open.discard(span)
+            pred_open.discard(span)
+    candidates = [
+        (overlap_length(pred, gld), gld, pred)
+        for pred in pred_open
+        for gld in gold_open
+        if overlaps(pred, gld)
+    ]
+    candidates.sort(key=lambda c: (-c[0], c[1].start, c[1].end, c[2].start, c[2].end))
+    for _, gld, pred in candidates:
+        if gld in gold_open and pred in pred_open:
+            outcomes.append(MatchOutcome(MatchKind.PARTIAL, gld, pred))
+            gold_open.discard(gld)
+            pred_open.discard(pred)
+    outcomes += [MatchOutcome(MatchKind.FP, None, span) for span in sorted(pred_open)]
+    outcomes += [MatchOutcome(MatchKind.FN, span, None) for span in sorted(gold_open)]
+    return outcomes
+
+
+@st.composite
+def dense_gold_and_predictions(draw):
+    """Touching golds, plus predictions that cover runs of golds or touch one."""
+    cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=2, max_size=10)))
+    gold = [Span(left, right) for left, right in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    predicted = draw(random_predictions)
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if gold else 0):
+        first = draw(st.integers(min_value=0, max_value=len(gold) - 1))
+        last = draw(st.integers(min_value=first, max_value=len(gold) - 1))
+        start = gold[first].start + draw(st.integers(min_value=-2, max_value=2))
+        end = gold[last].end + draw(st.integers(min_value=-2, max_value=2))
+        if 0 <= start < end:
+            predicted.append(Span(start, end))
+        # Touching either edge of a gold shares no character with it.
+        width = draw(st.integers(min_value=1, max_value=3))
+        predicted.append(Span(gold[last].end, gold[last].end + width))
+        if gold[first].start >= width:
+            predicted.append(Span(gold[first].start - width, gold[first].start))
+    return gold, predicted
+
+
+class TestMatchOracle:
+    @given(dense_gold_and_predictions())
+    def test_equals_all_pairs_matching(self, case):
+        gold, predicted = case
+        assert match_spans(gold, predicted) == all_pairs_match(gold, predicted)
 
 
 def sample(sid: str, content: str, cls: SampleClass, *gold: Span) -> LabeledSample:

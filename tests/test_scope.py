@@ -202,6 +202,23 @@ class TestResolveScopes:
         )
         assert resolve_scopes(text, tokens, find_cues(tokens, lex)) == []
 
+    def test_pseudo_trigger_inside_window_does_not_end_scope(self):
+        # "no wonder" is a cue match, but not a stop: the scope runs over it.
+        text = "not sure why no wonder it hurts"
+        tokens = tokenize(text)
+        lex = lexicon(
+            ("not", CueCategory.PRE_TRIGGER),
+            ("no", CueCategory.PRE_TRIGGER),
+            ("no wonder", CueCategory.PSEUDO_TRIGGER),
+        )
+        matches = find_cues(tokens, lex)
+        assert [m.cue.category for m in matches] == [
+            CueCategory.PRE_TRIGGER,
+            CueCategory.PSEUDO_TRIGGER,
+        ]
+        scopes = resolve_scopes(text, tokens, matches, window=5)
+        assert scope_texts(text, scopes) == {"sure why no wonder it"}
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValidationError):
             resolve_scopes("no pain", tokenize("no pain"), [], window=0)
