@@ -16,7 +16,7 @@ from typing import Union
 from .combine import EntitySet
 from .corpus import read_text
 from .errors import ParseError, ValidationError
-from .text import PatternIndex, RawText, index_patterns, longest_matches, tokenize
+from .text import PatternIndex, RawText, has_first_key, index_patterns, longest_matches, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -86,7 +86,10 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
 
     Matches are token-boundary aligned, case-insensitive, longest-leftmost
     and non-overlapping; the returned spans cover whole tokens, so a
-    hashtagged term keeps its marker in the span.
+    hashtagged term keeps its marker in the span. A text in which no term
+    can match is not tokenized.
     """
+    if not has_first_key(text, lexicon._index):
+        return EntitySet(text.id, frozenset())
     matches = longest_matches(tokenize(text), lexicon._index)
     return EntitySet(text.id, frozenset(span for span, _, _, _ in matches))

@@ -7,9 +7,9 @@ per-class false positives), ``compose`` (assemble a training corpus) and
 ``prefilter`` (keep cue-bearing samples).
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, missing files),
-2 on data errors (unparseable files, unknown ids). Outputs are
-deterministic: identical inputs produce byte-identical files, whatever
-``--jobs`` says.
+2 on data errors (unparseable files, unknown ids). A subcommand writes
+all of its output files or none of them. Outputs are deterministic:
+identical inputs produce byte-identical files, whatever ``--jobs`` says.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .corpus import (
     validate_predictions,
     write_corpus,
     write_lines,
+    write_outputs,
     write_predictions,
 )
 from .errors import ValidationError
@@ -190,7 +191,7 @@ def _cue_text(text: RawText, scope: ScopeSpan) -> str:
     return text.content[trigger.start : trigger.end]
 
 
-def _write_rows(path: str, header: str, rows: Iterable[tuple[str, ...]]) -> None:
+def _write_rows(header: str, rows: Iterable[tuple[str, ...]], path: Path) -> None:
     """Write a TSV of sorted rows under its header."""
     write_lines(path, [header, *("\t".join(row) for row in sorted(rows))])
 
@@ -221,7 +222,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))},
         {es.text_id: es.spans for es in entity_sets},
     )
-    write_predictions(predictions, args.out)
+    write_outputs([(args.out, partial(write_predictions, predictions))])
     return EXIT_OK
 
 
@@ -247,7 +248,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         for text, scopes in zip(texts, scope_sets)
         for scope in scopes
     ]
-    _write_rows(args.out, DETECT_HEADER, rows)
+    write_outputs([(args.out, partial(_write_rows, DETECT_HEADER, rows))])
     return EXIT_OK
 
 
@@ -268,7 +269,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         args.jobs,
     )
     entries = {report.kept.text_id: report.kept.spans for report in reports}
-    write_predictions(PredictionFile(dict(predictions.metadata), entries), args.out)
+    filtered = PredictionFile(dict(predictions.metadata), entries)
     rows = [
         (
             text.id,
@@ -281,7 +282,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         for discard in report.discarded
     ]
     audit_path = args.audit if args.audit is not None else f"{args.out}.audit"
-    _write_rows(audit_path, AUDIT_HEADER, rows)
+    write_outputs([
+        (args.out, partial(write_predictions, filtered)),
+        (audit_path, partial(_write_rows, AUDIT_HEADER, rows)),
+    ])
     return EXIT_OK
 
 
@@ -292,7 +296,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         EntitySet(text_id, spans) for text_id, spans in predictions.entries.items()
     ]
     report = evaluate_corpus(corpus.samples, entity_sets)
-    write_report(report, args.out, verbose=args.verbose)
+    write_outputs([(args.out, partial(write_report, report, verbose=args.verbose))])
 
     scores = report.scores
     fp_cells = "  ".join(
@@ -320,16 +324,15 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     composed = compose_training_set(
         base, add_n=args.add_n, add_s=args.add_s, n_pool=n_pool, s_pool=s_pool
     )
-    write_corpus(composed, args.out, format=args.format)
+    write_outputs([(args.out, partial(write_corpus, composed, format=args.format))])
     return EXIT_OK
 
 
 def _cmd_prefilter(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     kept = prefilter(corpus.samples, _selected_lexicons(args, args.phenomena))
-    write_corpus(
-        CorpusPartition(corpus.name, tuple(kept)), args.out, format=args.format
-    )
+    kept_corpus = CorpusPartition(corpus.name, tuple(kept))
+    write_outputs([(args.out, partial(write_corpus, kept_corpus, format=args.format))])
     return EXIT_OK
 
 

@@ -22,14 +22,16 @@ from __future__ import annotations
 import codecs
 import json
 import logging
+import os
 import re
+import shutil
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ParseError, ValidationError
-from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span
+from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span, sorted_spans
 
 __all__ = [
     "CorpusPartition",
@@ -46,6 +48,7 @@ __all__ = [
     "read_text",
     "decode_json",
     "write_lines",
+    "write_outputs",
 ]
 
 LOGGER = logging.getLogger(__name__)
@@ -137,6 +140,40 @@ def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_outputs(
+    outputs: Iterable[tuple[Union[str, Path], Callable[[Path], None]]]
+) -> None:
+    """Call each ``write(path)`` for its ``target``, all or nothing.
+
+    A new or regular-file target is written to a temporary sibling, and the
+    siblings replace their targets, keeping their permissions, only once
+    every write has succeeded; on failure they are removed. Any other
+    existing target (a symlink such as ``/dev/stdout``, a FIFO) is written
+    directly, because a rename would replace it rather than write into it.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for target, write in outputs:
+            target = Path(target)
+            if target.is_symlink() or (target.exists() and not target.is_file()):
+                write(target)
+                continue
+            temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+            staged.append((temp, target))
+            try:
+                write(temp)
+            except OSError as exc:  # name the output, not its temporary sibling
+                raise OSError(exc.errno, exc.strerror, str(target)) from None
+            if target.exists():
+                shutil.copymode(target, temp)
+    except BaseException:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, target in staged:
+        os.replace(temp, target)
+
+
 def _unescape(match: re.Match) -> str:
     try:
         return _UNESCAPE[match[1]]
@@ -168,7 +205,7 @@ def _parse_span_field(field: str) -> list[Span]:
 
 
 def _format_span_field(spans: Iterable[Span]) -> str:
-    return ";".join(f"{s.start}:{s.end}" for s in sorted(spans))
+    return ";".join(f"{s.start}:{s.end}" for s in sorted_spans(spans))
 
 
 def _decode_tsv(text: str, spans: str) -> tuple[str, list[Span]]:
@@ -306,7 +343,7 @@ def write_corpus(
                     "id": sample.text.id,
                     "text": sample.text.content,
                     "class": sample.sample_class.value,
-                    "spans": [[s.start, s.end] for s in sorted(sample.gold_spans)],
+                    "spans": [[s.start, s.end] for s in sorted_spans(sample.gold_spans)],
                 },
                 ensure_ascii=False,
             )

@@ -25,7 +25,9 @@ from typing import Iterable, Mapping, Sequence, Union
 from .combine import EntitySet, overlap_length, overlaps
 from .corpus import write_lines
 from .errors import ValidationError
-from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans
+from .text import (
+    REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans, sorted_spans,
+)
 
 __all__ = [
     "MatchKind",
@@ -152,9 +154,9 @@ def match_spans(
             gold_open.discard(gld)
             pred_open.discard(pred)
 
-    for span in sorted(pred_open):
+    for span in sorted_spans(pred_open):
         outcomes.append(MatchOutcome(MatchKind.FP, None, span))
-    for span in sorted(gold_open):
+    for span in sorted_spans(gold_open):
         outcomes.append(MatchOutcome(MatchKind.FN, span, None))
     return outcomes
 

@@ -35,6 +35,7 @@ from .text import (
     RawText,
     Span,
     Token,
+    has_first_key,
     index_patterns,
     longest_matches,
     token_span,
@@ -302,6 +303,13 @@ def resolve_scopes(
     return scopes
 
 
+def _matchable(
+    text: Union[str, RawText], lexicons: Iterable[CueLexicon]
+) -> tuple[CueLexicon, ...]:
+    """The lexicons with a cue that may match in the text, found without tokenizing."""
+    return tuple(lexicon for lexicon in lexicons if has_first_key(text, lexicon._index))
+
+
 def detect(
     text: Union[str, RawText],
     lexicons: Iterable[CueLexicon],
@@ -309,10 +317,11 @@ def detect(
 ) -> set[ScopeSpan]:
     """Scopes of every given lexicon over one tokenization of the text.
 
-    The result is the union of the scopes each lexicon resolves on its own;
-    an empty lexicon collection yields no scopes without tokenizing.
+    The result is the union of the scopes each lexicon resolves on its own.
+    A text in which no lexicon can match, or an empty lexicon collection,
+    yields no scopes without tokenizing.
     """
-    lexicons = tuple(lexicons)
+    lexicons = _matchable(text, lexicons)
     if not lexicons:
         return set()
     tokens = tokenize(text)
@@ -365,10 +374,13 @@ def prefilter(
     triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
     kept: list[LabeledSample] = []
     for sample in samples:
+        matchable = _matchable(sample.text, lexicon_list)
+        if not matchable:
+            continue
         tokens = tokenize(sample.text)
         if any(
             match.cue.category in triggers
-            for lexicon in lexicon_list
+            for lexicon in matchable
             for match in find_cues(tokens, lexicon)
         ):
             kept.append(sample)

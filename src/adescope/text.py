@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import ValidationError
 
@@ -26,10 +27,12 @@ __all__ = [
     "LabeledSample",
     "Token",
     "TagSequence",
+    "sorted_spans",
     "disjoint_spans",
     "tokenize",
     "token_span",
     "index_patterns",
+    "has_first_key",
     "longest_matches",
     "spans_to_bio",
     "bio_to_spans",
@@ -57,9 +60,30 @@ class Span:
         return self.end - self.start
 
 
+def _trusted_span(start: int, end: int) -> Span:
+    """A span whose offsets are valid by construction; skips the check."""
+    span = object.__new__(Span)
+    object.__setattr__(span, "start", start)
+    object.__setattr__(span, "end", end)
+    return span
+
+
+_SPAN_KEY = attrgetter("start", "end")
+
+
+def sorted_spans(spans: Iterable[Span]) -> list[Span]:
+    """The spans in their own order, sorted by the key ``(start, end)``
+    rather than by a Python-level ``__lt__`` call per comparison.
+    """
+    ordered = list(spans)
+    if len(ordered) > 1:  # keying a lone span, the usual case, costs more than it saves
+        ordered.sort(key=_SPAN_KEY)
+    return ordered
+
+
 def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     """The spans in sorted order; any overlapping pair is a :class:`ValidationError`."""
-    ordered = sorted(spans)
+    ordered = sorted_spans(spans)
     for left, right in zip(ordered, ordered[1:]):
         if left.end > right.start:
             raise ValidationError(
@@ -137,8 +161,7 @@ class LabeledSample:
         disjoint_spans(self.gold_spans, f"sample {self.text.id!r}: gold spans")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A token surface with its character span and position in the sequence."""
 
     surface: str
@@ -191,8 +214,9 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     an empty list.
     """
     content = text.content if isinstance(text, RawText) else text
+    # A regex match of a non-empty pattern is a valid span by construction.
     return [
-        Token(match.group(), Span(match.start(), match.end()), i)
+        Token(match.group(), _trusted_span(match.start(), match.end()), i)
         for i, match in enumerate(_TOKEN_RE.finditer(content))
     ]
 
@@ -238,6 +262,17 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
         first: tuple(sorted(group, key=lambda entry: -len(entry[0])))
         for first, group in groups.items()
     }
+
+
+def has_first_key(text: Union[str, RawText], index: PatternIndex) -> bool:
+    """Whether any token of the text keys to a first key of ``index``.
+
+    :func:`longest_matches` starts a match only at such a token, so a text
+    for which this is false has no matches and need not be tokenized. The
+    surfaces are scanned lazily and the scan stops at the first hit.
+    """
+    content = text.content if isinstance(text, RawText) else text
+    return any(_match_key(match.group()) in index for match in _TOKEN_RE.finditer(content))
 
 
 def longest_matches(

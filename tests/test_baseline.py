@@ -60,6 +60,33 @@ class TestExtract:
     def test_single_term_with_offsets(self):
         assert spans_of("the pain is back") == {("pain", 4, 8)}
 
+    def test_term_free_text_skips_tokenizing(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("tokenized a text no term can match")
+
+        monkeypatch.setattr("adescope.baseline.tokenize", refuse)
+        assert spans_of("slept well, #fine\nthanks") == set()
+        assert spans_of("slept well", default_ade_lexicon()) == set()
+
+    @pytest.mark.parametrize(
+        "content,found",
+        [
+            ("#Nausea again", {("#Nausea", 0, 7)}),
+            ("I CAN’T SLEEP", {("CAN’T SLEEP", 2, 13)}),
+            ("fine\npain again", {("pain", 5, 9)}),
+        ],
+    )
+    def test_texts_with_a_term_key_still_tokenize_and_match(self, monkeypatch, content, found):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("adescope.baseline.tokenize", counting)
+        assert spans_of(content, AdeLexicon(("nausea", "can't sleep", "pain"))) == found
+        assert len(calls) == 1
+
     def test_case_insensitive(self):
         assert spans_of("PAIN and Nausea") == {("PAIN", 0, 4), ("Nausea", 9, 15)}
 

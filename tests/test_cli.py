@@ -527,6 +527,33 @@ class TestExitCodes:
         assert (captured.out, captured.err) == ("", expected)
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_audit_leaves_out_unwritten(
+        self, tmp_path, e2e_corpus_path, preds_path, capsys
+    ):
+        audit = tmp_path / "adir"
+        audit.mkdir()
+        out = tmp_path / "f.tsv"
+        argv = ["filter", "--corpus", str(e2e_corpus_path), "--predictions", str(preds_path),
+                "--out", str(out), "--audit", str(audit)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"adescope: error: [Errno 21] Is a directory: '{audit}'\n"
+        assert list(tmp_path.iterdir()) == [audit]
+        assert list(audit.iterdir()) == []
+
+        out.write_text("old\n", encoding="utf-8")
+        assert main(argv) == 2
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(tmp_path.iterdir()) == [audit, out]
+
+    def test_symlinked_out_is_written_through(self, tmp_path, e2e_corpus_path, capfd):
+        """/dev/stdout is a symlink: the scopes go to standard output."""
+        code = main(["detect", "--corpus", str(e2e_corpus_path), "--phenomenon", "neg",
+                     "--out", "/dev/stdout"])
+        assert code == 0
+        out = capfd.readouterr().out
+        assert out.startswith(DETECT_HEADER + "\n")
+        assert out.count("\n") > 1
+
 
 class TestDataErrorsNameTheirFiles:
     """Every data error (exit 2) names the file at fault; JSON faults included."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import logging
 
@@ -27,6 +28,7 @@ from adescope import (
     write_corpus,
     write_predictions,
 )
+from adescope.corpus import write_outputs
 
 
 def make(sid: str, content: str, cls: SampleClass, *gold: Span) -> LabeledSample:
@@ -394,6 +396,31 @@ class TestPartitionAndComposition:
         report = distribution_report(CorpusPartition("custom", ()))
         assert report.total == 0
         assert all(value == 0.0 for value in report.percentages.values())
+
+
+class TestWriteOutputs:
+    def test_a_failed_write_changes_no_target(self, tmp_path):
+        first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        second.write_text("old\n", encoding="utf-8")
+        second.chmod(0o640)
+
+        def full_disk(path):
+            path.write_text("part", encoding="utf-8")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        with pytest.raises(OSError) as info:
+            write_outputs([(first, lambda p: write_lines(p, "new")), (second, full_disk)])
+        assert info.value.filename == str(second)
+        assert list(tmp_path.iterdir()) == [second]
+        assert second.read_text(encoding="utf-8") == "old\n"
+
+        write_outputs([
+            (first, lambda p: write_lines(p, "a")),
+            (second, lambda p: write_lines(p, "b")),
+        ])
+        assert sorted(tmp_path.iterdir()) == [first, second]
+        assert [p.read_text(encoding="utf-8") for p in (first, second)] == ["a\n", "b\n"]
+        assert second.stat().st_mode & 0o777 == 0o640
 
 
 class TestPredictionFiles:

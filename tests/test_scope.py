@@ -308,6 +308,37 @@ class TestDetect:
         monkeypatch.setattr("adescope.scope.tokenize", refuse)
         assert detect("no pain today", (), 5) == set()
 
+    def test_cue_free_text_skips_tokenizing(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("tokenized a text no cue can match")
+
+        monkeypatch.setattr("adescope.scope.tokenize", refuse)
+        both = (default_negation_lexicon(), default_speculation_lexicon())
+        text = RawText("q", "Metoprolol gave me a headache.\nStill here, #fine")
+        assert detect(text, both, 5) == set()
+        sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
+        assert prefilter([sample], both) == []
+
+    @pytest.mark.parametrize(
+        "content,cue",
+        [("#No pain", "#No"), ("I DON’T have nausea", "DON’T"), ("slept well\nno rash", "no")],
+    )
+    def test_texts_with_a_cue_key_still_tokenize_and_match(self, monkeypatch, content, cue):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("adescope.scope.tokenize", counting)
+        both = (default_negation_lexicon(), default_speculation_lexicon())
+        text = RawText("c", content)
+        scopes = detect(text, both, 5)
+        assert {content[s.trigger.span.start : s.trigger.span.end] for s in scopes} == {cue}
+        sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
+        assert prefilter([sample], both) == [sample]
+        assert calls == [text, text]
+
 
 class TestPrefilter:
     def sample(self, sid: str, content: str) -> LabeledSample:
