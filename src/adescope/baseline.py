@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
 from .combine import EntitySet
 from .corpus import read_text
 from .errors import ParseError, ValidationError
-from .text import PatternIndex, RawText, has_first_key, index_patterns, longest_matches, tokenize
+from .text import PatternIndex, RawText, index_patterns, longest_matches, matchable, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -54,6 +55,9 @@ class AdeLexicon:
         return index_patterns((term, term) for term in self.terms)
 
 
+_INDEX = attrgetter("_index")
+
+
 def _term_lines(content: str) -> tuple[str, ...]:
     return tuple(
         line.strip()
@@ -89,7 +93,7 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
     hashtagged term keeps its marker in the span. A text in which no term
     can match is not tokenized.
     """
-    if not has_first_key(text, lexicon._index):
+    if not matchable(text, (lexicon,), _INDEX):
         return EntitySet(text.id, frozenset())
     matches = longest_matches(tokenize(text), lexicon._index)
     return EntitySet(text.id, frozenset(span for span, _, _, _ in matches))

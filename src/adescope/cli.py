@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -177,6 +176,10 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # Imported here: the pool pulls in multiprocessing, which a serial run
+    # would load for nothing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

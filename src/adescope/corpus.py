@@ -20,6 +20,7 @@ both formats.
 from __future__ import annotations
 
 import codecs
+import errno
 import json
 import logging
 import os
@@ -149,14 +150,20 @@ def write_outputs(
     siblings replace their targets, keeping their permissions, only once
     every write has succeeded; on failure they are removed. Any other
     existing target (a symlink such as ``/dev/stdout``, a FIFO) is written
-    directly, because a rename would replace it rather than write into it.
+    directly, because a rename would replace it rather than write into it;
+    such writes come after the staged ones, and a directory target fails
+    before anything is written.
     """
+    outputs = [(Path(target), write) for target, write in outputs]
+    for target, _ in outputs:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    direct: list[tuple[Path, Callable[[Path], None]]] = []
     staged: list[tuple[Path, Path]] = []
     try:
         for target, write in outputs:
-            target = Path(target)
             if target.is_symlink() or (target.exists() and not target.is_file()):
-                write(target)
+                direct.append((target, write))
                 continue
             temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
             staged.append((temp, target))
@@ -166,6 +173,8 @@ def write_outputs(
                 raise OSError(exc.errno, exc.strerror, str(target)) from None
             if target.exists():
                 shutil.copymode(target, temp)
+        for target, write in direct:
+            write(target)
     except BaseException:
         for temp, _ in staged:
             temp.unlink(missing_ok=True)

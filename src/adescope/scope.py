@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -35,9 +36,9 @@ from .text import (
     RawText,
     Span,
     Token,
-    has_first_key,
     index_patterns,
     longest_matches,
+    matchable,
     token_span,
     tokenize,
 )
@@ -303,11 +304,7 @@ def resolve_scopes(
     return scopes
 
 
-def _matchable(
-    text: Union[str, RawText], lexicons: Iterable[CueLexicon]
-) -> tuple[CueLexicon, ...]:
-    """The lexicons with a cue that may match in the text, found without tokenizing."""
-    return tuple(lexicon for lexicon in lexicons if has_first_key(text, lexicon._index))
+_INDEX = attrgetter("_index")
 
 
 def detect(
@@ -321,7 +318,7 @@ def detect(
     A text in which no lexicon can match, or an empty lexicon collection,
     yields no scopes without tokenizing.
     """
-    lexicons = _matchable(text, lexicons)
+    lexicons = matchable(text, lexicons, _INDEX)
     if not lexicons:
         return set()
     tokens = tokenize(text)
@@ -374,13 +371,13 @@ def prefilter(
     triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
     kept: list[LabeledSample] = []
     for sample in samples:
-        matchable = _matchable(sample.text, lexicon_list)
-        if not matchable:
+        candidates = matchable(sample.text, lexicon_list, _INDEX)
+        if not candidates:
             continue
         tokens = tokenize(sample.text)
         if any(
             match.cue.category in triggers
-            for lexicon in matchable
+            for lexicon in candidates
             for match in find_cues(tokens, lexicon)
         ):
             kept.append(sample)

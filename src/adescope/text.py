@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import ValidationError
 
@@ -32,7 +32,7 @@ __all__ = [
     "tokenize",
     "token_span",
     "index_patterns",
-    "has_first_key",
+    "matchable",
     "longest_matches",
     "spans_to_bio",
     "bio_to_spans",
@@ -42,6 +42,16 @@ __all__ = [
 # apostrophes (contractions such as "don't", "there's"). Every other
 # non-space character becomes a single-character token.
 _TOKEN_RE = re.compile(r"[#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s]")
+
+# The match keys of lowered ASCII text: each token's key, except that a
+# hashtag gives "#" and then its key, and a lone "#" (key "") gives "#".
+_ASCII_KEY_RE = re.compile(r"@?\w+(?:'\w+)*|[^\w\s]")
+_GROUP = re.Match.group
+
+# Up to this length (a post, many times over) a text's keys are found in one
+# pass shared by all lexicons. Past it, each lexicon's scan stops at its first
+# key, so a long text is rarely scanned to its end.
+_SHARED_SCAN_CHARS = 2048
 
 
 @dataclass(frozen=True, order=True)
@@ -239,6 +249,7 @@ def token_span(tokens: Sequence[Token], first: int, last: int) -> Span:
     return Span(tokens[first].span.start, tokens[last].span.end)
 
 
+T = TypeVar("T")
 V = TypeVar("V")
 
 #: Patterns grouped by their first key, each group ordered longest first.
@@ -264,15 +275,42 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
     }
 
 
-def has_first_key(text: Union[str, RawText], index: PatternIndex) -> bool:
-    """Whether any token of the text keys to a first key of ``index``.
+def _token_keys(content: str) -> Iterator[str]:
+    """The match key of every token of the text, lazily, plus keys no token
+    has (see ``_ASCII_KEY_RE``)."""
+    if content.isascii():
+        # In ASCII text lower() is casefold() and moves no token boundary,
+        # so the key runs are found in C; "" stands in for a lone "#".
+        yield ""
+        yield from map(_GROUP, _ASCII_KEY_RE.finditer(content.lower()))
+    else:
+        # casefold() may split or join tokens here (U+0345 folds to a word
+        # character, "ß" to "ss"), so each token is keyed on its own.
+        yield from map(_match_key, map(_GROUP, _TOKEN_RE.finditer(content)))
 
-    :func:`longest_matches` starts a match only at such a token, so a text
-    for which this is false has no matches and need not be tokenized. The
-    surfaces are scanned lazily and the scan stops at the first hit.
+
+def matchable(
+    text: Union[str, RawText], items: Iterable[T], index: Callable[[T], PatternIndex]
+) -> list[T]:
+    """The items whose ``index(item)`` has a first key among the text's token keys.
+
+    :func:`longest_matches` starts a match only at a token whose key is a
+    first key of the index, so a text that no returned item's index can
+    match in need not be tokenized. An item may pass although nothing
+    matches; none that has a match is dropped. A post's keys are found once
+    for all items; a longer text is scanned per item, up to its first key.
     """
+    if not items:  # no lexicons at all, as in filter --filters none
+        return []
     content = text.content if isinstance(text, RawText) else text
-    return any(_match_key(match.group()) in index for match in _TOKEN_RE.finditer(content))
+    if len(content) > _SHARED_SCAN_CHARS:
+        return [item for item in items if not index(item).keys().isdisjoint(_token_keys(content))]
+    if content.isascii():
+        keys = _ASCII_KEY_RE.findall(content.lower())
+        keys.append("")
+    else:
+        keys = set(_token_keys(content))
+    return [item for item in items if not index(item).keys().isdisjoint(keys)]
 
 
 def longest_matches(

@@ -639,7 +639,7 @@ class TestJobs:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr("adescope.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         out = tmp_path / "preds.tsv"
         argv = ["extract", "--corpus", str(e2e_corpus_path), "--out", str(out)]
         assert main([*argv, "--jobs", "100000"]) == 0
@@ -670,3 +670,12 @@ class TestEntryPoints:
             "-c", "import sys, adescope; print('adescope.cli' in sys.modules)"
         )
         assert result.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        result = self.run_module(
+            "-c",
+            "import sys, adescope.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])",
+        )
+        assert (result.returncode, result.stdout.strip()) == (0, "[]")

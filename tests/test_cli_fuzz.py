@@ -4,7 +4,9 @@ Each example mutates one input file (the corpus as TSV or JSONL, the
 predictions, a cue lexicon, an ADE term list or a config) and runs
 ``extract``, ``filter`` and ``evaluate`` over it through ``main()``. Every
 run must exit 0, 1 or 2 without an exception escaping, and every data
-error (exit 2) must name the mutated file.
+error (exit 2) must name the mutated file. A second case draws ``filter``'s
+``--out`` and ``--audit`` paths from awkward kinds and checks that a failed
+run changes neither target and leaves no temporary file behind.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -98,3 +101,53 @@ def test_mutated_inputs_exit_cleanly_and_name_the_file(inputs, mutation):
             assert str(mutated) in err, (argv[0], err)
         if mutated.read_bytes() == original:
             assert code == 0, (argv[0], err)
+
+
+# Kinds of output path: a file in a missing directory, an existing
+# directory, a path under a regular file, and a symlink to an existing file.
+OUTPUT_KINDS = ("missing_dir", "existing_dir", "under_file", "symlink")
+
+
+def output_path(root, kind: str, flag: str):
+    if kind == "missing_dir":
+        return root / "missing" / f"{flag}.tsv"
+    if kind == "existing_dir":
+        (root / flag).mkdir()
+        return root / flag
+    if kind == "under_file":
+        (root / "plain").write_text("plain\n", encoding="utf-8")
+        return root / "plain" / f"{flag}.tsv"
+    (root / f"{flag}.real").write_text("old\n", encoding="utf-8")
+    (root / f"{flag}.link").symlink_to(root / f"{flag}.real")
+    return root / f"{flag}.link"
+
+
+def snapshot(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(out_kind=st.sampled_from(OUTPUT_KINDS), audit_kind=st.sampled_from(OUTPUT_KINDS))
+def test_filter_output_paths_are_all_or_nothing(inputs, out_kind, audit_kind):
+    root = inputs / "paths"
+    shutil.rmtree(root, ignore_errors=True)
+    root.mkdir()
+    out = output_path(root, out_kind, "out")
+    audit = output_path(root, audit_kind, "audit")
+    before = snapshot(root)
+    code, err = run([
+        "filter", "--corpus", str(inputs / "corpus.tsv"),
+        "--predictions", str(inputs / "preds.tsv"), "--out", str(out), "--audit", str(audit),
+    ])
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if out_kind == audit_kind == "symlink":
+        assert code == 0, err
+        assert out.read_text(encoding="utf-8").startswith("#")
+        assert audit.read_text(encoding="utf-8").startswith("id\t")
+    elif code != 0:
+        assert snapshot(root) == before
+    assert not [path for path in root.rglob(".*.tmp")]

@@ -422,6 +422,24 @@ class TestWriteOutputs:
         assert [p.read_text(encoding="utf-8") for p in (first, second)] == ["a\n", "b\n"]
         assert second.stat().st_mode & 0o777 == 0o640
 
+    def test_symlinked_target_waits_for_the_staged_writes(self, tmp_path):
+        real, link, fresh = tmp_path / "real.tsv", tmp_path / "link.tsv", tmp_path / "c.tsv"
+        real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real)
+
+        def full_disk(path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        with pytest.raises(OSError):
+            write_outputs([(link, lambda p: write_lines(p, "new")), (fresh, full_disk)])
+        with pytest.raises(IsADirectoryError):
+            write_outputs([(link, lambda p: write_lines(p, "new")), (tmp_path, full_disk)])
+        assert sorted(tmp_path.iterdir()) == [link, real]
+        assert real.read_text(encoding="utf-8") == "old\n"
+
+        write_outputs([(link, lambda p: write_lines(p, "new"))])
+        assert link.is_symlink() and real.read_text(encoding="utf-8") == "new\n"
+
 
 class TestPredictionFiles:
     def test_load_parses_metadata_and_rows(self, tmp_path):

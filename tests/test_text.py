@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adescope import (
     LabeledSample,
@@ -12,10 +12,15 @@ from adescope import (
     Token,
     ValidationError,
     bio_to_spans,
+    default_ade_lexicon,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    load_corpus,
     match_spans,
     spans_to_bio,
     tokenize,
 )
+from adescope.text import _SHARED_SCAN_CHARS, index_patterns, longest_matches, matchable
 
 
 def surfaces(text: str) -> list[str]:
@@ -222,3 +227,85 @@ class TestBioProperties:
     def test_projection_is_well_formed(self, case):
         tokens, spans = case
         assert spans_to_bio(tokens, spans).is_well_formed
+
+
+# Pieces of gate texts and patterns: ASCII words and marks, and pieces whose
+# casefold changes length or token boundaries ("ß" -> "ss", "İ" -> "i" +
+# U+0307, U+0345 -> "ι") or that key differently from their surface ("’").
+ASCII_WORDS = ["no", "NO", "pain", "Pain", "don't", "DON'T", "s", "7", "_x", "strasse"]
+OTHER_WORDS = ["don’t", "straße", "STRASSE", "İx", "i\u0307x", "x\u0345", "ι", "é", "CAFÉ"]
+MARKS = ["#", "@", "'", "’", ".", "-"]
+
+
+@st.composite
+def gate_case(draw, pieces):
+    """A text joined from pieces, and one to three indexes of patterns that
+    are mostly runs of the text itself, sometimes behind a mark."""
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from(pieces), st.sampled_from([" ", "", "\n"])),
+        min_size=1, max_size=8,
+    ))
+    text = "".join(piece + sep for piece, sep in parts)
+
+    def pattern():
+        lead = draw(st.sampled_from(["", "", "", *MARKS]))
+        first = draw(st.integers(0, len(parts) - 1))
+        run = parts[first : first + draw(st.integers(1, 2))]
+        return draw(st.one_of(
+            st.just(lead + "".join(piece + sep for piece, sep in run).strip()),
+            st.sampled_from(ASCII_WORDS + OTHER_WORDS).map(lambda word: lead + word),
+            st.just("#"),
+        ))
+
+    indexes = [
+        [pattern() for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return text, indexes
+
+
+def naive_key(surface: str) -> str:
+    word = surface.casefold().replace("’", "'")
+    return word[1:] if word.startswith("#") else word
+
+
+class TestMatchable:
+    """The tokenize gate: ``matchable`` may pass a text nothing matches in,
+    but never drops an index that has a match in the text."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(
+        gate_case(ASCII_WORDS + [mark for mark in MARKS if mark.isascii()]),
+        gate_case(ASCII_WORDS + OTHER_WORDS + MARKS),
+    ))
+    @example(("a # b", [["#"]]))
+    @example(("x\u0345", [["ι"]]))
+    @example(("İx", [["İx"]]))
+    @example(("I DON’T", [["don't"]]))
+    def test_a_dropped_index_has_no_match(self, case):
+        text, pattern_lists = case
+        indexes = [index_patterns((p, p) for p in patterns) for patterns in pattern_lists]
+        passed = matchable(text, range(len(indexes)), indexes.__getitem__)
+        # Past _SHARED_SCAN_CHARS each index is scanned on its own; trailing
+        # spaces change no token, so the verdicts must not change either.
+        padded = text + " " * _SHARED_SCAN_CHARS
+        assert matchable(padded, range(len(indexes)), indexes.__getitem__) == passed
+        tokens = tokenize(text)
+        for position, index in enumerate(indexes):
+            if position not in passed:
+                assert longest_matches(tokens, index) == []
+
+    @pytest.mark.parametrize(
+        "lexicon",
+        [default_negation_lexicon(), default_speculation_lexicon(), default_ade_lexicon()],
+        ids=["negation", "speculation", "ade"],
+    )
+    def test_bundled_lexicons_pass_exactly_the_texts_holding_a_first_key(
+        self, lexicon, corpus_dir
+    ):
+        corpus = load_corpus(corpus_dir / "test.tsv")
+        index = lexicon._index
+        for sample in corpus.samples:
+            walked = any(naive_key(t.surface) in index for t in tokenize(sample.text))
+            gated = matchable(sample.text, [index], lambda i: i) == [index]
+            assert gated == walked, sample.text.id
