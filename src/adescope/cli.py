@@ -15,6 +15,7 @@ identical inputs produce byte-identical files, whatever ``--jobs`` says.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import partial
@@ -429,18 +430,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    # A run builds many objects and no reference cycles, so the cyclic
+    # collector would only rescan them: it is paused, then restored as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        _require_out_dirs(args)
-        _resolve_settings(args)
-        return args.handler(args)
-    except (UsageError, ValidationError, OSError) as exc:
-        print(f"adescope: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
+        try:
+            _require_out_dirs(args)
+            _resolve_settings(args)
+            return args.handler(args)
+        except (UsageError, ValidationError, OSError) as exc:
+            print(f"adescope: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -63,6 +63,14 @@ _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_RE = re.compile(r"\\(.?)", re.S)
 _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\r"}
 
+# The member of each class letter, without an enum call per row.
+_CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
+
+# An echoed span chunk is cut to this many characters, and a message names
+# at most this many unknown ids.
+_ECHO_CHARS = 40
+_LISTED_IDS = 5
+
 
 @dataclass(frozen=True)
 class CorpusPartition:
@@ -208,17 +216,29 @@ def _parse_span_field(field: str) -> list[Span]:
         try:
             start, end = _offset(parts[0]), _offset(parts[1])
         except ValueError:
+            if len(chunk) > _ECHO_CHARS:
+                chunk = chunk[:_ECHO_CHARS] + "…"
             raise ValidationError(f"non-integer span offsets in {chunk!r}") from None
         spans.append(Span(start, end))
     return spans
 
 
 def _format_span_field(spans: Iterable[Span]) -> str:
-    return ";".join(f"{s.start}:{s.end}" for s in sorted_spans(spans))
+    if not spans:
+        return ""
+    return ";".join([f"{s.start}:{s.end}" for s in sorted_spans(spans)])
+
+
+def _escape_tsv(text: str) -> str:
+    if "\\" in text or "\t" in text or "\n" in text or "\r" in text:
+        return text.translate(_ESCAPE)
+    return text
 
 
 def _decode_tsv(text: str, spans: str) -> tuple[str, list[Span]]:
-    return _ESCAPE_RE.sub(_unescape, text), _parse_span_field(spans)
+    if "\\" in text:
+        text = _ESCAPE_RE.sub(_unescape, text)
+    return text, _parse_span_field(spans)
 
 
 def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
@@ -231,27 +251,31 @@ def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
     return text, [Span(start, end) for start, end in pairs]
 
 
-def _row_sample(row: Sequence, where: str, seen: set[str], decode) -> LabeledSample:
+def _row_sample(
+    row: Sequence, source: str, lineno: int, seen: set[str], decode
+) -> LabeledSample:
     """The sample of an ``(id, text, class, spans)`` row; ``decode`` reads its
-    format's text and spans. Faults raise :class:`ParseError` at ``where``,
-    which names the id once it is known to be new.
+    format's text and spans. Faults raise :class:`ParseError` at
+    ``source:lineno``, which names the id once it is known to be new; the
+    location is formatted only then.
     """
     sample_id, text, class_name, spans = row
     if not sample_id:
-        raise ParseError(f"{where}: empty sample id")
+        raise ParseError(f"{source}:{lineno}: empty sample id")
     if sample_id in seen:
-        raise ParseError(f"{where}: duplicate sample id {sample_id!r}")
+        raise ParseError(f"{source}:{lineno}: duplicate sample id {sample_id!r}")
     seen.add(sample_id)
-    where = f"{where} (id {sample_id!r})"
     try:
-        sample_class = SampleClass(class_name)
-    except ValueError:
-        raise ParseError(f"{where}: unknown class {class_name!r}") from None
+        sample_class = _CLASS_BY_LETTER[class_name]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON class
+        raise ParseError(
+            f"{source}:{lineno} (id {sample_id!r}): unknown class {class_name!r}"
+        ) from None
     try:
         content, span_list = decode(text, spans)
         return LabeledSample(RawText(sample_id, content), frozenset(span_list), sample_class)
     except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        raise ParseError(f"{source}:{lineno} (id {sample_id!r}): {exc}") from None
 
 
 def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
@@ -268,11 +292,10 @@ def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
-        where = f"{source}:{lineno}"
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ParseError(f"{where}: expected 4 tab-separated fields")
-        samples.append(_row_sample(fields, where, seen, _decode_tsv))
+            raise ParseError(f"{source}:{lineno}: expected 4 tab-separated fields")
+        samples.append(_row_sample(fields, source, lineno, seen, _decode_tsv))
     if not samples:
         LOGGER.warning("corpus file %s contains no samples", source)
     return samples
@@ -295,7 +318,7 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
             if not isinstance(record[key], str):
                 raise ParseError(f"{where}: {key} must be a string")
         row = [record[key] for key in _JSONL_KEYS]
-        samples.append(_row_sample(row, where, seen, _decode_jsonl))
+        samples.append(_row_sample(row, source, lineno, seen, _decode_jsonl))
     if not samples:
         LOGGER.warning("corpus file %s contains no samples", source)
     return samples
@@ -339,7 +362,7 @@ def write_corpus(
                 "\t".join(
                     (
                         sample.text.id,
-                        sample.text.content.translate(_ESCAPE),
+                        _escape_tsv(sample.text.content),
                         sample.sample_class.value,
                         _format_span_field(sample.gold_spans),
                     )
@@ -453,20 +476,30 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
                     metadata[key.strip()] = value.strip()
             continue
         in_header = False
-        where = f"{path}:{lineno}"
         fields = line.split("\t")
         if len(fields) != 2:
-            raise ParseError(f"{where}: expected 'id<TAB>spans'")
+            raise ParseError(f"{path}:{lineno}: expected 'id<TAB>spans'")
         text_id, span_field = fields
         if not text_id:
-            raise ParseError(f"{where}: empty text id")
+            raise ParseError(f"{path}:{lineno}: empty text id")
         if text_id in entries:
-            raise ParseError(f"{where}: duplicate entry for id {text_id!r}")
+            raise ParseError(f"{path}:{lineno}: duplicate entry for id {text_id!r}")
         try:
             entries[text_id] = frozenset(_parse_span_field(span_field))
         except ValidationError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return PredictionFile(metadata, entries)
+
+
+def unknown_ids_error(ids: Iterable[str]) -> ValidationError:
+    """The error for predictions of ``ids`` that their corpus lacks: the
+    first few ids in sorted order, then how many more there are.
+    """
+    ordered = sorted(ids)
+    listed = ", ".join(ordered[:_LISTED_IDS])
+    if len(ordered) > _LISTED_IDS:
+        listed += f" and {len(ordered) - _LISTED_IDS} more"
+    return ValidationError(f"predictions reference unknown text ids: {listed}")
 
 
 def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -> None:
@@ -475,11 +508,9 @@ def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -
     Every prediction id must name a corpus sample and every span must lie
     inside that sample's text; otherwise :class:`ValidationError` is raised.
     """
-    unknown = sorted(set(predictions.entries) - set(corpus.by_id))
+    unknown = predictions.entries.keys() - corpus.by_id.keys()
     if unknown:
-        raise ValidationError(
-            "predictions reference unknown text ids: " + ", ".join(unknown)
-        )
+        raise unknown_ids_error(unknown)
     for text_id, spans in predictions.entries.items():
         length = len(corpus.by_id[text_id].text.content)
         for span in spans:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combine import EntitySet, overlap_length, overlaps
-from .corpus import write_lines
+from .corpus import unknown_ids_error, write_lines
 from .errors import ValidationError
 from .text import (
     REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans, sorted_spans,
@@ -207,11 +207,9 @@ def evaluate_corpus(
             )
         by_id[entity_set.text_id] = entity_set
     known = {sample.text.id for sample in samples}
-    unknown = sorted(set(by_id) - known)
+    unknown = by_id.keys() - known
     if unknown:
-        raise ValidationError(
-            "predictions reference unknown text ids: " + ", ".join(unknown)
-        )
+        raise unknown_ids_error(unknown)
 
     rows: list[SampleOutcomes] = []
     tp = par = fp = fn = 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import adescope
+import adescope.cli
 from adescope import (
     CORPUS_HEADER,
     load_corpus,
@@ -600,6 +602,15 @@ class TestDataErrorsNameTheirFiles:
             "predictions reference unknown text ids: zzz\n"
         )
 
+    def test_many_unknown_ids_are_listed_up_to_five(self, tmp_path, e2e_corpus_path, capsys):
+        rows = "".join(f"zz{i:04d}\t0:4\n" for i in range(5400))
+        preds, code = self.run_evaluate(tmp_path, e2e_corpus_path, rows)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {preds} against {e2e_corpus_path}: predictions reference "
+            "unknown text ids: zz0000, zz0001, zz0002, zz0003, zz0004 and 5395 more\n"
+        )
+
     def test_spans_past_the_text_name_both_files(self, tmp_path, e2e_corpus_path, capsys):
         preds, code = self.run_evaluate(tmp_path, e2e_corpus_path, "s04\t0:9999\n")
         assert code == 2
@@ -679,3 +690,37 @@ class TestEntryPoints:
             "if m in sys.modules])",
         )
         assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+
+class TestCollector:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        """Start with the cyclic collector on or off; restore it afterwards."""
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "corpus,out,code",
+        [("e2e", "p.tsv", 0), ("e2e", "missing/p.tsv", 1), ("bad.tsv", "p.tsv", 2)],
+        ids=["ok", "usage-error", "data-error"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, tmp_path, e2e_corpus_path, capsys, monkeypatch, collecting, corpus, out, code
+    ):
+        (tmp_path / "bad.tsv").write_text("not a header\n", encoding="utf-8")
+        corpus = e2e_corpus_path if corpus == "e2e" else tmp_path / corpus
+        paused = []
+        resolve = adescope.cli._resolve_settings
+
+        def resolve_and_record(args):
+            paused.append(not gc.isenabled())
+            return resolve(args)
+
+        monkeypatch.setattr(adescope.cli, "_resolve_settings", resolve_and_record)
+        argv = ["extract", "--corpus", str(corpus), "--out", str(tmp_path / out)]
+        assert main(argv) == code
+        capsys.readouterr()
+        assert gc.isenabled() is collecting
+        assert all(paused)

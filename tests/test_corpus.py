@@ -291,6 +291,312 @@ class TestRowFaults:
         assert str(caught.value) == message.format(where=f"{path}:{line}")
 
 
+
+def tsv_fault(row: str) -> list[str]:
+    """A corpus whose faulty ``row`` is line 3."""
+    return [CORPUS_HEADER, "x0\tall fine\tX\t", row]
+
+
+def jsonl_fault(**fields) -> list[str]:
+    """A JSON-lines corpus whose line 2 is a row with ``fields`` changed."""
+    row = {"id": "a1", "text": "hello world", "class": "X", "spans": [], **fields}
+    return ['{"id": "x0", "text": "all fine", "class": "X", "spans": []}', json.dumps(row)]
+
+
+def predictions_fault(row: str) -> list[str]:
+    """A prediction file whose faulty ``row`` is line 3."""
+    return ["# model: m", "x0\t0:2", row]
+
+
+LOADERS = {
+    "tsv": load_corpus,
+    "jsonl": lambda path: load_corpus(path, format="jsonl"),
+    "predictions": load_predictions,
+}
+
+# The full message of every row fault, for each file kind that can hold it;
+# "{path}" stands for the file.
+ROW_MESSAGES = [
+    pytest.param(
+        "tsv",
+        ["id\ttext\tlabel\tspans", "a1\thello world\tX\t"],
+        "{path}:1: expected header 'id\\ttext\\tclass\\tspans'",
+        id="tsv-header",
+    ),
+    pytest.param("tsv", tsv_fault("\thello world\tX\t"), "{path}:3: empty sample id", id="tsv-empty-id"),
+    pytest.param(
+        "tsv", tsv_fault("x0\tsecond one\tX\t"), "{path}:3: duplicate sample id 'x0'", id="tsv-duplicate-id"
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\tB\t"), "{path}:3 (id 'a1'): unknown class 'B'", id="tsv-unknown-class"
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\ta\t"), "{path}:3 (id 'a1'): unknown class 'a'", id="tsv-lowercase-class"
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\t\t"), "{path}:3 (id 'a1'): unknown class ''", id="tsv-empty-class"
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\tbad \\x escape\tX\t"),
+        "{path}:3 (id 'a1'): bad escape sequence in text field",
+        id="tsv-bad-escape",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\ttrailing \\\tX\t"),
+        "{path}:3 (id 'a1'): bad escape sequence in text field",
+        id="tsv-trailing-backslash",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\tx:5"),
+        "{path}:3 (id 'a1'): non-integer span offsets in 'x:5'",
+        id="tsv-non-integer-offset",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t+0:5"),
+        "{path}:3 (id 'a1'): non-integer span offsets in '+0:5'",
+        id="tsv-signed-offset",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t 0:5"),
+        "{path}:3 (id 'a1'): non-integer span offsets in ' 0:5'",
+        id="tsv-spaced-offset",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0:1_2"),
+        "{path}:3 (id 'a1'): non-integer span offsets in '0:1_2'",
+        id="tsv-underscore-offset",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0:\u0665"),
+        "{path}:3 (id 'a1'): non-integer span offsets in '0:\u0665'",
+        id="tsv-non-ascii-digit-offset",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0-5"),
+        "{path}:3 (id 'a1'): malformed span '0-5', expected start:end",
+        id="tsv-malformed-span",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0:5;"),
+        "{path}:3 (id 'a1'): malformed span '', expected start:end",
+        id="tsv-trailing-semicolon",
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\tA\t5:5"), "{path}:3 (id 'a1'): invalid span [5, 5)", id="tsv-empty-span"
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\tA\t3:2"), "{path}:3 (id 'a1'): invalid span [3, 2)", id="tsv-reversed-span"
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0:50"),
+        "{path}:3 (id 'a1'): sample 'a1': span [0, 50) exceeds text length 11",
+        id="tsv-span-past-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\the\\tlo world\tA\t0:12"),
+        "{path}:3 (id 'a1'): sample 'a1': span [0, 12) exceeds text length 11",
+        id="tsv-span-past-unescaped-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t0:5;3:8"),
+        "{path}:3 (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+        id="tsv-overlapping-gold",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello world\tA\t"),
+        "{path}:3 (id 'a1'): sample 'a1': class A requires at least one gold span",
+        id="tsv-class-a-without-spans",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("x1\thello world\tX\t0:5"),
+        "{path}:3 (id 'x1'): sample 'x1': class X must not carry gold spans",
+        id="tsv-class-x-with-spans",
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\t   \tX\t"), "{path}:3 (id 'a1'): text 'a1' has empty content", id="tsv-blank-text"
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\t\tX\t"), "{path}:3 (id 'a1'): text 'a1' has empty content", id="tsv-empty-text"
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\t\\t \\n\tX\t"),
+        "{path}:3 (id 'a1'): text 'a1' has empty content",
+        id="tsv-escaped-blank-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\t\u00a0\u3000\x1f\tX\t"),
+        "{path}:3 (id 'a1'): text 'a1' has empty content",
+        id="tsv-unicode-blank-text",
+    ),
+    pytest.param(
+        "tsv", tsv_fault("a1\thello world\tX"), "{path}:3: expected 4 tab-separated fields", id="tsv-three-fields"
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault("a1\thello\tworld\tX\t"),
+        "{path}:3: expected 4 tab-separated fields",
+        id="tsv-five-fields",
+    ),
+    pytest.param("jsonl", jsonl_fault(id=""), "{path}:2: empty sample id", id="jsonl-empty-id"),
+    pytest.param("jsonl", jsonl_fault(id="x0"), "{path}:2: duplicate sample id 'x0'", id="jsonl-duplicate-id"),
+    pytest.param("jsonl", jsonl_fault(id=7), "{path}:2: id must be a string", id="jsonl-non-string-id"),
+    pytest.param("jsonl", jsonl_fault(text=None), "{path}:2: text must be a string", id="jsonl-non-string-text"),
+    pytest.param(
+        "jsonl", jsonl_fault(**{"class": "B"}), "{path}:2 (id 'a1'): unknown class 'B'", id="jsonl-unknown-class"
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(**{"class": 1}), "{path}:2 (id 'a1'): unknown class 1", id="jsonl-number-class"
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(**{"class": None}), "{path}:2 (id 'a1'): unknown class None", id="jsonl-null-class"
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(**{"class": ["A"]}), "{path}:2 (id 'a1'): unknown class ['A']", id="jsonl-list-class"
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": {"A": 1}}),
+        "{path}:2 (id 'a1'): unknown class {'A': 1}",
+        id="jsonl-object-class",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[0]]}),
+        "{path}:2 (id 'a1'): malformed span [0], expected [start, end]",
+        id="jsonl-malformed-span",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[5, 5]]}),
+        "{path}:2 (id 'a1'): invalid span [5, 5)",
+        id="jsonl-empty-span",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[-1, 3]]}),
+        "{path}:2 (id 'a1'): invalid span [-1, 3)",
+        id="jsonl-negative-span",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[0, 50]]}),
+        "{path}:2 (id 'a1'): sample 'a1': span [0, 50) exceeds text length 11",
+        id="jsonl-span-past-text",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[0, 5], [3, 8]]}),
+        "{path}:2 (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+        id="jsonl-overlapping-gold",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "A"}),
+        "{path}:2 (id 'a1'): sample 'a1': class A requires at least one gold span",
+        id="jsonl-class-a-without-spans",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(spans=[[0, 5]]),
+        "{path}:2 (id 'a1'): sample 'a1': class X must not carry gold spans",
+        id="jsonl-class-x-with-spans",
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(text=" \t\n "), "{path}:2 (id 'a1'): text 'a1' has empty content", id="jsonl-blank-text"
+    ),
+    pytest.param(
+        "jsonl",
+        ['{"id": "a1", "text": "hi there"}'],
+        "{path}:1: missing keys ['class', 'spans']",
+        id="jsonl-missing-keys",
+    ),
+    pytest.param("jsonl", ["[1, 2]"], "{path}:1: expected a JSON object", id="jsonl-not-an-object"),
+    pytest.param(
+        "predictions", predictions_fault("no tab here"), "{path}:3: expected 'id<TAB>spans'", id="pred-one-field"
+    ),
+    pytest.param(
+        "predictions", predictions_fault("a1\t0:2\t"), "{path}:3: expected 'id<TAB>spans'", id="pred-three-fields"
+    ),
+    pytest.param("predictions", predictions_fault("\t0:2"), "{path}:3: empty text id", id="pred-empty-id"),
+    pytest.param(
+        "predictions", predictions_fault("x0\t"), "{path}:3: duplicate entry for id 'x0'", id="pred-duplicate-id"
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("a1\tx:5"),
+        "{path}:3: non-integer span offsets in 'x:5'",
+        id="pred-non-integer-offset",
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("a1\t0:-5"),
+        "{path}:3: non-integer span offsets in '0:-5'",
+        id="pred-signed-offset",
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("a1\t0:1_2"),
+        "{path}:3: non-integer span offsets in '0:1_2'",
+        id="pred-underscore-offset",
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("a1\t\u0660:5"),
+        "{path}:3: non-integer span offsets in '\u0660:5'",
+        id="pred-non-ascii-digit-offset",
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("a1\t0:2:4"),
+        "{path}:3: malformed span '0:2:4', expected start:end",
+        id="pred-malformed-span",
+    ),
+    pytest.param("predictions", predictions_fault("a1\t5:5"), "{path}:3: invalid span [5, 5)", id="pred-empty-span"),
+    pytest.param(
+        "predictions", predictions_fault("a1\t0:2;9:3"), "{path}:3: invalid span [9, 3)", id="pred-reversed-span"
+    ),
+]
+
+
+class TestRowMessages:
+    @pytest.mark.parametrize("kind,lines,message", ROW_MESSAGES)
+    def test_each_fault_has_its_exact_message(self, tmp_path, kind, lines, message):
+        path = tmp_path / f"rows.{kind}"
+        write_lines(path, *lines)
+        with pytest.raises(ParseError) as caught:
+            LOADERS[kind](path)
+        assert str(caught.value) == message.replace("{path}", str(path))
+
+    @pytest.mark.parametrize("kind", ["tsv", "predictions"])
+    def test_a_long_offset_is_echoed_cut(self, tmp_path, kind):
+        chunk = "0:" + "9" * 5000
+        path = tmp_path / f"long.{kind}"
+        if kind == "tsv":
+            write_lines(path, *tsv_fault(f"a1\thello world\tA\t{chunk}"))
+            where = f"{path}:3 (id 'a1')"
+        else:
+            write_lines(path, *predictions_fault(f"a1\t{chunk}"))
+            where = f"{path}:3"
+        with pytest.raises(ParseError) as caught:
+            LOADERS[kind](path)
+        assert str(caught.value) == f"{where}: non-integer span offsets in '0:{'9' * 38}…'"
+
 # One valid file per input kind, with the loader that reads it.
 INPUT_FILES = {
     "corpus": (f"{CORPUS_HEADER}\nx1\tall quiet\tX\t\n", load_corpus),
@@ -527,6 +833,16 @@ class TestValidatePredictions:
         predictions = PredictionFile({}, {"nope": frozenset({Span(0, 2)})})
         with pytest.raises(ValidationError, match="nope"):
             validate_predictions(predictions, self.CORPUS)
+
+    @pytest.mark.parametrize(
+        "count,listed",
+        [(5, "zz0, zz1, zz2, zz3, zz4"), (6, "zz0, zz1, zz2, zz3, zz4 and 1 more")],
+    )
+    def test_unknown_ids_are_listed_up_to_five(self, count, listed):
+        entries = {f"zz{i}": frozenset() for i in reversed(range(count))}
+        with pytest.raises(ValidationError) as caught:
+            validate_predictions(PredictionFile({}, {"a1": frozenset(), **entries}), self.CORPUS)
+        assert str(caught.value) == f"predictions reference unknown text ids: {listed}"
 
     def test_out_of_bounds_spans_rejected(self):
         predictions = PredictionFile({}, {"x1": frozenset({Span(0, 99)})})

@@ -249,6 +249,16 @@ class TestEvaluateCorpus:
         with pytest.raises(ValidationError, match="zz9"):
             evaluate_corpus(CORPUS, [EntitySet("zz9", frozenset({Span(0, 2)}))])
 
+    @pytest.mark.parametrize(
+        "count,listed",
+        [(5, "zz0, zz1, zz2, zz3, zz4"), (7, "zz0, zz1, zz2, zz3, zz4 and 2 more")],
+    )
+    def test_unknown_ids_are_listed_up_to_five(self, count, listed):
+        predictions = [EntitySet(f"zz{i}", frozenset()) for i in reversed(range(count))]
+        with pytest.raises(ValidationError) as caught:
+            evaluate_corpus(CORPUS, predictions)
+        assert str(caught.value) == f"predictions reference unknown text ids: {listed}"
+
     def test_duplicate_prediction_entry_rejected(self):
         twice = [
             EntitySet("a1", frozenset({Span(0, 8)})),
