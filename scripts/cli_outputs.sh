@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run the README's command-line chain with the adescope package found in
-# SRC and keep everything it produces in OUT: each output file, each
-# subcommand's stdout and stderr, and its exit code.
+# Run the README's command-line chain, plus extract, detect and filter
+# with --jobs 2, with the adescope package found in SRC and keep everything
+# it produces in OUT: each output file, each subcommand's stdout and
+# stderr, and its exit code.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -37,6 +38,12 @@ run detect-neg detect --corpus "$corpus" --phenomenon neg --out "$out/scopes-neg
 run detect-spec detect --corpus "$corpus" --phenomenon spec --out "$out/scopes-spec.tsv"
 run filter filter --corpus "$corpus" --predictions "$out/preds.tsv" \
     --filters neg+spec --out "$out/preds.filtered.tsv" --audit "$out/audit.tsv"
+# The same three subcommands with --jobs 2, into their own names.
+run extract-j2 extract --corpus "$corpus" --out "$out/preds-j2.tsv" --jobs 2
+run detect-neg-j2 detect --corpus "$corpus" --phenomenon neg \
+    --out "$out/scopes-neg-j2.tsv" --jobs 2
+run filter-j2 filter --corpus "$corpus" --predictions "$out/preds.tsv" \
+    --filters neg+spec --out "$out/preds-j2.filtered.tsv" --audit "$out/audit-j2.tsv" --jobs 2
 run evaluate evaluate --corpus "$corpus" --predictions "$out/preds.filtered.tsv" \
     --out "$out/report.json" --verbose
 run prefilter prefilter --corpus "$corpus" --phenomena neg+spec --out "$out/kept.tsv"

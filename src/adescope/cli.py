@@ -9,21 +9,22 @@ per-class false positives), ``compose`` (assemble a training corpus) and
 Exit codes: 0 on success, 1 on usage errors (bad flags, missing files),
 2 on data errors (unparseable files, unknown ids). A subcommand writes
 all of its output files or none of them. Outputs are deterministic:
-identical inputs produce byte-identical files, whatever ``--jobs`` says.
+identical inputs produce byte-identical files. ``--jobs`` is accepted and
+checked but every subcommand runs in one process: a process pool lost to
+the serial path on every benchmark workload.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .baseline import default_ade_lexicon, extract, load_ade_lexicon
-from .combine import EntitySet, FilterReport, filter_by_scopes
+from .combine import EntitySet, filter_by_scopes
 from .corpus import (
     CorpusPartition,
     PredictionFile,
@@ -170,22 +171,6 @@ def _selected_lexicons(args: argparse.Namespace, selection: str) -> tuple[CueLex
     return tuple(lexicons)
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map over ``jobs`` processes, capped at the CPU count."""
-    # Workers past the CPUs cannot run at once, and a fork-based pool starts
-    # every one of them on the first submit.
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # Imported here: the pool pulls in multiprocessing, which a serial run
-    # would load for nothing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
 def _span_field(span) -> str:
     return f"{span.start}:{span.end}"
 
@@ -200,16 +185,6 @@ def _write_rows(header: str, rows: Iterable[tuple[str, ...]], path: Path) -> Non
     write_lines(path, [header, *("\t".join(row) for row in sorted(rows))])
 
 
-def _filter_worker(
-    item: tuple[RawText, frozenset],
-    lexicons: tuple[CueLexicon, ...],
-    window: int,
-) -> FilterReport:
-    """Filter one text's spans; at module level so process pools can pickle it."""
-    text, spans = item
-    return filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, window))
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     lexicon = (
@@ -217,11 +192,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if args.ade_lexicon
         else default_ade_lexicon()
     )
-    entity_sets = _parallel_map(
-        partial(extract, lexicon=lexicon),
-        [sample.text for sample in corpus.samples],
-        args.jobs,
-    )
+    entity_sets = [extract(sample.text, lexicon) for sample in corpus.samples]
     predictions = PredictionFile(
         {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))},
         {es.text_id: es.spans for es in entity_sets},
@@ -232,15 +203,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     texts = [sample.text for sample in _load_corpus_arg(args).samples]
-    scope_sets = _parallel_map(
-        partial(
-            detect,
-            lexicons=_selected_lexicons(args, args.phenomenon),
-            window=args.window,
-        ),
-        texts,
-        args.jobs,
-    )
+    lexicons = _selected_lexicons(args, args.phenomenon)
+    scope_sets = [detect(text, lexicons, args.window) for text in texts]
     rows = [
         (
             text.id,
@@ -259,19 +223,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
-    items = [
-        (corpus.by_id[text_id].text, spans)
-        for text_id, spans in predictions.entries.items()
+    lexicons = _selected_lexicons(args, args.filters)
+    texts = [corpus.by_id[text_id].text for text_id in predictions.entries]
+    reports = [
+        filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, args.window))
+        for text, spans in zip(texts, predictions.entries.values())
     ]
-    reports = _parallel_map(
-        partial(
-            _filter_worker,
-            lexicons=_selected_lexicons(args, args.filters),
-            window=args.window,
-        ),
-        items,
-        args.jobs,
-    )
     entries = {report.kept.text_id: report.kept.spans for report in reports}
     filtered = PredictionFile(dict(predictions.metadata), entries)
     rows = [
@@ -282,7 +239,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             _span_field(discard.scope.span),
             _cue_text(text, discard.scope),
         )
-        for (text, _), report in zip(items, reports)
+        for text, report in zip(texts, reports)
         for discard in report.discarded
     ]
     audit_path = args.audit if args.audit is not None else f"{args.out}.audit"
@@ -358,7 +315,7 @@ def _add_common(parser: argparse.ArgumentParser, *, jobs: bool = True) -> None:
     )
     if jobs:
         parser.add_argument(
-            "--jobs", type=int, default=None, help="parallel workers (default: 1)"
+            "--jobs", type=int, default=None, help="must be >= 1; every run is serial"
         )
 
 

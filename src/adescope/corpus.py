@@ -26,8 +26,7 @@ import logging
 import os
 import re
 import shutil
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -66,10 +65,21 @@ _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\
 # The member of each class letter, without an enum call per row.
 _CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
 
-# An echoed span chunk is cut to this many characters, and a message names
-# at most this many unknown ids.
+# A message echoes at most this many characters of an input value, and
+# names at most this many unknown ids.
 _ECHO_CHARS = 40
 _LISTED_IDS = 5
+
+
+def _echo(value: object, show: Callable[[object], str] = repr) -> str:
+    """``show(value)`` for a message, cut after ``_ECHO_CHARS`` characters and
+    marked ``…``. A string's repr is cut inside its quotes, so it still reads
+    as a string, and a string of up to ``_ECHO_CHARS`` characters reads whole.
+    """
+    if show is repr and isinstance(value, str):
+        return repr(value if len(value) <= _ECHO_CHARS else value[:_ECHO_CHARS] + "…")
+    shown = show(value)
+    return shown if len(shown) <= _ECHO_CHARS else shown[:_ECHO_CHARS] + "…"
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,7 @@ class CorpusPartition:
 
     name: str
     samples: tuple[LabeledSample, ...]
+    by_id: Mapping[str, LabeledSample] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name not in _PARTITION_NAMES:
@@ -86,15 +97,12 @@ class CorpusPartition:
             )
         if not isinstance(self.samples, tuple):
             object.__setattr__(self, "samples", tuple(self.samples))
-        seen: set[str] = set()
+        by_id: dict[str, LabeledSample] = {}
         for sample in self.samples:
-            if sample.text.id in seen:
-                raise ValidationError(f"duplicate sample id {sample.text.id!r}")
-            seen.add(sample.text.id)
-
-    @cached_property
-    def by_id(self) -> Mapping[str, LabeledSample]:
-        return {sample.text.id: sample for sample in self.samples}
+            if sample.text.id in by_id:
+                raise ValidationError(f"duplicate sample id {_echo(sample.text.id)}")
+            by_id[sample.text.id] = sample
+        object.__setattr__(self, "by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -212,13 +220,11 @@ def _parse_span_field(field: str) -> list[Span]:
     for chunk in field.split(";"):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise ValidationError(f"malformed span {chunk!r}, expected start:end")
+            raise ValidationError(f"malformed span {_echo(chunk)}, expected start:end")
         try:
             start, end = _offset(parts[0]), _offset(parts[1])
         except ValueError:
-            if len(chunk) > _ECHO_CHARS:
-                chunk = chunk[:_ECHO_CHARS] + "…"
-            raise ValidationError(f"non-integer span offsets in {chunk!r}") from None
+            raise ValidationError(f"non-integer span offsets in {_echo(chunk)}") from None
         spans.append(Span(start, end))
     return spans
 
@@ -247,7 +253,7 @@ def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
         # type(), not isinstance(): JSON true loads as a bool, an int subclass.
         offsets_ok = isinstance(pair, list) and all(type(offset) is int for offset in pair)
         if not offsets_ok or len(pair) != 2:
-            raise ValidationError(f"malformed span {json.dumps(pair)}, expected [start, end]")
+            raise ValidationError(f"malformed span {_echo(pair, json.dumps)}, expected [start, end]")
     return text, [Span(start, end) for start, end in pairs]
 
 
@@ -263,13 +269,13 @@ def _row_sample(
     if not sample_id:
         raise ParseError(f"{source}:{lineno}: empty sample id")
     if sample_id in seen:
-        raise ParseError(f"{source}:{lineno}: duplicate sample id {sample_id!r}")
+        raise ParseError(f"{source}:{lineno}: duplicate sample id {_echo(sample_id)}")
     seen.add(sample_id)
     try:
         sample_class = _CLASS_BY_LETTER[class_name]
     except (KeyError, TypeError):  # TypeError: an unhashable JSON class
         raise ParseError(
-            f"{source}:{lineno} (id {sample_id!r}): unknown class {class_name!r}"
+            f"{source}:{lineno} (id {sample_id!r}): unknown class {_echo(class_name)}"
         ) from None
     try:
         content, span_list = decode(text, spans)
@@ -483,7 +489,7 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
         if not text_id:
             raise ParseError(f"{path}:{lineno}: empty text id")
         if text_id in entries:
-            raise ParseError(f"{path}:{lineno}: duplicate entry for id {text_id!r}")
+            raise ParseError(f"{path}:{lineno}: duplicate entry for id {_echo(text_id)}")
         try:
             entries[text_id] = frozenset(_parse_span_field(span_field))
         except ValidationError as exc:

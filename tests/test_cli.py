@@ -630,33 +630,32 @@ class TestDataErrorsNameTheirFiles:
 
 
 class TestJobs:
-    def test_workers_are_capped_at_the_cpu_count(
-        self, tmp_path, e2e_corpus_path, preds_path, monkeypatch
+    @pytest.mark.parametrize("jobs", ["flag", "config"], ids=["jobs-100000", "config-jobs-3"])
+    def test_any_job_count_runs_the_serial_path(
+        self, tmp_path, e2e_corpus_path, preds_path, monkeypatch, jobs
     ):
-        recorded = []
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
 
-        class InProcessPool:
-            """Records the worker count and maps in this process; forks nothing."""
-
-            def __init__(self, max_workers):
-                recorded.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-        out = tmp_path / "preds.tsv"
-        argv = ["extract", "--corpus", str(e2e_corpus_path), "--out", str(out)]
-        assert main([*argv, "--jobs", "100000"]) == 0
-        workers = min(os.cpu_count() or 1, len(E2E_IDS))
-        assert recorded == ([workers] if workers > 1 else [])
-        assert out.read_bytes() == preds_path.read_bytes()
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 3}), encoding="utf-8")
+        corpus = ["--corpus", str(e2e_corpus_path)]
+        commands = {
+            "extract": ["extract", *corpus],
+            "detect": ["detect", *corpus, "--phenomenon", "neg"],
+            "filter": ["filter", *corpus, "--predictions", str(preds_path)],
+        }
+        many = ["--jobs", "100000"] if jobs == "flag" else ["--config", str(config)]
+        for name, argv in commands.items():
+            outputs = []
+            for extra in (["--jobs", "1"], many):
+                out = tmp_path / f"{name}-{len(outputs)}.tsv"
+                assert main([*argv, "--out", str(out), *extra]) == 0
+                written = [out, Path(f"{out}.audit")] if name == "filter" else [out]
+                outputs.append([path.read_bytes() for path in written])
+            assert outputs[0] == outputs[1], name
 
 
 class TestEntryPoints:

@@ -314,6 +314,10 @@ LOADERS = {
     "predictions": load_predictions,
 }
 
+# A long echoed value is cut after 40 characters and marked "…".
+LONG_ID = "i" * 5000
+LONG_SPANS = "1:" * 3000
+
 # The full message of every row fault, for each file kind that can hold it;
 # "{path}" stands for the file.
 ROW_MESSAGES = [
@@ -389,6 +393,30 @@ ROW_MESSAGES = [
         tsv_fault("a1\thello world\tA\t0:5;"),
         "{path}:3 (id 'a1'): malformed span '', expected start:end",
         id="tsv-trailing-semicolon",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"a1\thello world\tA\t{LONG_SPANS}"),
+        f"{{path}}:3 (id 'a1'): malformed span '{'1:' * 20}…', expected start:end",
+        id="tsv-long-malformed-span",
+    ),
+    pytest.param(
+        "tsv",
+        [CORPUS_HEADER, f"{LONG_ID}\tall fine\tX\t", f"{LONG_ID}\tsecond one\tX\t"],
+        f"{{path}}:3: duplicate sample id '{'i' * 40}…'",
+        id="tsv-long-duplicate-id",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"a1\thello world\t{'B' * 41}\t"),
+        f"{{path}}:3 (id 'a1'): unknown class '{'B' * 40}…'",
+        id="tsv-long-unknown-class",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"a1\thello world\t{'B' * 40}\t"),
+        f"{{path}}:3 (id 'a1'): unknown class '{'B' * 40}'",
+        id="tsv-40-character-class",
     ),
     pytest.param(
         "tsv", tsv_fault("a1\thello world\tA\t5:5"), "{path}:3 (id 'a1'): invalid span [5, 5)", id="tsv-empty-span"
@@ -483,6 +511,30 @@ ROW_MESSAGES = [
     ),
     pytest.param(
         "jsonl",
+        jsonl_fault(**{"class": "A", "spans": [[0] * 3000]}),
+        f"{{path}}:2 (id 'a1'): malformed span {json.dumps([0] * 3000)[:40]}…, expected [start, end]",
+        id="jsonl-long-malformed-span",
+    ),
+    pytest.param(
+        "jsonl",
+        [json.dumps({"id": LONG_ID, "text": "x", "class": "X", "spans": []})] * 2,
+        f"{{path}}:2: duplicate sample id '{'i' * 40}…'",
+        id="jsonl-long-duplicate-id",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": [1] * 5000}),
+        f"{{path}}:2 (id 'a1'): unknown class {repr([1] * 5000)[:40]}…",
+        id="jsonl-long-list-class",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(**{"class": "B" * 5000}),
+        f"{{path}}:2 (id 'a1'): unknown class '{'B' * 40}…'",
+        id="jsonl-long-unknown-class",
+    ),
+    pytest.param(
+        "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[5, 5]]}),
         "{path}:2 (id 'a1'): invalid span [5, 5)",
         id="jsonl-empty-span",
@@ -567,6 +619,18 @@ ROW_MESSAGES = [
         "{path}:3: malformed span '0:2:4', expected start:end",
         id="pred-malformed-span",
     ),
+    pytest.param(
+        "predictions",
+        predictions_fault(f"a1\t{LONG_SPANS}"),
+        f"{{path}}:3: malformed span '{'1:' * 20}…', expected start:end",
+        id="pred-long-malformed-span",
+    ),
+    pytest.param(
+        "predictions",
+        ["# model: m", f"{LONG_ID}\t0:2", f"{LONG_ID}\t"],
+        f"{{path}}:3: duplicate entry for id '{'i' * 40}…'",
+        id="pred-long-duplicate-id",
+    ),
     pytest.param("predictions", predictions_fault("a1\t5:5"), "{path}:3: invalid span [5, 5)", id="pred-empty-span"),
     pytest.param(
         "predictions", predictions_fault("a1\t0:2;9:3"), "{path}:3: invalid span [9, 3)", id="pred-reversed-span"
@@ -633,6 +697,12 @@ class TestPartitionAndComposition:
         sample = make("a1", "twice over", SampleClass.NO_ADE)
         with pytest.raises(ValidationError):
             CorpusPartition("custom", (sample, sample))
+
+    def test_partition_echoes_a_long_duplicate_id_cut(self):
+        sample = make(LONG_ID, "twice over", SampleClass.NO_ADE)
+        with pytest.raises(ValidationError) as caught:
+            CorpusPartition("custom", (sample, sample))
+        assert str(caught.value) == f"duplicate sample id '{'i' * 40}…'"
 
     def test_partition_name_restricted(self):
         with pytest.raises(ValidationError):
