@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the README's command-line chain, plus extract, detect and filter
-# with --jobs 2, with the adescope package found in SRC and keep everything
-# it produces in OUT: each output file, each subcommand's stdout and
-# stderr, and its exit code.
+# with --jobs 2, and extract and prefilter on the corpus written as JSON
+# lines, with the adescope package found in SRC and keep everything it
+# produces in OUT: each output file (the JSON-lines corpus too), each
+# command's stdout and stderr, and its exit code.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -24,13 +25,18 @@ pools=$root/data/corpus
 mkdir -p "$out"
 
 status=0
-run() {
+record() {  # record NAME COMMAND...
     local name=$1
     shift
-    PYTHONPATH=$src python3 -m adescope "$@" >"$out/$name.stdout" 2>"$out/$name.stderr"
+    PYTHONPATH=$src "$@" >"$out/$name.stdout" 2>"$out/$name.stderr"
     local code=$?
     echo "$code" >"$out/$name.exit"
     [ "$code" -eq 0 ] || status=1
+}
+run() {  # run NAME SUBCOMMAND ARGS...
+    local name=$1
+    shift
+    record "$name" python3 -m adescope "$@"
 }
 
 run extract extract --corpus "$corpus" --out "$out/preds.tsv"
@@ -50,4 +56,11 @@ run prefilter prefilter --corpus "$corpus" --phenomena neg+spec --out "$out/kept
 run compose compose --base "$pools/train_base.tsv" \
     --n-pool "$pools/train_n_pool.tsv" --s-pool "$pools/train_s_pool.tsv" \
     --add-n --add-s --out "$out/train.tsv"
+# The corpus as JSON lines, written by the package in SRC, and the
+# subcommands that read and write that format.
+record to-jsonl python3 -c 'import sys; from adescope import load_corpus, write_corpus
+write_corpus(load_corpus(sys.argv[1]), sys.argv[2], format="jsonl")' "$corpus" "$out/corpus.jsonl"
+run extract-jsonl extract --corpus "$out/corpus.jsonl" --format jsonl --out "$out/preds-jsonl.tsv"
+run prefilter-jsonl prefilter --corpus "$out/corpus.jsonl" --format jsonl \
+    --phenomena neg+spec --out "$out/kept.jsonl"
 exit "$status"

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .scope import Phenomenon, ScopeSpan
-from .text import Span, sorted_spans
+from .text import Span
 
 __all__ = [
     "EntitySet",
@@ -102,7 +102,7 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     kept: set[Span] = set()
     discarded: list[DiscardedSpan] = []
     first = 0
-    for span in sorted_spans(ades.spans):
+    for span in sorted(ades.spans):
         # Span starts never decrease, so a scope ending at or before this
         # start misses every later span too.
         while first < len(ordered) and ordered[first].span.end <= span.start:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import ParseError, ValidationError
-from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span, sorted_spans
+from .errors import ParseError, ValidationError, echo
+from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span
 
 __all__ = [
     "CorpusPartition",
@@ -65,21 +65,8 @@ _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\
 # The member of each class letter, without an enum call per row.
 _CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
 
-# A message echoes at most this many characters of an input value, and
-# names at most this many unknown ids.
-_ECHO_CHARS = 40
+# A message names at most this many unknown ids.
 _LISTED_IDS = 5
-
-
-def _echo(value: object, show: Callable[[object], str] = repr) -> str:
-    """``show(value)`` for a message, cut after ``_ECHO_CHARS`` characters and
-    marked ``…``. A string's repr is cut inside its quotes, so it still reads
-    as a string, and a string of up to ``_ECHO_CHARS`` characters reads whole.
-    """
-    if show is repr and isinstance(value, str):
-        return repr(value if len(value) <= _ECHO_CHARS else value[:_ECHO_CHARS] + "…")
-    shown = show(value)
-    return shown if len(shown) <= _ECHO_CHARS else shown[:_ECHO_CHARS] + "…"
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,7 @@ class CorpusPartition:
         by_id: dict[str, LabeledSample] = {}
         for sample in self.samples:
             if sample.text.id in by_id:
-                raise ValidationError(f"duplicate sample id {_echo(sample.text.id)}")
+                raise ValidationError(f"duplicate sample id {echo(sample.text.id)}")
             by_id[sample.text.id] = sample
         object.__setattr__(self, "by_id", by_id)
 
@@ -220,11 +207,11 @@ def _parse_span_field(field: str) -> list[Span]:
     for chunk in field.split(";"):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise ValidationError(f"malformed span {_echo(chunk)}, expected start:end")
+            raise ValidationError(f"malformed span {echo(chunk)}, expected start:end")
         try:
             start, end = _offset(parts[0]), _offset(parts[1])
         except ValueError:
-            raise ValidationError(f"non-integer span offsets in {_echo(chunk)}") from None
+            raise ValidationError(f"non-integer span offsets in {echo(chunk)}") from None
         spans.append(Span(start, end))
     return spans
 
@@ -232,7 +219,7 @@ def _parse_span_field(field: str) -> list[Span]:
 def _format_span_field(spans: Iterable[Span]) -> str:
     if not spans:
         return ""
-    return ";".join([f"{s.start}:{s.end}" for s in sorted_spans(spans)])
+    return ";".join([f"{s.start}:{s.end}" for s in sorted(spans)])
 
 
 def _escape_tsv(text: str) -> str:
@@ -253,7 +240,7 @@ def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
         # type(), not isinstance(): JSON true loads as a bool, an int subclass.
         offsets_ok = isinstance(pair, list) and all(type(offset) is int for offset in pair)
         if not offsets_ok or len(pair) != 2:
-            raise ValidationError(f"malformed span {_echo(pair, json.dumps)}, expected [start, end]")
+            raise ValidationError(f"malformed span {echo(pair, json.dumps)}, expected [start, end]")
     return text, [Span(start, end) for start, end in pairs]
 
 
@@ -269,19 +256,19 @@ def _row_sample(
     if not sample_id:
         raise ParseError(f"{source}:{lineno}: empty sample id")
     if sample_id in seen:
-        raise ParseError(f"{source}:{lineno}: duplicate sample id {_echo(sample_id)}")
+        raise ParseError(f"{source}:{lineno}: duplicate sample id {echo(sample_id)}")
     seen.add(sample_id)
     try:
         sample_class = _CLASS_BY_LETTER[class_name]
     except (KeyError, TypeError):  # TypeError: an unhashable JSON class
         raise ParseError(
-            f"{source}:{lineno} (id {sample_id!r}): unknown class {_echo(class_name)}"
+            f"{source}:{lineno} (id {echo(sample_id)}): unknown class {echo(class_name)}"
         ) from None
     try:
         content, span_list = decode(text, spans)
         return LabeledSample(RawText(sample_id, content), frozenset(span_list), sample_class)
     except ValueError as exc:
-        raise ParseError(f"{source}:{lineno} (id {sample_id!r}): {exc}") from None
+        raise ParseError(f"{source}:{lineno} (id {echo(sample_id)}): {exc}") from None
 
 
 def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
@@ -381,7 +368,7 @@ def write_corpus(
                     "id": sample.text.id,
                     "text": sample.text.content,
                     "class": sample.sample_class.value,
-                    "spans": [[s.start, s.end] for s in sorted_spans(sample.gold_spans)],
+                    "spans": sorted(sample.gold_spans),
                 },
                 ensure_ascii=False,
             )
@@ -489,7 +476,7 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
         if not text_id:
             raise ParseError(f"{path}:{lineno}: empty text id")
         if text_id in entries:
-            raise ParseError(f"{path}:{lineno}: duplicate entry for id {_echo(text_id)}")
+            raise ParseError(f"{path}:{lineno}: duplicate entry for id {echo(text_id)}")
         try:
             entries[text_id] = frozenset(_parse_span_field(span_field))
         except ValidationError as exc:
@@ -522,7 +509,7 @@ def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -
         for span in spans:
             if span.end > length:
                 raise ValidationError(
-                    f"prediction for {text_id!r}: span "
+                    f"prediction for {echo(text_id)}: span "
                     f"[{span.start}, {span.end}) exceeds text length {length}"
                 )
 

@@ -25,9 +25,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .combine import EntitySet, overlap_length, overlaps
 from .corpus import unknown_ids_error, write_lines
 from .errors import ValidationError
-from .text import (
-    REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans, sorted_spans,
-)
+from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans
 
 __all__ = [
     "MatchKind",
@@ -38,7 +36,6 @@ __all__ = [
     "match_spans",
     "relaxed_scores",
     "evaluate_corpus",
-    "merge_reports",
     "report_to_dict",
     "write_report",
 ]
@@ -143,20 +140,18 @@ def match_spans(
             while index < len(gold_list) and gold_list[index].start < pred.end:
                 gld = gold_list[index]
                 if gld in gold_open:
-                    candidates.append((overlap_length(pred, gld), gld, pred))
+                    candidates.append((-overlap_length(pred, gld), gld, pred))
                 index += 1
-    candidates.sort(
-        key=lambda c: (-c[0], c[1].start, c[1].end, c[2].start, c[2].end)
-    )
+    candidates.sort()  # most overlap first, then by gold and predicted span
     for _, gld, pred in candidates:
         if gld in gold_open and pred in pred_open:
             outcomes.append(MatchOutcome(MatchKind.PARTIAL, gld, pred))
             gold_open.discard(gld)
             pred_open.discard(pred)
 
-    for span in sorted_spans(pred_open):
+    for span in sorted(pred_open):
         outcomes.append(MatchOutcome(MatchKind.FP, None, span))
-    for span in sorted_spans(gold_open):
+    for span in sorted(gold_open):
         outcomes.append(MatchOutcome(MatchKind.FN, span, None))
     return outcomes
 
@@ -175,7 +170,7 @@ class SampleOutcomes:
 
 @dataclass(frozen=True, eq=False)
 class MatchReport:
-    """Aggregated evaluation over a corpus (or several merged runs)."""
+    """Aggregated evaluation over a corpus."""
 
     samples: tuple[SampleOutcomes, ...]
     tp: int
@@ -226,29 +221,6 @@ def evaluate_corpus(
         fn += row.count(MatchKind.FN)
         fp_by_class[sample.sample_class] += row.count(MatchKind.FP)
     return MatchReport(tuple(rows), tp, par, fp, fn, fp_by_class)
-
-
-def merge_reports(reports: Iterable[MatchReport]) -> MatchReport:
-    """Pool several reports into one by summing their counts.
-
-    Merging is associative and commutative up to sample order. Use it to
-    aggregate multiple runs externally; no averaging happens here.
-    """
-    report_list = list(reports)
-    if not report_list:
-        raise ValidationError("merge_reports requires at least one report")
-    fp_by_class = {cls: 0 for cls in SampleClass}
-    samples: list[SampleOutcomes] = []
-    tp = par = fp = fn = 0
-    for report in report_list:
-        samples.extend(report.samples)
-        tp += report.tp
-        par += report.par
-        fp += report.fp
-        fn += report.fn
-        for cls in SampleClass:
-            fp_by_class[cls] += report.fp_by_class.get(cls, 0)
-    return MatchReport(tuple(samples), tp, par, fp, fn, fp_by_class)
 
 
 def _span_pair(span: Span | None) -> list[int] | None:

@@ -28,7 +28,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .corpus import read_text, write_lines
+from .corpus import read_text
 from .errors import ParseError, ValidationError
 from .text import (
     LabeledSample,
@@ -52,7 +52,6 @@ __all__ = [
     "ScopeSpan",
     "load_lexicon",
     "parse_lexicon",
-    "save_lexicon",
     "default_negation_lexicon",
     "default_speculation_lexicon",
     "find_cues",
@@ -206,15 +205,6 @@ def load_lexicon(path: Union[str, Path], phenomenon: Phenomenon) -> CueLexicon:
     return parse_lexicon(read_text(path), phenomenon, str(path))
 
 
-def save_lexicon(lexicon: CueLexicon, path: Union[str, Path]) -> None:
-    """Write one ``pattern|category`` line per cue, in lexicon order.
-
-    Comments are not preserved; saving a lexicon loaded from a comment-free
-    file reproduces that file byte for byte.
-    """
-    write_lines(path, [f"{cue.pattern}|{cue.category.value}" for cue in lexicon.cues])
-
-
 @lru_cache(maxsize=None)
 def _bundled_lexicon(filename: str, phenomenon: Phenomenon) -> CueLexicon:
     content = resources.files("adescope.data").joinpath(filename).read_text("utf-8")
@@ -300,7 +290,7 @@ def resolve_scopes(
             scopes.append(
                 ScopeSpan(token_span(tokens, first, last), match, match.cue.phenomenon, text_id)
             )
-    scopes.sort(key=lambda s: (s.span.start, s.span.end, s.trigger.span.start))
+    scopes.sort(key=lambda s: (s.span, s.trigger.span.start))
     return scopes
 
 

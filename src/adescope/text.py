@@ -2,7 +2,10 @@
 
 Offsets throughout the package are half-open ``[start, end)`` counts of
 Unicode scalar values into the owning text, so ``text[span.start:span.end]``
-is always the covered surface.
+is always the covered surface. A :class:`Span` is a ``(start, end)``
+NamedTuple that sorts and hashes as a tuple, so ``Span(0, 3) == (0, 3)``;
+its constructor checks the offsets, and only :func:`tokenize` builds spans
+unchecked.
 
 Cue phrases and event terms are found by one shared matcher:
 :func:`index_patterns` keys lexicon patterns the way :func:`tokenize` splits
@@ -13,12 +16,12 @@ pattern at each position, returning the character span each match covers.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, echo
 
 __all__ = [
     "Span",
@@ -27,7 +30,6 @@ __all__ = [
     "LabeledSample",
     "Token",
     "TagSequence",
-    "sorted_spans",
     "disjoint_spans",
     "tokenize",
     "token_span",
@@ -54,46 +56,26 @@ _GROUP = re.Match.group
 _SHARED_SCAN_CHARS = 2048
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open character interval [start, end)."""
+class Span(namedtuple("Span", "start end")):
+    """Half-open character interval [start, end), ordered, compared and
+    hashed as the tuple ``(start, end)``."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValidationError(f"invalid span [{self.start}, {self.end})")
+    def __new__(cls, start: int, end: int) -> Span:
+        if start < 0 or end <= start:
+            raise ValidationError(f"invalid span [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-def _trusted_span(start: int, end: int) -> Span:
-    """A span whose offsets are valid by construction; skips the check."""
-    span = object.__new__(Span)
-    object.__setattr__(span, "start", start)
-    object.__setattr__(span, "end", end)
-    return span
-
-
-_SPAN_KEY = attrgetter("start", "end")
-
-
-def sorted_spans(spans: Iterable[Span]) -> list[Span]:
-    """The spans in their own order, sorted by the key ``(start, end)``
-    rather than by a Python-level ``__lt__`` call per comparison.
-    """
-    ordered = list(spans)
-    if len(ordered) > 1:  # keying a lone span, the usual case, costs more than it saves
-        ordered.sort(key=_SPAN_KEY)
-    return ordered
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Span:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     """The spans in sorted order; any overlapping pair is a :class:`ValidationError`."""
-    ordered = sorted_spans(spans)
+    ordered = sorted(spans)
     for left, right in zip(ordered, ordered[1:]):
         if left.end > right.start:
             raise ValidationError(
@@ -114,7 +96,7 @@ class RawText:
         if not self.id:
             raise ValidationError("text id must be non-empty")
         if not self.content or self.content.isspace():  # strip() would copy the text
-            raise ValidationError(f"text {self.id!r} has empty content")
+            raise ValidationError(f"text {echo(self.id)} has empty content")
 
 
 class SampleClass(str, Enum):
@@ -155,21 +137,21 @@ class LabeledSample:
         for span in self.gold_spans:
             if span.end > length:
                 raise ValidationError(
-                    f"sample {self.text.id!r}: span [{span.start}, {span.end}) "
+                    f"sample {echo(self.text.id)}: span [{span.start}, {span.end}) "
                     f"exceeds text length {length}"
                 )
         if self.sample_class is SampleClass.ADE:
             if not self.gold_spans:
                 raise ValidationError(
-                    f"sample {self.text.id!r}: class A requires at least one gold span"
+                    f"sample {echo(self.text.id)}: class A requires at least one gold span"
                 )
         elif self.gold_spans:
             raise ValidationError(
-                f"sample {self.text.id!r}: class {self.sample_class.value} "
+                f"sample {echo(self.text.id)}: class {self.sample_class.value} "
                 "must not carry gold spans"
             )
         if len(self.gold_spans) > 1:  # fewer spans cannot overlap
-            disjoint_spans(self.gold_spans, f"sample {self.text.id!r}: gold spans")
+            disjoint_spans(self.gold_spans, f"sample {echo(self.text.id)}: gold spans")
 
 
 class Token(NamedTuple):
@@ -227,7 +209,7 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     content = text.content if isinstance(text, RawText) else text
     # A regex match of a non-empty pattern is a valid span by construction.
     return [
-        Token(match.group(), _trusted_span(match.start(), match.end()), i)
+        Token(match.group(), tuple.__new__(Span, match.span()), i)
         for i, match in enumerate(_TOKEN_RE.finditer(content))
     ]
 
@@ -343,16 +325,23 @@ def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:
     """Project character spans onto tokens as BIO tags.
 
     A token counts as inside a span when their character ranges intersect,
-    so a partially covered token is tagged. Overlapping input spans are
-    rejected.
+    so a partially covered token is tagged; a token that two spans cover
+    takes the later span's tag. Overlapping input spans are rejected. The
+    tokens must be in text order, as :func:`tokenize` returns them.
+
+    One sweep: the sorted spans walk a token pointer that only moves past
+    tokens ending at or before the current span's start, so the cost is
+    O(T + S log S) for T tokens and S spans, not O(T * S).
     """
     tags = ["O"] * len(tokens)
+    first = 0
     for span in disjoint_spans(spans):
-        begin = True
-        for position, token in enumerate(tokens):
-            if token.span.start < span.end and span.start < token.span.end:
-                tags[position] = "B" if begin else "I"
-                begin = False
+        while first < len(tokens) and tokens[first].span.end <= span.start:
+            first += 1
+        position, tag = first, "B"
+        while position < len(tokens) and tokens[position].span.start < span.end:
+            tags[position] = tag
+            position, tag = position + 1, "I"
     return TagSequence(tuple(tags))
 
 

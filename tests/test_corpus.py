@@ -316,6 +316,7 @@ LOADERS = {
 
 # A long echoed value is cut after 40 characters and marked "…".
 LONG_ID = "i" * 5000
+LONG_ID_ECHO = f"'{'i' * 40}…'"
 LONG_SPANS = "1:" * 3000
 
 # The full message of every row fault, for each file kind that can hold it;
@@ -405,6 +406,30 @@ ROW_MESSAGES = [
         [CORPUS_HEADER, f"{LONG_ID}\tall fine\tX\t", f"{LONG_ID}\tsecond one\tX\t"],
         f"{{path}}:3: duplicate sample id '{'i' * 40}…'",
         id="tsv-long-duplicate-id",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"{LONG_ID}\thello world\tB\t"),
+        f"{{path}}:3 (id {LONG_ID_ECHO}): unknown class 'B'",
+        id="tsv-long-id-unknown-class",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"{LONG_ID}\thello world\tA\t0:50"),
+        f"{{path}}:3 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: span [0, 50) exceeds text length 11",
+        id="tsv-long-id-span-past-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"{'i' * 40}\thello world\tA\t0:50"),
+        f"{{path}}:3 (id '{'i' * 40}'): sample '{'i' * 40}': span [0, 50) exceeds text length 11",
+        id="tsv-40-character-id-span-past-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"{LONG_ID}\t   \tX\t"),
+        f"{{path}}:3 (id {LONG_ID_ECHO}): text {LONG_ID_ECHO} has empty content",
+        id="tsv-long-id-blank-text",
     ),
     pytest.param(
         "tsv",
@@ -520,6 +545,24 @@ ROW_MESSAGES = [
         [json.dumps({"id": LONG_ID, "text": "x", "class": "X", "spans": []})] * 2,
         f"{{path}}:2: duplicate sample id '{'i' * 40}…'",
         id="jsonl-long-duplicate-id",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(id=LONG_ID, **{"class": "A", "spans": [[0, 5], [3, 8]]}),
+        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: gold spans [0, 5) and [3, 8) overlap",
+        id="jsonl-long-id-overlapping-gold",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(id=LONG_ID, **{"class": "A"}),
+        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: class A requires at least one gold span",
+        id="jsonl-long-id-class-a-without-spans",
+    ),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(id=LONG_ID, spans=[[0, 5]]),
+        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: class X must not carry gold spans",
+        id="jsonl-long-id-class-x-with-spans",
     ),
     pytest.param(
         "jsonl",
@@ -918,6 +961,18 @@ class TestValidatePredictions:
         predictions = PredictionFile({}, {"x1": frozenset({Span(0, 99)})})
         with pytest.raises(ValidationError, match="exceeds text length"):
             validate_predictions(predictions, self.CORPUS)
+
+    @pytest.mark.parametrize(
+        "text_id,shown",
+        [("x1", "'x1'"), ("i" * 40, f"'{'i' * 40}'"), (LONG_ID, LONG_ID_ECHO)],
+        ids=["short", "40-characters", "long"],
+    )
+    def test_out_of_bounds_message_echoes_the_id_cut(self, text_id, shown):
+        corpus = CorpusPartition("custom", (make(text_id, "all quiet today", SampleClass.NO_ADE),))
+        predictions = PredictionFile({}, {text_id: frozenset({Span(0, 99)})})
+        with pytest.raises(ValidationError) as caught:
+            validate_predictions(predictions, corpus)
+        assert str(caught.value) == f"prediction for {shown}: span [0, 99) exceeds text length 15"
 
 
 ids = st.text(alphabet="abcdefghij0123456789_-", min_size=1, max_size=8)

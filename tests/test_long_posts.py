@@ -1,4 +1,5 @@
-"""Filtering and matching on one long post stay near-linear in its length.
+"""Filtering, matching and BIO projection on one long post stay near-linear
+in its length.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
@@ -19,8 +20,11 @@ from adescope import (
     Phenomenon,
     ScopeSpan,
     Span,
+    Token,
+    bio_to_spans,
     filter_by_scopes,
     match_spans,
+    spans_to_bio,
 )
 
 SENTENCES = 10_000
@@ -71,3 +75,26 @@ def test_filter_and_match_scale_with_post_length():
 
     assert filter_elapsed < 0.5, f"filter_by_scopes took {filter_elapsed:.2f}s"
     assert match_elapsed < 0.5, f"match_spans took {match_elapsed:.2f}s"
+
+
+def test_bio_projection_scales_with_post_length():
+    # Two tokens per sentence; every fourth sentence has a span over both,
+    # every other even one a span over the second, odd ones none.
+    tokens = [
+        Token(surface, sentence_span(i, start, end), 2 * i + k)
+        for i in range(SENTENCES)
+        for k, (surface, start, end) in enumerate((("no", 0, 2), ("pain", 3, 7)))
+    ]
+    spans = [
+        sentence_span(i, 0, 7) if i % 4 == 0 else sentence_span(i, 3, 7)
+        for i in range(0, SENTENCES, 2)
+    ]
+
+    started = time.perf_counter()
+    tags = spans_to_bio(tokens, spans)
+    elapsed = time.perf_counter() - started
+    expected = {0: ["B", "I"], 1: ["O", "O"], 2: ["O", "B"], 3: ["O", "O"]}
+    assert list(tags) == [tag for i in range(SENTENCES) for tag in expected[i % 4]]
+    assert bio_to_spans(tokens, tags) == set(spans)
+
+    assert elapsed < 0.5, f"spans_to_bio took {elapsed:.2f}s"

@@ -16,7 +16,6 @@ from adescope import (
     ValidationError,
     evaluate_corpus,
     match_spans,
-    merge_reports,
     overlap_length,
     overlaps,
     relaxed_scores,
@@ -266,20 +265,6 @@ class TestEvaluateCorpus:
         ]
         with pytest.raises(ValidationError):
             evaluate_corpus(CORPUS, twice)
-
-    def test_merge_sums_counts(self):
-        first = evaluate_corpus(CORPUS[:2], [EntitySet("a1", frozenset({Span(0, 8)}))])
-        second = evaluate_corpus(CORPUS[2:], [EntitySet("n1", frozenset({Span(0, 2)}))])
-        merged = merge_reports([first, second])
-        assert merged.tp == first.tp + second.tp
-        assert merged.fp == first.fp + second.fp
-        assert merged.fn == first.fn + second.fn
-        assert merged.fp_by_class[SampleClass.NEGATED] == 1
-        assert len(merged.samples) == len(CORPUS)
-
-    def test_merge_requires_input(self):
-        with pytest.raises(ValidationError):
-            merge_reports([])
 
     def test_report_dict_layout(self):
         report = evaluate_corpus(CORPUS, [EntitySet("a1", frozenset({Span(0, 8)}))])

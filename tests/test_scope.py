@@ -25,7 +25,6 @@ from adescope import (
     parse_lexicon,
     prefilter,
     resolve_scopes,
-    save_lexicon,
     tokenize,
 )
 
@@ -67,15 +66,11 @@ class TestLexiconIO:
         with pytest.raises(ParseError):
             parse_lexicon("no|pre_trigger\nNO|pre_trigger\n", NEG)
 
-    def test_save_load_round_trip_is_byte_exact(self, tmp_path):
+    def test_lexicon_file_loads_back_equal(self, tmp_path):
+        path = tmp_path / "cues.txt"
+        path.write_text("# cues\nno|pre_trigger\n\nBut | terminator\n", encoding="utf-8")
         lex = lexicon(("no", CueCategory.PRE_TRIGGER), ("but", CueCategory.TERMINATOR))
-        first = tmp_path / "one.txt"
-        second = tmp_path / "two.txt"
-        save_lexicon(lex, first)
-        reloaded = load_lexicon(first, NEG)
-        assert reloaded == lex
-        save_lexicon(reloaded, second)
-        assert first.read_bytes() == second.read_bytes()
+        assert load_lexicon(path, NEG) == lex
 
     def test_bundled_lexicons_load(self):
         assert default_negation_lexicon().phenomenon is NEG

@@ -37,8 +37,32 @@ class TestSpan:
 
     @pytest.mark.parametrize("start,end", [(-1, 4), (3, 3), (5, 2)])
     def test_rejects_degenerate_intervals(self, start, end):
-        with pytest.raises(ValidationError):
-            Span(start, end)
+        for build in (
+            lambda: Span(start, end),
+            lambda: Span._make((start, end)),
+            lambda: Span(0, 9)._replace(start=start, end=end),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert str(caught.value) == f"invalid span [{start}, {end})"
+
+    def test_is_a_start_end_tuple(self):
+        span = Span(0, 3)
+        assert (span.start, span.end) == span == (0, 3)
+        assert hash(span) == hash((0, 3))
+
+    def test_tokenize_builds_the_spans_the_checked_constructor_would(self, corpus_dir):
+        built = [
+            token.span
+            for sample in load_corpus(corpus_dir / "test.tsv").samples
+            for token in tokenize(sample.text)
+        ]
+        checked = [Span(start, end) for start, end in built]
+        assert all(type(span) is Span for span in built)
+        assert built == checked
+        assert list(map(hash, built)) == list(map(hash, checked))
+        positions = range(len(built))
+        assert sorted(positions, key=built.__getitem__) == sorted(positions, key=checked.__getitem__)
 
 
 class TestRawText:
