@@ -16,7 +16,7 @@ from typing import Union
 
 from .combine import EntitySet
 from .corpus import read_text
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, echo
 from .text import PatternIndex, RawText, index_patterns, longest_matches, matchable, tokenize
 
 __all__ = [
@@ -45,7 +45,7 @@ class AdeLexicon:
             if not term:
                 raise ValidationError("empty ADE lexicon term")
             if term in seen:
-                raise ValidationError(f"duplicate ADE lexicon term {term!r}")
+                raise ValidationError(f"duplicate ADE lexicon term {echo(term)}")
             seen.add(term)
             normalised.append(term)
         object.__setattr__(self, "terms", tuple(normalised))

@@ -39,7 +39,7 @@ from .corpus import (
     write_outputs,
     write_predictions,
 )
-from .errors import ValidationError
+from .errors import ValidationError, echo, echo_list
 from .metrics import evaluate_corpus, write_report
 from .scope import (
     DEFAULT_WINDOW,
@@ -93,14 +93,14 @@ def load_config(path: str | Path) -> dict:
     data = decode_json(read_text(path), str(path))
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - set(_SETTINGS))
+    unknown = data.keys() - _SETTINGS.keys()
     if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValidationError(f"{path}: unknown config keys: {echo_list(unknown)}")
     for key, value in data.items():
         _, types, expected = _SETTINGS[key]
         # bool is an int subclass, but true is not a window or a job count.
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ValidationError(f"{path}: {key}: expected {expected}, got {value!r}")
+            raise ValidationError(f"{path}: {key}: expected {expected}, got {echo(value)}")
     return data
 
 
@@ -136,12 +136,12 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         if getattr(args, name, None) is None:
             setattr(args, name, config.get(name, default))
     if args.window < 1:
-        raise UsageError(f"--window must be >= 1, got {args.window}")
+        raise UsageError(f"--window must be >= 1, got {echo(args.window, str)}")
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {echo(args.jobs, str)}")
     if args.filters not in FILTER_CHOICES:
         raise UsageError(
-            f"--filters must be one of {', '.join(FILTER_CHOICES)}, got {args.filters!r}"
+            f"--filters must be one of {', '.join(FILTER_CHOICES)}, got {echo(args.filters)}"
         )
 
 

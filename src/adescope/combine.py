@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import ValidationError, echo
 from .scope import Phenomenon, ScopeSpan
 from .text import Span
 
@@ -96,8 +96,8 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     for scope in ordered:
         if scope.text_id is not None and scope.text_id != ades.text_id:
             raise ValidationError(
-                f"scope bound to text {scope.text_id!r} cannot filter "
-                f"predictions for text {ades.text_id!r}"
+                f"scope bound to text {echo(scope.text_id)} cannot filter "
+                f"predictions for text {echo(ades.text_id)}"
             )
     kept: set[Span] = set()
     discarded: list[DiscardedSpan] = []

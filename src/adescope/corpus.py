@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import ParseError, ValidationError, echo
+from .errors import ParseError, ValidationError, echo, echo_list, echo_span
 from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span
 
 __all__ = [
@@ -56,8 +56,6 @@ LOGGER = logging.getLogger(__name__)
 CORPUS_HEADER = "id\ttext\tclass\tspans"
 _JSONL_KEYS = ("id", "text", "class", "spans")
 
-_PARTITION_NAMES = ("train", "test", "custom")
-
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_RE = re.compile(r"\\(.?)", re.S)
 _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\r"}
@@ -65,23 +63,17 @@ _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\
 # The member of each class letter, without an enum call per row.
 _CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
 
-# A message names at most this many unknown ids.
-_LISTED_IDS = 5
-
 
 @dataclass(frozen=True)
 class CorpusPartition:
-    """An ordered collection of labeled samples with unique ids."""
+    """An ordered collection of labeled samples with unique ids, under a
+    free label ``name`` that no output carries (a loaded file's stem)."""
 
     name: str
     samples: tuple[LabeledSample, ...]
     by_id: Mapping[str, LabeledSample] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.name not in _PARTITION_NAMES:
-            raise ValidationError(
-                f"partition name must be one of {_PARTITION_NAMES}, got {self.name!r}"
-            )
         if not isinstance(self.samples, tuple):
             object.__setattr__(self, "samples", tuple(self.samples))
         by_id: dict[str, LabeledSample] = {}
@@ -317,15 +309,14 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
     return samples
 
 
-def load_corpus(
-    path: Union[str, Path], format: str = "tsv", name: str | None = None
-) -> CorpusPartition:
+def load_corpus(path: Union[str, Path], format: str = "tsv") -> CorpusPartition:
     """Load a corpus file. ``format`` is ``tsv`` (native) or ``jsonl``.
 
-    Row-level problems (bad class letter, span out of bounds, class and
-    span mismatch, duplicate ids) raise :class:`ParseError` naming the file,
-    line and sample id. An empty file loads as an empty partition with a
-    logged warning.
+    The partition is named after the file's stem. Row-level problems (bad
+    class letter, span out of bounds, class and span mismatch, duplicate
+    ids) raise :class:`ParseError` naming the file, line and sample id; a
+    message echoes at most 40 characters of any input value. An empty file
+    loads as an empty partition with a logged warning.
     """
     path = Path(path)
     raw = read_text(path)
@@ -334,10 +325,8 @@ def load_corpus(
     elif format == "jsonl":
         samples = _parse_corpus_jsonl(raw, str(path))
     else:
-        raise ValidationError(f"unknown corpus format {format!r}")
-    if name is None:
-        name = path.stem if path.stem in _PARTITION_NAMES else "custom"
-    return CorpusPartition(name, tuple(samples))
+        raise ValidationError(f"unknown corpus format {echo(format)}")
+    return CorpusPartition(path.stem, tuple(samples))
 
 
 def write_corpus(
@@ -349,7 +338,7 @@ def write_corpus(
         for sample in partition.samples:
             if "\t" in sample.text.id or "\n" in sample.text.id:
                 raise ValidationError(
-                    f"sample id {sample.text.id!r} cannot be serialised as TSV"
+                    f"sample id {echo(sample.text.id)} cannot be serialised as TSV"
                 )
             lines.append(
                 "\t".join(
@@ -375,7 +364,7 @@ def write_corpus(
             for sample in partition.samples
         ]
     else:
-        raise ValidationError(f"unknown corpus format {format!r}")
+        raise ValidationError(f"unknown corpus format {echo(format)}")
     write_lines(path, lines)
 
 
@@ -395,7 +384,7 @@ def compose_training_set(
     for sample in base.samples:
         if sample.sample_class not in (SampleClass.ADE, SampleClass.NO_ADE):
             raise ValidationError(
-                f"base sample {sample.text.id!r} has class "
+                f"base sample {echo(sample.text.id)} has class "
                 f"{sample.sample_class.value}; base must contain only A and X"
             )
     samples = list(base.samples)
@@ -410,15 +399,10 @@ def compose_training_set(
         for sample in pool.samples:
             if sample.sample_class is not wanted:
                 raise ValidationError(
-                    f"{label} sample {sample.text.id!r} has class "
+                    f"{label} sample {echo(sample.text.id)} has class "
                     f"{sample.sample_class.value}, expected {wanted.value}"
                 )
         samples.extend(pool.samples)
-    seen: set[str] = set()
-    for sample in samples:
-        if sample.text.id in seen:
-            raise ValidationError(f"id collision on {sample.text.id!r}")
-        seen.add(sample.text.id)
     return CorpusPartition(base.name, tuple(samples))
 
 
@@ -485,14 +469,8 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
 
 
 def unknown_ids_error(ids: Iterable[str]) -> ValidationError:
-    """The error for predictions of ``ids`` that their corpus lacks: the
-    first few ids in sorted order, then how many more there are.
-    """
-    ordered = sorted(ids)
-    listed = ", ".join(ordered[:_LISTED_IDS])
-    if len(ordered) > _LISTED_IDS:
-        listed += f" and {len(ordered) - _LISTED_IDS} more"
-    return ValidationError(f"predictions reference unknown text ids: {listed}")
+    """The error for predictions of ``ids`` that their corpus lacks."""
+    return ValidationError(f"predictions reference unknown text ids: {echo_list(ids)}")
 
 
 def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -> None:
@@ -509,8 +487,8 @@ def validate_predictions(predictions: PredictionFile, corpus: CorpusPartition) -
         for span in spans:
             if span.end > length:
                 raise ValidationError(
-                    f"prediction for {echo(text_id)}: span "
-                    f"[{span.start}, {span.end}) exceeds text length {length}"
+                    f"prediction for {echo(text_id)}: span {echo_span(*span)} "
+                    f"exceeds text length {length}"
                 )
 
 
@@ -525,7 +503,7 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
     for text_id in sorted(predictions.entries):
         if "\t" in text_id or "\n" in text_id or text_id.startswith("#"):
             raise ValidationError(
-                f"text id {text_id!r} cannot be serialised in a prediction file"
+                f"text id {echo(text_id)} cannot be serialised in a prediction file"
             )
         lines.append(f"{text_id}\t{_format_span_field(predictions.entries[text_id])}")
     write_lines(path, lines)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 # A message echoes at most this many characters of an input value.
 _ECHO_CHARS = 40
+
+# A message lists at most this many input values.
+_LISTED = 5
 
 
 def echo(value: object, show: Callable[[object], str] = repr) -> str:
@@ -17,6 +20,22 @@ def echo(value: object, show: Callable[[object], str] = repr) -> str:
         return repr(value if len(value) <= _ECHO_CHARS else value[:_ECHO_CHARS] + "…")
     shown = show(value)
     return shown if len(shown) <= _ECHO_CHARS else shown[:_ECHO_CHARS] + "…"
+
+
+def echo_span(start: object, end: object) -> str:
+    """The half-open offset interval ``[start, end)`` for a message."""
+    return f"[{echo(start, str)}, {echo(end, str)})"
+
+
+def echo_list(values: Iterable[object]) -> str:
+    """The values for a message, sorted and each echoed with ``str``: the
+    first ``_LISTED`` of them, then how many more there are.
+    """
+    ordered = sorted(values)
+    listed = ", ".join([echo(value, str) for value in ordered[:_LISTED]])
+    if len(ordered) > _LISTED:
+        listed += f" and {len(ordered) - _LISTED} more"
+    return listed
 
 
 class AdescopeError(Exception):

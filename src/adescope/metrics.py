@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .combine import EntitySet, overlap_length, overlaps
 from .corpus import unknown_ids_error, write_lines
-from .errors import ValidationError
+from .errors import ValidationError, echo
 from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans
 
 __all__ = [
@@ -198,7 +198,7 @@ def evaluate_corpus(
     for entity_set in predictions:
         if entity_set.text_id in by_id:
             raise ValidationError(
-                f"duplicate predictions for text id {entity_set.text_id!r}"
+                f"duplicate predictions for text id {echo(entity_set.text_id)}"
             )
         by_id[entity_set.text_id] = entity_set
     known = {sample.text.id for sample in samples}

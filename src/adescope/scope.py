@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .corpus import read_text
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, echo
 from .text import (
     LabeledSample,
     PatternIndex,
@@ -101,7 +101,7 @@ class Cue:
 
     def __post_init__(self) -> None:
         if not self.pattern or self.pattern != self.pattern.strip():
-            raise ValidationError(f"bad cue pattern {self.pattern!r}")
+            raise ValidationError(f"bad cue pattern {echo(self.pattern)}")
         object.__setattr__(self, "pattern", self.pattern.casefold())
 
 
@@ -121,13 +121,13 @@ class CueLexicon:
         for cue in self.cues:
             if cue.phenomenon is not self.phenomenon:
                 raise ValidationError(
-                    f"cue {cue.pattern!r} is tagged {cue.phenomenon.value}, "
+                    f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
                     f"lexicon is {self.phenomenon.value}"
                 )
             entry = (cue.pattern, cue.category)
             if entry in seen:
                 raise ValidationError(
-                    f"duplicate cue {cue.pattern!r} ({cue.category.value})"
+                    f"duplicate cue {echo(cue.pattern)} ({cue.category.value})"
                 )
             seen.add(entry)
 
@@ -188,7 +188,7 @@ def parse_lexicon(
             category = CueCategory(category_name)
         except ValueError:
             raise ParseError(
-                f"{source}:{lineno}: unknown cue category {category_name!r}"
+                f"{source}:{lineno}: unknown cue category {echo(category_name)}"
             ) from None
         cues.append(Cue(pattern, category, phenomenon))
     if not cues:
@@ -251,7 +251,7 @@ def resolve_scopes(
     to govern produce no scope. Scopes are returned ordered by position.
     """
     if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+        raise ValidationError(f"window must be >= 1, got {echo(window, str)}")
     if isinstance(text, RawText):
         content, text_id = text.content, text.id
     else:

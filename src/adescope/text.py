@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from .errors import ValidationError, echo
+from .errors import ValidationError, echo, echo_span
 
 __all__ = [
     "Span",
@@ -64,7 +64,7 @@ class Span(namedtuple("Span", "start end")):
 
     def __new__(cls, start: int, end: int) -> Span:
         if start < 0 or end <= start:
-            raise ValidationError(f"invalid span [{start}, {end})")
+            raise ValidationError(f"invalid span {echo_span(start, end)}")
         return tuple.__new__(cls, (start, end))
 
     @classmethod
@@ -78,10 +78,7 @@ def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     ordered = sorted(spans)
     for left, right in zip(ordered, ordered[1:]):
         if left.end > right.start:
-            raise ValidationError(
-                f"{what} [{left.start}, {left.end}) and "
-                f"[{right.start}, {right.end}) overlap"
-            )
+            raise ValidationError(f"{what} {echo_span(*left)} and {echo_span(*right)} overlap")
     return ordered
 
 
@@ -137,7 +134,7 @@ class LabeledSample:
         for span in self.gold_spans:
             if span.end > length:
                 raise ValidationError(
-                    f"sample {echo(self.text.id)}: span [{span.start}, {span.end}) "
+                    f"sample {echo(self.text.id)}: span {echo_span(*span)} "
                     f"exceeds text length {length}"
                 )
         if self.sample_class is SampleClass.ADE:
@@ -155,11 +152,10 @@ class LabeledSample:
 
 
 class Token(NamedTuple):
-    """A token surface with its character span and position in the sequence."""
+    """A token's surface and character span; its position is its list index."""
 
     surface: str
     span: Span
-    index: int
 
 
 _VALID_TAGS = frozenset({"B", "I", "O"})
@@ -176,7 +172,7 @@ class TagSequence:
             object.__setattr__(self, "tags", tuple(self.tags))
         bad = [t for t in self.tags if t not in _VALID_TAGS]
         if bad:
-            raise ValidationError(f"invalid BIO tags: {sorted(set(bad))}")
+            raise ValidationError(f"invalid BIO tags: {echo(sorted(set(bad)))}")
 
     @property
     def is_well_formed(self) -> bool:
@@ -194,8 +190,8 @@ class TagSequence:
     def __iter__(self) -> Iterator[str]:
         return iter(self.tags)
 
-    def __getitem__(self, index: int) -> str:
-        return self.tags[index]
+    def __getitem__(self, position: int) -> str:
+        return self.tags[position]
 
 
 def tokenize(text: Union[str, RawText]) -> list[Token]:
@@ -209,8 +205,8 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     content = text.content if isinstance(text, RawText) else text
     # A regex match of a non-empty pattern is a valid span by construction.
     return [
-        Token(match.group(), tuple.__new__(Span, match.span()), i)
-        for i, match in enumerate(_TOKEN_RE.finditer(content))
+        Token(match.group(), tuple.__new__(Span, match.span()))
+        for match in _TOKEN_RE.finditer(content)
     ]
 
 

@@ -33,6 +33,11 @@ class TestAdeLexicon:
         with pytest.raises(ValidationError):
             AdeLexicon(("pain", "PAIN"))
 
+    def test_long_duplicate_is_echoed_cut(self):
+        with pytest.raises(ValidationError) as caught:
+            AdeLexicon(("pain" * 50, "PAIN" * 50))
+        assert str(caught.value) == f"duplicate ADE lexicon term '{'pain' * 10}…'"
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             AdeLexicon(())

@@ -629,6 +629,45 @@ class TestDataErrorsNameTheirFiles:
         )
 
 
+class TestLongConfigValues:
+    """A config message echoes at most 40 characters of each value and lists
+    at most five unknown keys."""
+
+    def run_with_config(self, tmp_path, e2e_corpus_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["extract", "--corpus", str(e2e_corpus_path), "--config", str(path)]
+        code = main([*argv, "--out", str(tmp_path / "o.tsv")])
+        return path, code, capsys.readouterr().err
+
+    def test_six_long_unknown_keys(self, tmp_path, e2e_corpus_path, capsys):
+        config = {f"{i}{'k' * 100}": 1 for i in range(6)}
+        path, code, err = self.run_with_config(tmp_path, e2e_corpus_path, capsys, config)
+        assert code == 2
+        listed = ", ".join(f"{i}{'k' * 39}…" for i in range(5))
+        assert err == f"adescope: error: {path}: unknown config keys: {listed} and 1 more\n"
+
+    @pytest.mark.parametrize(
+        "config,code,message",
+        [
+            (
+                {"filters": "neg" * 50},
+                1,
+                f"--filters must be one of none, neg, spec, neg+spec, got '{('neg' * 14)[:40]}…'",
+            ),
+            ({"window": "5" * 100}, 2, f"{{path}}: window: expected an integer, got '{'5' * 40}…'"),
+            ({"jobs": [1] * 100}, 2, f"{{path}}: jobs: expected an integer, got {str([1] * 14)[:40]}…"),
+            ({"window": -(10**60)}, 1, f"--window must be >= 1, got -1{'0' * 38}…"),
+            ({"jobs": -(10**60)}, 1, f"--jobs must be >= 1, got -1{'0' * 38}…"),
+        ],
+        ids=["filters-string", "window-string", "jobs-list", "window-int", "jobs-int"],
+    )
+    def test_long_values(self, tmp_path, e2e_corpus_path, capsys, config, code, message):
+        path, exit_code, err = self.run_with_config(tmp_path, e2e_corpus_path, capsys, config)
+        assert exit_code == code
+        assert err == f"adescope: error: {message.replace('{path}', str(path))}\n"
+
+
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["flag", "config"], ids=["jobs-100000", "config-jobs-3"])
     def test_any_job_count_runs_the_serial_path(

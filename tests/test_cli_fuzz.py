@@ -4,7 +4,8 @@ Each example mutates one input file (the corpus as TSV or JSONL, the
 predictions, a cue lexicon, an ADE term list or a config) and runs
 ``extract``, ``filter`` and ``evaluate`` over it through ``main()``. Every
 run must exit 0, 1 or 2 without an exception escaping, and every data
-error (exit 2) must name the mutated file. A second case draws ``filter``'s
+error (exit 2) must name the mutated file in lines of at most 300
+characters besides the input paths. A second case draws ``filter``'s
 ``--out`` and ``--audit`` paths from awkward kinds and checks that a failed
 run changes neither target and leaves no temporary file behind.
 """
@@ -27,12 +28,17 @@ FILES = ("corpus.tsv", "corpus.jsonl", "preds.tsv", "neg.txt", "terms.txt", "con
 
 # Byte runs that reach the parsers' edge cases more often than random bytes
 # do: separators, a BOM, undecodable bytes, JSON literals, an integer past
-# the interpreter's digit limit and nesting past its recursion limit.
+# the interpreter's digit limit, one just short of it, a long word and
+# nesting past the recursion limit.
 SPECIALS = (
     b"\t", b"\n", b"\r", b"#", b":", b";", b"|", b",", b'"', b"\\", b"[", b"]", b"{", b"}",
     b"-1", b"0", b"99999", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"null", b"true", b"1.5",
-    b"9" * 5001, b"[" * 5000,
+    b"9" * 5001, b"9" * 4000, b"w" * 300, b"[" * 5000,
 )
+
+# A message echoes a few input values, each cut short, so no line of it is
+# longer than this once the input paths are taken out.
+MESSAGE_LINE_CHARS = 300
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +105,8 @@ def test_mutated_inputs_exit_cleanly_and_name_the_file(inputs, mutation):
         assert code in (0, 1, 2), (argv[0], code, err)
         if code == 2:
             assert str(mutated) in err, (argv[0], err)
+            lines = err.replace(str(inputs), "").splitlines()
+            assert max(map(len, lines)) <= MESSAGE_LINE_CHARS, (argv[0], err[:1000])
         if mutated.read_bytes() == original:
             assert code == 0, (argv[0], err)
 

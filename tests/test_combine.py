@@ -87,6 +87,15 @@ class TestFilterByScopes:
         with pytest.raises(ValidationError):
             filter_by_scopes(ades, {make_scope(0, 4, text_id="t2")})
 
+    def test_mismatched_long_text_ids_are_echoed_cut(self):
+        ades = EntitySet("p" * 5000, frozenset({Span(0, 4)}))
+        with pytest.raises(ValidationError) as caught:
+            filter_by_scopes(ades, {make_scope(0, 4, text_id="s" * 5000)})
+        assert str(caught.value) == (
+            f"scope bound to text '{'s' * 40}…' cannot filter "
+            f"predictions for text '{'p' * 40}…'"
+        )
+
     def test_matching_text_id_accepted(self):
         ades = EntitySet("t1", frozenset({Span(0, 4)}))
         report = filter_by_scopes(ades, {make_scope(0, 4, text_id="t1")})

@@ -64,7 +64,7 @@ class TestCorpusRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path, format):
         path = tmp_path / f"roundtrip.{format}"
         write_corpus(PARTITION, path, format=format)
-        loaded = load_corpus(path, format=format, name="custom")
+        loaded = load_corpus(path, format=format)
         assert loaded.samples == PARTITION.samples
 
     @pytest.mark.parametrize("format", ["tsv", "jsonl"])
@@ -178,14 +178,6 @@ class TestCorpusParsing:
         path = tmp_path / "gaps.tsv"
         write_lines(path, CORPUS_HEADER, "", "x1\tstill fine\tX\t", "")
         assert [s.text.id for s in load_corpus(path).samples] == ["x1"]
-
-    def test_name_inferred_from_stem(self, tmp_path):
-        for stem, expected in (("train", "train"), ("test", "test"), ("foo", "custom")):
-            path = tmp_path / f"{stem}.tsv"
-            write_corpus(CorpusPartition("custom", ()), path)
-            assert load_corpus(path).name == expected
-        path = tmp_path / "train.tsv"
-        assert load_corpus(path, name="custom").name == "custom"
 
     def test_jsonl_errors(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -318,6 +310,8 @@ LOADERS = {
 LONG_ID = "i" * 5000
 LONG_ID_ECHO = f"'{'i' * 40}…'"
 LONG_SPANS = "1:" * 3000
+LONG_OFFSET = "9" * 4000
+LONG_OFFSET_ECHO = f"{'9' * 40}…"
 
 # The full message of every row fault, for each file kind that can hold it;
 # "{path}" stands for the file.
@@ -424,6 +418,12 @@ ROW_MESSAGES = [
         tsv_fault(f"{'i' * 40}\thello world\tA\t0:50"),
         f"{{path}}:3 (id '{'i' * 40}'): sample '{'i' * 40}': span [0, 50) exceeds text length 11",
         id="tsv-40-character-id-span-past-text",
+    ),
+    pytest.param(
+        "tsv",
+        tsv_fault(f"a1\thello world\tA\t0:{LONG_OFFSET}"),
+        f"{{path}}:3 (id 'a1'): sample 'a1': span [0, {LONG_OFFSET_ECHO}) exceeds text length 11",
+        id="tsv-long-offset-span-past-text",
     ),
     pytest.param(
         "tsv",
@@ -678,6 +678,12 @@ ROW_MESSAGES = [
     pytest.param(
         "predictions", predictions_fault("a1\t0:2;9:3"), "{path}:3: invalid span [9, 3)", id="pred-reversed-span"
     ),
+    pytest.param(
+        "predictions",
+        predictions_fault(f"a1\t{LONG_OFFSET}:5"),
+        f"{{path}}:3: invalid span [{LONG_OFFSET_ECHO}, 5)",
+        id="pred-long-offset-reversed-span",
+    ),
 ]
 
 
@@ -720,7 +726,9 @@ class TestInputDecoding:
     @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
     def test_byte_order_mark_is_tolerated(self, tmp_path, kind):
         content, load = INPUT_FILES[kind]
-        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        # One file name in two directories: a corpus is named after its stem.
+        (tmp_path / "marked").mkdir()
+        plain, marked = tmp_path / "input.txt", tmp_path / "marked" / "input.txt"
         plain.write_bytes(content.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
         assert repr(load(marked)) == repr(load(plain))
@@ -746,10 +754,6 @@ class TestPartitionAndComposition:
         with pytest.raises(ValidationError) as caught:
             CorpusPartition("custom", (sample, sample))
         assert str(caught.value) == f"duplicate sample id '{'i' * 40}…'"
-
-    def test_partition_name_restricted(self):
-        with pytest.raises(ValidationError):
-            CorpusPartition("dev", ())
 
     def test_by_id_lookup(self):
         assert PARTITION.by_id["n1"].sample_class is SampleClass.NEGATED
@@ -795,10 +799,35 @@ class TestPartitionAndComposition:
         with pytest.raises(ValidationError, match="s_pool"):
             compose_training_set(base, add_s=True)
 
+    def test_compose_echoes_long_ids_cut(self):
+        base, _, _ = self.make_pools()
+        long_n = CorpusPartition("custom", (make(LONG_ID, "no rash", SampleClass.NEGATED),))
+        long_s = CorpusPartition("custom", (make(LONG_ID, "maybe a rash", SampleClass.SPECULATED),))
+        for compose, message in (
+            (
+                lambda: compose_training_set(long_n),
+                f"base sample {LONG_ID_ECHO} has class N; base must contain only A and X",
+            ),
+            (
+                lambda: compose_training_set(base, add_n=True, n_pool=long_s),
+                f"n_pool sample {LONG_ID_ECHO} has class S, expected N",
+            ),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                compose()
+            assert str(caught.value) == message
+
+    def test_compose_echoes_a_long_colliding_id_cut(self):
+        base = CorpusPartition("custom", (make(LONG_ID, "all quiet", SampleClass.NO_ADE),))
+        clash = CorpusPartition("custom", (make(LONG_ID, "no rash", SampleClass.NEGATED),))
+        with pytest.raises(ValidationError) as caught:
+            compose_training_set(base, add_n=True, n_pool=clash)
+        assert str(caught.value) == f"duplicate sample id {LONG_ID_ECHO}"
+
     def test_compose_rejects_id_collisions(self):
         base, n_pool, _ = self.make_pools()
         clash = CorpusPartition("custom", (make("a1", "no rash", SampleClass.NEGATED),))
-        with pytest.raises(ValidationError, match="collision"):
+        with pytest.raises(ValidationError, match="duplicate sample id 'a1'"):
             compose_training_set(base, add_n=True, n_pool=clash)
 
     def test_distribution_report(self):
@@ -929,6 +958,61 @@ class TestPredictionFiles:
             PredictionFile({"model": "two\nlines"}, {})
 
 
+# An id that no file can hold, longer than a message echoes.
+LONG_TAB_ID = "a\tb" + "i" * 5000
+LONG_TAB_ID_ECHO = f"'a\\tb{'i' * 37}…'"
+
+
+class TestLongValuesAreEchoedCut:
+    def test_write_corpus_echoes_an_unwritable_id_cut(self, tmp_path):
+        partition = CorpusPartition("custom", (make(LONG_TAB_ID, "some text", SampleClass.NO_ADE),))
+        with pytest.raises(ValidationError) as caught:
+            write_corpus(partition, tmp_path / "bad.tsv")
+        assert str(caught.value) == f"sample id {LONG_TAB_ID_ECHO} cannot be serialised as TSV"
+
+    def test_write_predictions_echoes_an_unwritable_id_cut(self, tmp_path):
+        predictions = PredictionFile({}, {LONG_TAB_ID: frozenset()})
+        with pytest.raises(ValidationError) as caught:
+            write_predictions(predictions, tmp_path / "bad.tsv")
+        assert str(caught.value) == (
+            f"text id {LONG_TAB_ID_ECHO} cannot be serialised in a prediction file"
+        )
+
+    def test_an_unknown_format_is_echoed_cut(self, tmp_path):
+        (tmp_path / "x.tsv").write_text(CORPUS_HEADER + "\n", encoding="utf-8")
+        for call in (
+            lambda format: write_corpus(PARTITION, tmp_path / "y.tsv", format=format),
+            lambda format: load_corpus(tmp_path / "x.tsv", format=format),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                call("csv" * 20)
+            assert str(caught.value) == f"unknown corpus format '{('csv' * 14)[:40]}…'"
+
+    def test_unknown_ids_are_each_echoed_cut(self):
+        corpus = CorpusPartition("custom", (make("x1", "all quiet", SampleClass.NO_ADE),))
+        entries = {f"{i}{LONG_ID}": frozenset() for i in range(6)}
+        with pytest.raises(ValidationError) as caught:
+            validate_predictions(PredictionFile({}, entries), corpus)
+        listed = ", ".join(f"{i}{'i' * 39}…" for i in range(5))
+        assert str(caught.value) == (
+            f"predictions reference unknown text ids: {listed} and 1 more"
+        )
+
+    def test_a_long_offset_past_the_text_is_echoed_cut(self):
+        corpus = CorpusPartition("custom", (make("x1", "all quiet today", SampleClass.NO_ADE),))
+        predictions = PredictionFile({}, {"x1": frozenset({Span(0, int(LONG_OFFSET))})})
+        with pytest.raises(ValidationError) as caught:
+            validate_predictions(predictions, corpus)
+        assert str(caught.value) == (
+            f"prediction for 'x1': span [0, {LONG_OFFSET_ECHO}) exceeds text length 15"
+        )
+
+    def test_a_loaded_partition_is_named_after_its_file(self, tmp_path):
+        path = tmp_path / "dev.tsv"
+        write_corpus(PARTITION, path)
+        assert load_corpus(path).name == "dev"
+
+
 class TestValidatePredictions:
     CORPUS = CorpusPartition(
         "custom",
@@ -1006,7 +1090,7 @@ class TestRoundTripProperties:
     def test_any_partition_survives_serialisation(self, tmp_path_factory, partition, format):
         path = tmp_path_factory.mktemp("prop") / f"corpus.{format}"
         write_corpus(partition, path, format=format)
-        loaded = load_corpus(path, format=format, name="custom")
+        loaded = load_corpus(path, format=format)
         assert loaded.samples == partition.samples
 
     @given(

@@ -81,9 +81,9 @@ def test_bio_projection_scales_with_post_length():
     # Two tokens per sentence; every fourth sentence has a span over both,
     # every other even one a span over the second, odd ones none.
     tokens = [
-        Token(surface, sentence_span(i, start, end), 2 * i + k)
+        Token(surface, sentence_span(i, start, end))
         for i in range(SENTENCES)
-        for k, (surface, start, end) in enumerate((("no", 0, 2), ("pain", 3, 7)))
+        for surface, start, end in (("no", 0, 2), ("pain", 3, 7))
     ]
     spans = [
         sentence_span(i, 0, 7) if i % 4 == 0 else sentence_span(i, 3, 7)

@@ -266,6 +266,16 @@ class TestEvaluateCorpus:
         with pytest.raises(ValidationError):
             evaluate_corpus(CORPUS, twice)
 
+    def test_long_duplicate_and_unknown_ids_are_echoed_cut(self):
+        long_id = "a" * 5000
+        twice = [EntitySet(long_id, frozenset()), EntitySet(long_id, frozenset())]
+        with pytest.raises(ValidationError) as caught:
+            evaluate_corpus(CORPUS, twice)
+        assert str(caught.value) == f"duplicate predictions for text id '{'a' * 40}…'"
+        with pytest.raises(ValidationError) as caught:
+            evaluate_corpus(CORPUS, [EntitySet(long_id, frozenset())])
+        assert str(caught.value) == f"predictions reference unknown text ids: {'a' * 40}…"
+
     def test_report_dict_layout(self):
         report = evaluate_corpus(CORPUS, [EntitySet("a1", frozenset({Span(0, 8)}))])
         payload = report_to_dict(report)

@@ -66,6 +66,36 @@ class TestLexiconIO:
         with pytest.raises(ParseError):
             parse_lexicon("no|pre_trigger\nNO|pre_trigger\n", NEG)
 
+    def test_long_values_are_echoed_cut(self):
+        long = "no" * 100
+        cut = f"'{long[:40]}…'"
+        cases = [
+            (
+                lambda: parse_lexicon(f"no|pre_trigger\n{long}|{long}\n", NEG),
+                f"<string>:2: unknown cue category {cut}",
+            ),
+            (
+                lambda: parse_lexicon(f"{long}|pre_trigger\n{long}|pre_trigger\n", NEG),
+                f"<string>: duplicate cue {cut} (pre_trigger)",
+            ),
+            (
+                lambda: Cue(f" {long}", CueCategory.PRE_TRIGGER, NEG),
+                f"bad cue pattern ' {long[:39]}…'",
+            ),
+            (
+                lambda: CueLexicon((Cue(long, CueCategory.PRE_TRIGGER, Phenomenon.SPECULATION),), NEG),
+                f"cue {cut} is tagged speculation, lexicon is negation",
+            ),
+            (
+                lambda: resolve_scopes("no pain", [], [], -(10**60)),
+                f"window must be >= 1, got -1{'0' * 38}…",
+            ),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert str(caught.value) == message
+
     def test_lexicon_file_loads_back_equal(self, tmp_path):
         path = tmp_path / "cues.txt"
         path.write_text("# cues\nno|pre_trigger\n\nBut | terminator\n", encoding="utf-8")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from adescope import SampleClass, load_corpus
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -22,3 +24,18 @@ def test_filter_comparison_prints_the_readme_table(capsys):
     table = after_intro.split("```\n")[1]
     assert printed[0].startswith("corpus: ")
     assert printed[1:] == table.splitlines()
+
+
+def test_corpus_variants_load_with_every_sample(tmp_path):
+    script = _load_script("corpus_variants")
+    assert script.main([str(tmp_path)]) == 0
+    test_split = load_corpus(REPO / "data" / "corpus" / "test.tsv")
+    nonascii = load_corpus(tmp_path / "test-nonascii.tsv")
+    escaped = load_corpus(tmp_path / "test-escaped.tsv")
+    for variant in (nonascii, escaped):
+        assert len(variant) == len(test_split) == 540
+        assert [s.text.id for s in variant.samples] == [s.text.id for s in test_split.samples]
+    assert not any(sample.text.content.isascii() for sample in nonascii.samples)
+    for sample in escaped.samples:
+        assert sample.text.content.endswith(" \t(see \\ note)\n then nausea")
+        assert len(sample.gold_spans) == (2 if sample.sample_class is SampleClass.ADE else 0)
