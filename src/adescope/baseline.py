@@ -10,14 +10,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
 from .combine import EntitySet
 from .corpus import read_text
 from .errors import ParseError, ValidationError, echo
-from .text import PatternIndex, RawText, index_patterns, longest_matches, matchable, tokenize
+from .text import (
+    PatternIndex,
+    RawText,
+    index_patterns,
+    longest_matches,
+    text_keys,
+    token_span,
+    tokenize,
+)
 
 __all__ = [
     "AdeLexicon",
@@ -55,9 +62,6 @@ class AdeLexicon:
         return index_patterns((term, term) for term in self.terms)
 
 
-_INDEX = attrgetter("_index")
-
-
 def _term_lines(content: str) -> tuple[str, ...]:
     return tuple(
         line.strip()
@@ -90,10 +94,12 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
 
     Matches are token-boundary aligned, case-insensitive, longest-leftmost
     and non-overlapping; the returned spans cover whole tokens, so a
-    hashtagged term keeps its marker in the span. A text in which no term
-    can match is not tokenized.
+    hashtagged term keeps its marker in the span. The terms are matched on
+    the text's keys, and the text is tokenized only when a term matches.
     """
-    if not matchable(text, (lexicon,), _INDEX):
+    matches = longest_matches(text_keys(text), lexicon._index)
+    if not matches:
         return EntitySet(text.id, frozenset())
-    matches = longest_matches(tokenize(text), lexicon._index)
-    return EntitySet(text.id, frozenset(span for span, _, _, _ in matches))
+    tokens = tokenize(text)
+    spans = frozenset(token_span(tokens, first, last) for first, last, _ in matches)
+    return EntitySet(text.id, spans)

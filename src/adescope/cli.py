@@ -21,7 +21,7 @@ import gc
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .baseline import default_ade_lexicon, extract, load_ade_lexicon
 from .combine import EntitySet, filter_by_scopes
@@ -104,10 +104,20 @@ def load_config(path: str | Path) -> dict:
     return data
 
 
+def _probe(check: Callable[[Path], bool], path: Path, name: str) -> bool:
+    """``check(path)``; an ``OSError``, such as a file name too long, is a
+    usage error naming the flag or setting.
+    """
+    try:
+        return check(path)
+    except OSError as exc:
+        raise UsageError(f"{name}: {exc.strerror}: {echo(str(path), str)}") from None
+
+
 def _require_file(path: str, name: str) -> Path:
     """``path`` as a Path; a missing file is a usage error naming the flag or setting."""
     resolved = Path(path)
-    if not resolved.is_file():
+    if not _probe(Path.is_file, resolved, name):
         raise UsageError(f"{name}: file not found: {path}")
     return resolved
 
@@ -117,7 +127,7 @@ def _require_out_dirs(args: argparse.Namespace) -> None:
     raised before any input is read or any output written.
     """
     for flag, path in (("--out", args.out), ("--audit", getattr(args, "audit", None))):
-        if path is not None and not Path(path).parent.is_dir():
+        if path is not None and not _probe(Path.is_dir, Path(path).parent, flag):
             raise UsageError(f"{flag}: directory not found: {Path(path).parent}")
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -38,7 +37,8 @@ from .text import (
     Token,
     index_patterns,
     longest_matches,
-    matchable,
+    text_keys,
+    token_keys,
     token_span,
     tokenize,
 )
@@ -230,8 +230,8 @@ def find_cues(tokens: Sequence[Token], lexicon: CueLexicon) -> list[CueMatch]:
     shorter trigger it subsumes. Returns matches in text order.
     """
     return [
-        CueMatch(cue, span, first, last)
-        for span, first, last, cue in longest_matches(tokens, lexicon._index)
+        CueMatch(cue, token_span(tokens, first, last), first, last)
+        for first, last, cue in longest_matches(token_keys(tokens), lexicon._index)
     ]
 
 
@@ -294,9 +294,6 @@ def resolve_scopes(
     return scopes
 
 
-_INDEX = attrgetter("_index")
-
-
 def detect(
     text: Union[str, RawText],
     lexicons: Iterable[CueLexicon],
@@ -305,10 +302,14 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    A text in which no lexicon can match, or an empty lexicon collection,
-    yields no scopes without tokenizing.
+    Only a text that holds a first key of some lexicon (see
+    :func:`~adescope.text.longest_matches`) is tokenized; any other text, or
+    an empty lexicon collection, yields no scopes without tokenizing.
     """
-    lexicons = matchable(text, lexicons, _INDEX)
+    lexicons = tuple(lexicons)
+    if lexicons:
+        keys = text_keys(text)
+        lexicons = tuple(lex for lex in lexicons if not lex._index.keys().isdisjoint(keys))
     if not lexicons:
         return set()
     tokens = tokenize(text)
@@ -353,22 +354,20 @@ def prefilter(
     A sample survives when any provided lexicon yields a pre- or
     post-trigger match in its text. Pseudo-trigger and terminator matches
     do not count: the former are explicit non-triggers and the latter
-    merely bound scopes. Order is preserved.
+    merely bound scopes. Order is preserved. No text is tokenized: the cues
+    are matched on the text's keys alone.
     """
-    lexicon_list = tuple(lexicons)
-    if not lexicon_list:
+    indexes = [lexicon._index for lexicon in lexicons]
+    if not indexes:
         raise ValidationError("prefilter requires at least one lexicon")
     triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
     kept: list[LabeledSample] = []
     for sample in samples:
-        candidates = matchable(sample.text, lexicon_list, _INDEX)
-        if not candidates:
-            continue
-        tokens = tokenize(sample.text)
+        keys = text_keys(sample.text)
         if any(
-            match.cue.category in triggers
-            for lexicon in candidates
-            for match in find_cues(tokens, lexicon)
+            cue.category in triggers
+            for index in indexes
+            for _, _, cue in longest_matches(keys, index)
         ):
             kept.append(sample)
     return kept

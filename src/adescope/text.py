@@ -7,10 +7,12 @@ NamedTuple that sorts and hashes as a tuple, so ``Span(0, 3) == (0, 3)``;
 its constructor checks the offsets, and only :func:`tokenize` builds spans
 unchecked.
 
-Cue phrases and event terms are found by one shared matcher:
-:func:`index_patterns` keys lexicon patterns the way :func:`tokenize` splits
-texts, and :func:`longest_matches` scans a token sequence for the longest
-pattern at each position, returning the character span each match covers.
+Cue phrases and event terms are found by one shared matcher on match keys:
+:func:`text_keys` keys a text's token surfaces in one pass, without building
+tokens, :func:`index_patterns` keys lexicon patterns the same way, and
+:func:`longest_matches` scans a key sequence for the longest pattern at each
+position. A text is tokenized only when a lexicon matches in it, to turn the
+matched token ranges into character spans (:func:`token_span`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_span
 
@@ -33,8 +36,9 @@ __all__ = [
     "disjoint_spans",
     "tokenize",
     "token_span",
+    "text_keys",
+    "token_keys",
     "index_patterns",
-    "matchable",
     "longest_matches",
     "spans_to_bio",
     "bio_to_spans",
@@ -44,16 +48,6 @@ __all__ = [
 # apostrophes (contractions such as "don't", "there's"). Every other
 # non-space character becomes a single-character token.
 _TOKEN_RE = re.compile(r"[#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s]")
-
-# The match keys of lowered ASCII text: each token's key, except that a
-# hashtag gives "#" and then its key, and a lone "#" (key "") gives "#".
-_ASCII_KEY_RE = re.compile(r"@?\w+(?:'\w+)*|[^\w\s]")
-_GROUP = re.Match.group
-
-# Up to this length (a post, many times over) a text's keys are found in one
-# pass shared by all lexicons. Past it, each lexicon's scan stops at its first
-# key, so a long text is rarely scanned to its end.
-_SHARED_SCAN_CHARS = 2048
 
 
 class Span(namedtuple("Span", "start end")):
@@ -210,17 +204,31 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     ]
 
 
-def _match_key(surface: str) -> str:
-    """Comparison key for lexicon matching against a token surface.
+def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
+    """The match key of each token surface: casefolded, curly apostrophes
+    straightened and a leading hashtag marker dropped, so that "#Headache"
+    compares equal to the lexicon entry "headache". Mention markers are
+    kept: usernames are names, not words.
 
-    Casefolds, straightens curly apostrophes, and drops a leading hashtag
-    marker so that "#Headache" compares equal to the lexicon entry
-    "headache". Mention markers are kept: usernames are names, not words.
+    The surfaces are keyed together in one pass. That is exact: no surface
+    holds a space, ``str.casefold`` maps each code point on its own, and no
+    code point but the character itself folds to " ", "#" or "’".
     """
-    key = surface.casefold().replace("’", "'")
-    if key.startswith("#"):
-        key = key[1:]
-    return key
+    joined = " ".join(surfaces)
+    if not joined:
+        return ()
+    keys = (" " + joined).casefold().replace("’", "'").replace(" #", " ").split(" ")
+    return tuple(keys[1:])
+
+
+def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
+    """The match key of every token of the text, without tokenizing it."""
+    return _keys(_TOKEN_RE.findall(text.content if isinstance(text, RawText) else text))
+
+
+def token_keys(tokens: Sequence[Token]) -> tuple[str, ...]:
+    """The match key of every token, in order."""
+    return _keys(map(attrgetter("surface"), tokens))
 
 
 def token_span(tokens: Sequence[Token], first: int, last: int) -> Span:
@@ -228,7 +236,6 @@ def token_span(tokens: Sequence[Token], first: int, last: int) -> Span:
     return Span(tokens[first].span.start, tokens[last].span.end)
 
 
-T = TypeVar("T")
 V = TypeVar("V")
 
 #: Patterns grouped by their first key, each group ordered longest first.
@@ -238,13 +245,13 @@ PatternIndex = Mapping[str, Sequence[tuple[tuple[str, ...], V]]]
 def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
     """Index ``(pattern, value)`` pairs for :func:`longest_matches`.
 
-    Each pattern is tokenized and keyed the way texts are, so it must hold
-    at least one token. When patterns share a key sequence the first
+    Each pattern is keyed the way texts are (:func:`text_keys`), so it must
+    hold at least one token. When patterns share a key sequence the first
     entry's value wins.
     """
     table: dict[tuple[str, ...], V] = {}
     for pattern, value in entries:
-        table.setdefault(tuple(_match_key(t.surface) for t in tokenize(pattern)), value)
+        table.setdefault(text_keys(pattern), value)
     groups: dict[str, list[tuple[tuple[str, ...], V]]] = {}
     for keys, value in table.items():
         groups.setdefault(keys[0], []).append((keys, value))
@@ -254,62 +261,22 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
     }
 
 
-def _token_keys(content: str) -> Iterator[str]:
-    """The match key of every token of the text, lazily, plus keys no token
-    has (see ``_ASCII_KEY_RE``)."""
-    if content.isascii():
-        # In ASCII text lower() is casefold() and moves no token boundary,
-        # so the key runs are found in C; "" stands in for a lone "#".
-        yield ""
-        yield from map(_GROUP, _ASCII_KEY_RE.finditer(content.lower()))
-    else:
-        # casefold() may split or join tokens here (U+0345 folds to a word
-        # character, "ß" to "ss"), so each token is keyed on its own.
-        yield from map(_match_key, map(_GROUP, _TOKEN_RE.finditer(content)))
+def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[int, int, V]]:
+    """Greedy leftmost-longest, non-overlapping pattern matches over match keys.
 
-
-def matchable(
-    text: Union[str, RawText], items: Iterable[T], index: Callable[[T], PatternIndex]
-) -> list[T]:
-    """The items whose ``index(item)`` has a first key among the text's token keys.
-
-    :func:`longest_matches` starts a match only at a token whose key is a
-    first key of the index, so a text that no returned item's index can
-    match in need not be tokenized. An item may pass although nothing
-    matches; none that has a match is dropped. A post's keys are found once
-    for all items; a longer text is scanned per item, up to its first key.
+    A key run matches a pattern when it equals the pattern's keys. At each
+    position the longest pattern starting there wins and the scan resumes
+    after it. Returns ``(first, last, value)`` in order; ``first`` and
+    ``last`` are inclusive token positions. A match starts only at a first
+    key of the index, so keys disjoint from ``index.keys()`` match nothing.
     """
-    if not items:  # no lexicons at all, as in filter --filters none
-        return []
-    content = text.content if isinstance(text, RawText) else text
-    if len(content) > _SHARED_SCAN_CHARS:
-        return [item for item in items if not index(item).keys().isdisjoint(_token_keys(content))]
-    if content.isascii():
-        keys = _ASCII_KEY_RE.findall(content.lower())
-        keys.append("")
-    else:
-        keys = set(_token_keys(content))
-    return [item for item in items if not index(item).keys().isdisjoint(keys)]
-
-
-def longest_matches(
-    tokens: Sequence[Token], index: PatternIndex
-) -> list[tuple[Span, int, int, V]]:
-    """Greedy leftmost-longest, non-overlapping pattern matches over tokens.
-
-    A token run matches a pattern when their comparison keys are equal. At
-    each position the longest pattern starting there wins and the scan
-    resumes after it. Returns ``(span, first, last, value)`` in order;
-    ``first`` and ``last`` are inclusive token positions.
-    """
-    keys = tuple(_match_key(token.surface) for token in tokens)
-    matches: list[tuple[Span, int, int, V]] = []
+    matches: list[tuple[int, int, V]] = []
     position, count = 0, len(keys)
     while position < count:
         for pattern, value in index.get(keys[position], ()):
             last = position + len(pattern) - 1
             if keys[position : last + 1] == pattern:
-                matches.append((token_span(tokens, position, last), position, last, value))
+                matches.append((position, last, value))
                 position = last + 1
                 break
         else:

@@ -482,6 +482,31 @@ class TestExitCodes:
         expected = f"adescope: error: {setting}: file not found: {missing}\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["extract", "--corpus", "{long}", "--out", "{tmp}/o.tsv"], "--corpus"),
+            (["detect", "--phenomenon", "neg", "--config", "{config}", "--corpus", "{corpus}",
+              "--out", "{tmp}/o.tsv"], "negation_lexicon"),
+            (["extract", "--corpus", "{corpus}", "--out", "{tmp}/{dir}/o.tsv"], "--out"),
+        ],
+        ids=["corpus", "config-negation", "out-directory"],
+    )
+    def test_path_too_long_is_a_short_usage_error(
+        self, tmp_path, e2e_corpus_path, capsys, args, name
+    ):
+        long = "x" * 5000
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"negation_lexicon": long}), encoding="utf-8")
+        argv = [arg.format(long=long, config=config, corpus=e2e_corpus_path, tmp=tmp_path,
+                           dir="d" * 300) for arg in args]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"adescope: error: {name}: File name too long: ")
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err) < 300
+
     def test_undecodable_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(f"{CORPUS_HEADER}\nx1\tcaf\xe9\tX\t\n".encode("latin-1"))

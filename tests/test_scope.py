@@ -362,7 +362,17 @@ class TestDetect:
         assert {content[s.trigger.span.start : s.trigger.span.end] for s in scopes} == {cue}
         sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
         assert prefilter([sample], both) == [sample]
-        assert calls == [text, text]
+        assert calls == [text]
+
+    def test_prefilter_keeps_a_cue_bearing_sample_without_tokenizing(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("prefilter tokenized a text")
+
+        monkeypatch.setattr("adescope.scope.tokenize", refuse)
+        both = (default_negation_lexicon(), default_speculation_lexicon())
+        kept = LabeledSample(RawText("k", "I DON’T have #nausea"), frozenset(), SampleClass.NO_ADE)
+        dropped = LabeledSample(RawText("d", "slept well"), frozenset(), SampleClass.NO_ADE)
+        assert prefilter([kept, dropped], both) == [kept]
 
 
 class TestPrefilter:

@@ -39,3 +39,25 @@ def test_corpus_variants_load_with_every_sample(tmp_path):
     for sample in escaped.samples:
         assert sample.text.content.endswith(" \t(see \\ note)\n then nausea")
         assert len(sample.gold_spans) == (2 if sample.sample_class is SampleClass.ADE else 0)
+
+
+def test_long_variant_joins_every_text_with_its_spans(tmp_path):
+    script = _load_script("corpus_variants")
+    assert script.main([str(tmp_path)]) == 0
+    test_split = load_corpus(REPO / "data" / "corpus" / "test.tsv")
+    long = load_corpus(tmp_path / "test-long.tsv")
+    assert all(len(s.text.content) > 2048 for s in long.samples[:-1])
+    assert "\n".join(s.text.content for s in long.samples) == "\n".join(
+        s.text.content for s in test_split.samples
+    )
+
+    def surfaces(corpus):
+        return [
+            s.text.content[span.start : span.end]
+            for s in corpus.samples
+            for span in sorted(s.gold_spans)
+        ]
+
+    assert surfaces(long) == surfaces(test_split)
+    for sample in long.samples:
+        assert sample.sample_class is (SampleClass.ADE if sample.gold_spans else SampleClass.NO_ADE)

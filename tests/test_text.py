@@ -20,7 +20,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import _SHARED_SCAN_CHARS, index_patterns, longest_matches, matchable
+from adescope.text import index_patterns, longest_matches, text_keys, token_keys
 
 
 def surfaces(text: str) -> list[str]:
@@ -269,10 +269,13 @@ class TestBioProperties:
 
 # Pieces of gate texts and patterns: ASCII words and marks, and pieces whose
 # casefold changes length or token boundaries ("ß" -> "ss", "İ" -> "i" +
-# U+0307, U+0345 -> "ι") or that key differently from their surface ("’").
+# U+0307, U+0345 -> "ι"), that lower() would fold by context ("Σ"), or that
+# key differently from their surface ("’"; "＃" is not a hashtag marker).
 ASCII_WORDS = ["no", "NO", "pain", "Pain", "don't", "DON'T", "s", "7", "_x", "strasse"]
-OTHER_WORDS = ["don’t", "straße", "STRASSE", "İx", "i\u0307x", "x\u0345", "ι", "é", "CAFÉ"]
-MARKS = ["#", "@", "'", "’", ".", "-"]
+OTHER_WORDS = [
+    "don’t", "straße", "STRASSE", "İx", "i\u0307x", "x\u0345", "ι", "é", "CAFÉ", "ΟΔΟΣ", "ς",
+]
+MARKS = ["#", "@", "'", "’", ".", "-", "＃"]
 
 
 @st.composite
@@ -308,8 +311,8 @@ def naive_key(surface: str) -> str:
 
 
 class TestMatchable:
-    """The tokenize gate: ``matchable`` may pass a text nothing matches in,
-    but never drops an index that has a match in the text."""
+    """The tokenize gate: a text's keys, found without tokenizing it, are the
+    keys of its tokens, and an index disjoint from them has no match."""
 
     @settings(max_examples=400)
     @given(st.one_of(
@@ -320,18 +323,29 @@ class TestMatchable:
     @example(("x\u0345", [["ι"]]))
     @example(("İx", [["İx"]]))
     @example(("I DON’T", [["don't"]]))
+    @example(("STRAßE #ß", [["strasse"], ["ss"]]))
+    @example(("ΟΔΟΣ οδος #ς", [["οδοσ"], ["σ"]]))
+    @example(("＃pain #＃ ＃", [["pain"], ["＃pain"], ["＃"]]))
     def test_a_dropped_index_has_no_match(self, case):
         text, pattern_lists = case
-        indexes = [index_patterns((p, p) for p in patterns) for patterns in pattern_lists]
-        passed = matchable(text, range(len(indexes)), indexes.__getitem__)
-        # Past _SHARED_SCAN_CHARS each index is scanned on its own; trailing
-        # spaces change no token, so the verdicts must not change either.
-        padded = text + " " * _SHARED_SCAN_CHARS
-        assert matchable(padded, range(len(indexes)), indexes.__getitem__) == passed
         tokens = tokenize(text)
-        for position, index in enumerate(indexes):
-            if position not in passed:
-                assert longest_matches(tokens, index) == []
+        keys = text_keys(text)
+        assert keys == tuple(naive_key(t.surface) for t in tokens)
+        assert token_keys(tokens) == keys
+        for patterns in pattern_lists:
+            index = index_patterns((p, p) for p in patterns)
+            if index.keys().isdisjoint(keys):
+                assert longest_matches(keys, index) == []
+
+    def test_no_code_point_folds_to_a_key_separator_or_mark(self):
+        # text_keys casefolds a text's surfaces joined by " " in one call and
+        # then splits on " " and strips " #": exact only if casefold maps
+        # each code point on its own and nothing else folds to " ", "#" or "’".
+        chars = [chr(point) for point in range(0x110000)]
+        folded = [char.casefold() for char in chars]
+        assert "".join(chars).casefold() == "".join(folded)
+        for mark in " #’":
+            assert [c for c, f in zip(chars, folded) if mark in f] == [mark]
 
     @pytest.mark.parametrize(
         "lexicon",
@@ -345,5 +359,5 @@ class TestMatchable:
         index = lexicon._index
         for sample in corpus.samples:
             walked = any(naive_key(t.surface) in index for t in tokenize(sample.text))
-            gated = matchable(sample.text, [index], lambda i: i) == [index]
+            gated = not index.keys().isdisjoint(text_keys(sample.text))
             assert gated == walked, sample.text.id
