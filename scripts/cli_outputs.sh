@@ -3,14 +3,16 @@
 # with --jobs 2, and extract and prefilter on the corpus written as JSON
 # lines, with the adescope package found in SRC and keep everything it
 # produces in OUT: each output file (the JSON-lines corpus too), each
-# command's stdout and stderr, and its exit code.
+# command's stdout and stderr, and its exit code. Three error-path runs
+# follow on small inputs written into OUT: a header-only corpus (a logged
+# warning), a malformed row and a prediction for an unknown id.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
 # CORPUS defaults to data/corpus/test.tsv; compose always reads the bundled
 # train base and pools. Two source trees behave the same on the command
 # line when `diff -r` finds no difference between their OUT directories.
-# Exits 1 when any subcommand exited non-zero.
+# Exits 1 when any subcommand but the error-path runs exited non-zero.
 set -u
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -63,4 +65,19 @@ write_corpus(load_corpus(sys.argv[1]), sys.argv[2], format="jsonl")' "$corpus" "
 run extract-jsonl extract --corpus "$out/corpus.jsonl" --format jsonl --out "$out/preds-jsonl.tsv"
 run prefilter-jsonl prefilter --corpus "$out/corpus.jsonl" --format jsonl \
     --phenomena neg+spec --out "$out/kept.jsonl"
+# Error paths, run inside OUT on relative names so that no message names
+# OUT. Their exit codes are recorded but leave the script's status alone.
+fault() {  # fault NAME SUBCOMMAND ARGS...
+    local name=$1
+    shift
+    (cd "$out" && PYTHONPATH=$src python3 -m adescope "$@" >"$name.stdout" 2>"$name.stderr"
+        echo "$?" >"$name.exit")
+}
+printf 'id\ttext\tclass\tspans\n' >"$out/header-only.tsv"
+printf 'id\ttext\tclass\tspans\nx1\tall quiet\tX\n' >"$out/bad-row.tsv"
+printf 'id\ttext\tclass\tspans\nx1\tall quiet\tX\t\n' >"$out/one.tsv"
+printf '# model: m\nnope\t0:3\n' >"$out/unknown-id.tsv"
+fault header-only extract --corpus header-only.tsv --out header-only.preds.tsv
+fault bad-row extract --corpus bad-row.tsv --out bad-row.preds.tsv
+fault unknown-id evaluate --corpus one.tsv --predictions unknown-id.tsv --out unknown-id.json
 exit "$status"

@@ -7,16 +7,16 @@ same shape a trained extractor's predictions take after loading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 from .combine import EntitySet
 from .corpus import read_text
 from .errors import ParseError, ValidationError, echo
 from .text import (
+    Frozen,
     PatternIndex,
     RawText,
     index_patterns,
@@ -34,20 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdeLexicon:
+class AdeLexicon(Frozen):
     """A set of adverse event terms, matched case-insensitively on tokens."""
 
-    terms: tuple[str, ...]
+    _FIELDS = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, terms: Iterable[str]) -> None:
+        terms = tuple(terms)
+        if not terms:
             raise ValidationError("an ADE lexicon must contain at least one term")
         normalised = []
         seen: set[str] = set()
-        for term in self.terms:
+        for term in terms:
             term = term.strip().casefold()
             if not term:
                 raise ValidationError("empty ADE lexicon term")
@@ -55,7 +53,7 @@ class AdeLexicon:
                 raise ValidationError(f"duplicate ADE lexicon term {echo(term)}")
             seen.add(term)
             normalised.append(term)
-        object.__setattr__(self, "terms", tuple(normalised))
+        self._set(terms=tuple(normalised))
 
     @cached_property
     def _index(self) -> PatternIndex:

@@ -66,6 +66,11 @@ DETECT_HEADER = "id\tphenomenon\tscope\ttrigger\tcue"
 AUDIT_HEADER = "id\tspan\tphenomenon\tscope\tcue"
 
 
+# A message shows at most this many characters of a missing file's path:
+# an ordinary path reads whole, and one of thousands does not flood stderr.
+_PATH_CHARS = 200
+
+
 class UsageError(Exception):
     """A problem with flags or referenced paths; maps to exit code 1."""
 
@@ -118,7 +123,7 @@ def _require_file(path: str, name: str) -> Path:
     """``path`` as a Path; a missing file is a usage error naming the flag or setting."""
     resolved = Path(path)
     if not _probe(Path.is_file, resolved, name):
-        raise UsageError(f"{name}: file not found: {path}")
+        raise UsageError(f"{name}: file not found: {echo(path, str, _PATH_CHARS)}")
     return resolved
 
 
@@ -128,7 +133,8 @@ def _require_out_dirs(args: argparse.Namespace) -> None:
     """
     for flag, path in (("--out", args.out), ("--audit", getattr(args, "audit", None))):
         if path is not None and not _probe(Path.is_dir, Path(path).parent, flag):
-            raise UsageError(f"{flag}: directory not found: {Path(path).parent}")
+            shown = echo(Path(path).parent, str, _PATH_CHARS)
+            raise UsageError(f"{flag}: directory not found: {shown}")
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:

@@ -8,12 +8,12 @@ union of both scope sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError, echo
 from .scope import Phenomenon, ScopeSpan
-from .text import Span
+from .text import Checked, Span
 
 __all__ = [
     "EntitySet",
@@ -36,22 +36,20 @@ def overlap_length(a: Span, b: Span) -> int:
     return max(0, min(a.end, b.end) - max(a.start, b.start))
 
 
-@dataclass(frozen=True)
-class EntitySet:
+class EntitySet(Checked, namedtuple("EntitySet", "text_id spans")):
     """Predicted entity spans for one text; duplicates collapse."""
 
-    text_id: str
-    spans: frozenset[Span]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.text_id:
+    def __new__(cls, text_id: str, spans: Iterable[Span]) -> EntitySet:
+        if not text_id:
             raise ValidationError("entity set requires a text id")
-        if not isinstance(self.spans, frozenset):
-            object.__setattr__(self, "spans", frozenset(self.spans))
+        if not isinstance(spans, frozenset):
+            spans = frozenset(spans)
+        return tuple.__new__(cls, (text_id, spans))
 
 
-@dataclass(frozen=True)
-class DiscardedSpan:
+class DiscardedSpan(NamedTuple):
     """A dropped prediction together with the scope that witnessed the drop."""
 
     span: Span
@@ -59,8 +57,7 @@ class DiscardedSpan:
     phenomenon: Phenomenon
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     """Outcome of one filtering pass: the survivors and the audit trail."""
 
     kept: EntitySet

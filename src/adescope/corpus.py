@@ -22,16 +22,14 @@ from __future__ import annotations
 import codecs
 import errno
 import json
-import logging
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ParseError, ValidationError, echo, echo_list, echo_span
-from .text import REPORT_CLASS_ORDER, LabeledSample, RawText, SampleClass, Span
+from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span
 
 __all__ = [
     "CorpusPartition",
@@ -51,8 +49,6 @@ __all__ = [
     "write_outputs",
 ]
 
-LOGGER = logging.getLogger(__name__)
-
 CORPUS_HEADER = "id\ttext\tclass\tspans"
 _JSONL_KEYS = ("id", "text", "class", "spans")
 
@@ -64,31 +60,28 @@ _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\
 _CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
 
 
-@dataclass(frozen=True)
-class CorpusPartition:
+class CorpusPartition(Frozen):
     """An ordered collection of labeled samples with unique ids, under a
-    free label ``name`` that no output carries (a loaded file's stem)."""
+    free label ``name`` that no output carries (a loaded file's stem).
+    ``by_id`` maps each id to its sample.
+    """
 
-    name: str
-    samples: tuple[LabeledSample, ...]
-    by_id: Mapping[str, LabeledSample] = field(init=False, repr=False, compare=False)
+    _FIELDS = ("name", "samples")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.samples, tuple):
-            object.__setattr__(self, "samples", tuple(self.samples))
+    def __init__(self, name: str, samples: Iterable[LabeledSample]) -> None:
+        samples = tuple(samples)
         by_id: dict[str, LabeledSample] = {}
-        for sample in self.samples:
+        for sample in samples:
             if sample.text.id in by_id:
                 raise ValidationError(f"duplicate sample id {echo(sample.text.id)}")
             by_id[sample.text.id] = sample
-        object.__setattr__(self, "by_id", by_id)
+        self._set(name=name, samples=samples, by_id=by_id)
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     """Per-class counts and percentages for a partition."""
 
     counts: Mapping[SampleClass, int]
@@ -176,6 +169,15 @@ def write_outputs(
         raise
     for temp, target in staged:
         os.replace(temp, target)
+
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning on this module's logger. Only an empty corpus warns,
+    so :mod:`logging` is imported here rather than by every run.
+    """
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _unescape(match: re.Match) -> str:
@@ -268,7 +270,7 @@ def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        LOGGER.warning("corpus file %s is empty", source)
+        _warn("corpus file %s is empty", source)
         return []
     if lines[0] != CORPUS_HEADER:
         raise ParseError(f"{source}:1: expected header {CORPUS_HEADER!r}")
@@ -282,7 +284,7 @@ def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
             raise ParseError(f"{source}:{lineno}: expected 4 tab-separated fields")
         samples.append(_row_sample(fields, source, lineno, seen, _decode_tsv))
     if not samples:
-        LOGGER.warning("corpus file %s contains no samples", source)
+        _warn("corpus file %s contains no samples", source)
     return samples
 
 
@@ -305,7 +307,7 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
         row = [record[key] for key in _JSONL_KEYS]
         samples.append(_row_sample(row, source, lineno, seen, _decode_jsonl))
     if not samples:
-        LOGGER.warning("corpus file %s contains no samples", source)
+        _warn("corpus file %s contains no samples", source)
     return samples
 
 
@@ -419,17 +421,20 @@ def distribution_report(partition: CorpusPartition) -> DistributionReport:
     return DistributionReport(counts, total, percentages)
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionFile:
-    """Predicted spans per text id, plus producer metadata."""
+class PredictionFile(Frozen):
+    """Predicted spans per text id, plus producer metadata; compared by identity."""
 
-    metadata: Mapping[str, str]
-    entries: Mapping[str, frozenset[Span]]
+    _FIELDS = ("metadata", "entries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        for key, value in self.metadata.items():
+    def __init__(
+        self, metadata: Mapping[str, str], entries: Mapping[str, frozenset[Span]]
+    ) -> None:
+        for key, value in metadata.items():
             if "\n" in key or "\n" in value:
                 raise ValidationError("prediction metadata must be single-line")
+        self._set(metadata=metadata, entries=entries)
 
     def spans_for(self, text_id: str) -> frozenset[Span]:
         """Spans predicted for a text; ids without an entry are empty."""

@@ -11,15 +11,15 @@ _ECHO_CHARS = 40
 _LISTED = 5
 
 
-def echo(value: object, show: Callable[[object], str] = repr) -> str:
-    """``show(value)`` for a message, cut after ``_ECHO_CHARS`` characters and
+def echo(value: object, show: Callable[[object], str] = repr, chars: int = _ECHO_CHARS) -> str:
+    """``show(value)`` for a message, cut after ``chars`` characters and
     marked ``…``. A string's repr is cut inside its quotes, so it still reads
-    as a string, and a string of up to ``_ECHO_CHARS`` characters reads whole.
+    as a string, and a string of up to ``chars`` characters reads whole.
     """
     if show is repr and isinstance(value, str):
-        return repr(value if len(value) <= _ECHO_CHARS else value[:_ECHO_CHARS] + "…")
+        return repr(value if len(value) <= chars else value[:chars] + "…")
     shown = show(value)
-    return shown if len(shown) <= _ECHO_CHARS else shown[:_ECHO_CHARS] + "…"
+    return shown if len(shown) <= chars else shown[:chars] + "…"
 
 
 def echo_span(start: object, end: object) -> str:

@@ -16,16 +16,24 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .combine import EntitySet, overlap_length, overlaps
 from .corpus import unknown_ids_error, write_lines
 from .errors import ValidationError, echo
-from .text import REPORT_CLASS_ORDER, LabeledSample, SampleClass, Span, disjoint_spans
+from .text import (
+    REPORT_CLASS_ORDER,
+    Checked,
+    Frozen,
+    LabeledSample,
+    SampleClass,
+    Span,
+    disjoint_spans,
+)
 
 __all__ = [
     "MatchKind",
@@ -48,37 +56,29 @@ class MatchKind(str, Enum):
     FN = "FN"
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(Checked, namedtuple("MatchOutcome", "kind gold predicted")):
     """One matched (or unmatched) span pair."""
 
-    kind: MatchKind
-    gold: Span | None
-    predicted: Span | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        needs_gold = self.kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FN)
-        needs_pred = self.kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FP)
-        if needs_gold != (self.gold is not None) or needs_pred != (
-            self.predicted is not None
-        ):
-            raise ValidationError(
-                f"{self.kind.value} outcome with gold={self.gold} "
-                f"predicted={self.predicted}"
-            )
-        if self.kind is MatchKind.TP and self.gold != self.predicted:
+    def __new__(cls, kind: MatchKind, gold: Span | None, predicted: Span | None) -> MatchOutcome:
+        needs_gold = kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FN)
+        needs_pred = kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FP)
+        if needs_gold != (gold is not None) or needs_pred != (predicted is not None):
+            raise ValidationError(f"{kind.value} outcome with gold={gold} predicted={predicted}")
+        if kind is MatchKind.TP and gold != predicted:
             raise ValidationError("TP requires identical gold and predicted spans")
         if (
-            self.kind is MatchKind.PARTIAL
-            and self.gold is not None
-            and self.predicted is not None
-            and not overlaps(self.gold, self.predicted)
+            kind is MatchKind.PARTIAL
+            and gold is not None
+            and predicted is not None
+            and not overlaps(gold, predicted)
         ):
             raise ValidationError("Partial requires overlapping spans")
+        return tuple.__new__(cls, (kind, gold, predicted))
 
 
-@dataclass(frozen=True)
-class Scores:
+class Scores(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -156,28 +156,35 @@ def match_spans(
     return outcomes
 
 
-@dataclass(frozen=True)
-class SampleOutcomes:
+class SampleOutcomes(NamedTuple):
     """Match outcomes for one sample."""
 
     text_id: str
     sample_class: SampleClass
     outcomes: tuple[MatchOutcome, ...]
 
-    def count(self, kind: MatchKind) -> int:
+    def count(self, kind: MatchKind) -> int:  # type: ignore[override]
+        """How many outcomes are of ``kind`` (not tuple.count)."""
         return sum(1 for outcome in self.outcomes if outcome.kind is kind)
 
 
-@dataclass(frozen=True, eq=False)
-class MatchReport:
-    """Aggregated evaluation over a corpus."""
+class MatchReport(Frozen):
+    """Aggregated evaluation over a corpus; compared by identity."""
 
-    samples: tuple[SampleOutcomes, ...]
-    tp: int
-    par: int
-    fp: int
-    fn: int
-    fp_by_class: Mapping[SampleClass, int]
+    _FIELDS = ("samples", "tp", "par", "fp", "fn", "fp_by_class")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        samples: tuple[SampleOutcomes, ...],
+        tp: int,
+        par: int,
+        fp: int,
+        fn: int,
+        fp_by_class: Mapping[SampleClass, int],
+    ) -> None:
+        self._set(samples=samples, tp=tp, par=par, fp=fp, fn=fn, fp_by_class=fp_by_class)
 
     @cached_property
     def scores(self) -> Scores:

@@ -20,16 +20,18 @@ the edge of the text. Scopes never cross sentence boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .corpus import read_text
 from .errors import ParseError, ValidationError, echo
 from .text import (
+    Checked,
+    Frozen,
     LabeledSample,
     PatternIndex,
     RawText,
@@ -91,38 +93,32 @@ _CATEGORY_PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class Cue:
+class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
     """One lexicon entry: a casefolded phrase with its category."""
 
-    pattern: str
-    category: CueCategory
-    phenomenon: Phenomenon
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.pattern or self.pattern != self.pattern.strip():
-            raise ValidationError(f"bad cue pattern {echo(self.pattern)}")
-        object.__setattr__(self, "pattern", self.pattern.casefold())
+    def __new__(cls, pattern: str, category: CueCategory, phenomenon: Phenomenon) -> Cue:
+        if not pattern or pattern != pattern.strip():
+            raise ValidationError(f"bad cue pattern {echo(pattern)}")
+        return tuple.__new__(cls, (pattern.casefold(), category, phenomenon))
 
 
-@dataclass(frozen=True)
-class CueLexicon:
+class CueLexicon(Frozen):
     """An ordered collection of cues for one phenomenon."""
 
-    cues: tuple[Cue, ...]
-    phenomenon: Phenomenon
+    _FIELDS = ("cues", "phenomenon")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.cues, tuple):
-            object.__setattr__(self, "cues", tuple(self.cues))
-        if not self.cues:
+    def __init__(self, cues: Iterable[Cue], phenomenon: Phenomenon) -> None:
+        cues = tuple(cues)
+        if not cues:
             raise ValidationError("a cue lexicon must contain at least one cue")
         seen: set[tuple[str, CueCategory]] = set()
-        for cue in self.cues:
-            if cue.phenomenon is not self.phenomenon:
+        for cue in cues:
+            if cue.phenomenon is not phenomenon:
                 raise ValidationError(
                     f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
-                    f"lexicon is {self.phenomenon.value}"
+                    f"lexicon is {phenomenon.value}"
                 )
             entry = (cue.pattern, cue.category)
             if entry in seen:
@@ -130,6 +126,7 @@ class CueLexicon:
                     f"duplicate cue {echo(cue.pattern)} ({cue.category.value})"
                 )
             seen.add(entry)
+        self._set(cues=cues, phenomenon=phenomenon)
 
     @cached_property
     def _index(self) -> PatternIndex:
@@ -137,24 +134,18 @@ class CueLexicon:
         return index_patterns((cue.pattern, cue) for cue in ranked)
 
 
-@dataclass(frozen=True)
-class CueMatch:
+class CueMatch(Checked, namedtuple("CueMatch", "cue span first_token last_token")):
     """A cue located in a token sequence; token indices are inclusive."""
 
-    cue: Cue
-    span: Span
-    first_token: int
-    last_token: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.first_token < 0 or self.last_token < self.first_token:
-            raise ValidationError(
-                f"bad token range {self.first_token}..{self.last_token}"
-            )
+    def __new__(cls, cue: Cue, span: Span, first_token: int, last_token: int) -> CueMatch:
+        if first_token < 0 or last_token < first_token:
+            raise ValidationError(f"bad token range {first_token}..{last_token}")
+        return tuple.__new__(cls, (cue, span, first_token, last_token))
 
 
-@dataclass(frozen=True)
-class ScopeSpan:
+class ScopeSpan(NamedTuple):
     """A resolved scope: the characters governed by one trigger cue."""
 
     span: Span

@@ -7,6 +7,14 @@ NamedTuple that sorts and hashes as a tuple, so ``Span(0, 3) == (0, 3)``;
 its constructor checks the offsets, and only :func:`tokenize` builds spans
 unchecked.
 
+The package's other value records are namedtuples too, compared and hashed
+as their field tuples; one with rules checks them in ``__new__``, also on
+``_make`` and ``_replace`` (:class:`Checked`). Classes with cached or
+derived state, compared by identity or acting as sequences are plain
+immutable classes (:class:`Frozen`). Both are plain Python, with no
+class-generating decorator: importing and applying one took about 20 ms of
+every command-line launch.
+
 Cue phrases and event terms are found by one shared matcher on match keys:
 :func:`text_keys` keys a text's token surfaces in one pass, without building
 tokens, :func:`index_patterns` keys lexicon patterns the same way, and
@@ -19,14 +27,16 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_span
 
 __all__ = [
+    "Checked",
+    "Frozen",
     "Span",
     "RawText",
     "SampleClass",
@@ -46,11 +56,63 @@ __all__ = [
 
 # Word runs keep a leading # or @ (hashtags, mentions) and internal
 # apostrophes (contractions such as "don't", "there's"). Every other
-# non-space character becomes a single-character token.
-_TOKEN_RE = re.compile(r"[#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s]")
+# non-space character becomes a single-character token. The one capturing
+# group holds the whole token, so findall returns the tokens and split
+# alternates gaps and tokens.
+_TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
 
 
-class Span(namedtuple("Span", "start end")):
+class Checked:
+    """Mixin for a namedtuple record whose ``__new__`` checks or normalises
+    its fields: ``_make``, and so ``_replace``, goes through ``__new__`` too,
+    where namedtuple's own ``_make`` would skip it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class Frozen:
+    """Base of the package's plain (non-tuple) classes.
+
+    ``__init__`` sets every attribute once, through :meth:`_set`; assigning
+    or deleting one afterwards raises :class:`AttributeError`. The repr is
+    ``Name(field=…)`` over ``_FIELDS``, and two instances of one class are
+    equal, and hash alike, when their ``_FIELDS`` are; a class compared by
+    identity sets ``__eq__`` and ``__hash__`` back to ``object``'s.
+    """
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def _set(self, **attributes: object) -> None:
+        self.__dict__.update(attributes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._FIELDS])
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Span(Checked, namedtuple("Span", "start end")):
     """Half-open character interval [start, end), ordered, compared and
     hashed as the tuple ``(start, end)``."""
 
@@ -60,11 +122,6 @@ class Span(namedtuple("Span", "start end")):
         if start < 0 or end <= start:
             raise ValidationError(f"invalid span {echo_span(start, end)}")
         return tuple.__new__(cls, (start, end))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> Span:
-        # namedtuple's own _make, which _replace calls, skips __new__.
-        return cls(*iterable)
 
 
 def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
@@ -76,18 +133,17 @@ def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     return ordered
 
 
-@dataclass(frozen=True)
-class RawText:
+class RawText(Checked, namedtuple("RawText", "id content")):
     """A unit of input text (one post) with a corpus-unique id."""
 
-    id: str
-    content: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, content: str) -> RawText:
+        if not id:
             raise ValidationError("text id must be non-empty")
-        if not self.content or self.content.isspace():  # strip() would copy the text
-            raise ValidationError(f"text {echo(self.id)} has empty content")
+        if not content or content.isspace():  # strip() would copy the text
+            raise ValidationError(f"text {echo(id)} has empty content")
+        return tuple.__new__(cls, (id, content))
 
 
 class SampleClass(str, Enum):
@@ -113,36 +169,36 @@ REPORT_CLASS_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Checked, namedtuple("LabeledSample", "text gold_spans sample_class")):
     """A text plus its gold entity spans and sample class."""
 
-    text: RawText
-    gold_spans: frozenset[Span]
-    sample_class: SampleClass
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.gold_spans, frozenset):
-            object.__setattr__(self, "gold_spans", frozenset(self.gold_spans))
-        length = len(self.text.content)
-        for span in self.gold_spans:
+    def __new__(
+        cls, text: RawText, gold_spans: Iterable[Span], sample_class: SampleClass
+    ) -> LabeledSample:
+        if not isinstance(gold_spans, frozenset):
+            gold_spans = frozenset(gold_spans)
+        length = len(text.content)
+        for span in gold_spans:
             if span.end > length:
                 raise ValidationError(
-                    f"sample {echo(self.text.id)}: span {echo_span(*span)} "
+                    f"sample {echo(text.id)}: span {echo_span(*span)} "
                     f"exceeds text length {length}"
                 )
-        if self.sample_class is SampleClass.ADE:
-            if not self.gold_spans:
+        if sample_class is SampleClass.ADE:
+            if not gold_spans:
                 raise ValidationError(
-                    f"sample {echo(self.text.id)}: class A requires at least one gold span"
+                    f"sample {echo(text.id)}: class A requires at least one gold span"
                 )
-        elif self.gold_spans:
+        elif gold_spans:
             raise ValidationError(
-                f"sample {echo(self.text.id)}: class {self.sample_class.value} "
+                f"sample {echo(text.id)}: class {sample_class.value} "
                 "must not carry gold spans"
             )
-        if len(self.gold_spans) > 1:  # fewer spans cannot overlap
-            disjoint_spans(self.gold_spans, f"sample {echo(self.text.id)}: gold spans")
+        if len(gold_spans) > 1:  # fewer spans cannot overlap
+            disjoint_spans(gold_spans, f"sample {echo(text.id)}: gold spans")
+        return tuple.__new__(cls, (text, gold_spans, sample_class))
 
 
 class Token(NamedTuple):
@@ -155,18 +211,17 @@ class Token(NamedTuple):
 _VALID_TAGS = frozenset({"B", "I", "O"})
 
 
-@dataclass(frozen=True)
-class TagSequence:
+class TagSequence(Frozen):
     """A BIO tag per token. May be ill-formed; see :meth:`is_well_formed`."""
 
-    tags: tuple[str, ...]
+    _FIELDS = ("tags",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tags, tuple):
-            object.__setattr__(self, "tags", tuple(self.tags))
-        bad = [t for t in self.tags if t not in _VALID_TAGS]
+    def __init__(self, tags: Iterable[str]) -> None:
+        tags = tuple(tags)
+        bad = [t for t in tags if t not in _VALID_TAGS]
         if bad:
             raise ValidationError(f"invalid BIO tags: {echo(sorted(set(bad)))}")
+        self._set(tags=tags)
 
     @property
     def is_well_formed(self) -> bool:
@@ -197,11 +252,13 @@ def tokenize(text: Union[str, RawText]) -> list[Token]:
     an empty list.
     """
     content = text.content if isinstance(text, RawText) else text
-    # A regex match of a non-empty pattern is a valid span by construction.
-    return [
-        Token(match.group(), tuple.__new__(Span, match.span()))
-        for match in _TOKEN_RE.finditer(content)
-    ]
+    # parts is gap, token, gap, ..., token, gap; the running lengths at even
+    # positions are token starts and at odd positions token ends. A token is
+    # a non-empty match, so its offsets are a valid span by construction.
+    parts = _TOKEN_RE.split(content)
+    ends = list(accumulate(map(len, parts)))
+    spans = map(tuple.__new__, repeat(Span), zip(ends[0::2], ends[1::2]))
+    return list(map(tuple.__new__, repeat(Token), zip(parts[1::2], spans)))
 
 
 def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:

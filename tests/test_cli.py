@@ -507,6 +507,24 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1 and len(captured.err) < 300
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--corpus", "file not found"), ("--out", "directory not found")],
+    )
+    def test_long_missing_path_is_shown_cut(
+        self, tmp_path, e2e_corpus_path, capsys, monkeypatch, flag, message
+    ):
+        # 3,801 characters of short components: under the OS path limit, so
+        # the path is merely missing and no OSError names it.
+        monkeypatch.chdir(tmp_path)
+        paths = {"--corpus": str(e2e_corpus_path), "--out": "o.tsv", flag: "a/" * 1900 + "x"}
+        assert main(["extract", *(item for pair in paths.items() for item in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"adescope: error: {flag}: {message}: a/a/")
+        assert captured.err.count("\n") == 1 and len(captured.err) <= 300
+        assert captured.err.endswith("…\n")
+
     def test_undecodable_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(f"{CORPUS_HEADER}\nx1\tcaf\xe9\tX\t\n".encode("latin-1"))
@@ -751,6 +769,18 @@ class TestEntryPoints:
             "import sys, adescope.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
             "if m in sys.modules])",
+        )
+        assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+    def test_import_leaves_dataclasses_and_logging_unloaded(self):
+        # They cost about 30 ms of every launch. -S skips site's .pth files,
+        # which may import them on some installs.
+        src = str(Path(adescope.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys; sys.path.insert(0, {src!r}); import adescope, adescope.cli; "
+             "print([m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules])"],
+            capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stdout.strip()) == (0, "[]")
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -146,6 +148,22 @@ class TestTokenize:
             assert text[cursor : token.span.start].strip() == ""
             cursor = token.span.end
         assert text[cursor:].strip() == ""
+
+    @given(
+        st.lists(
+            st.sampled_from(list("aZéß日٣_'’#@＃!.-") + [" ", "\n", "\r", "\t", "\u00a0", "\u2028"])
+            | st.characters(),
+            max_size=40,
+        ).map("".join)
+    )
+    @example("")
+    @example("I CAN’T SLEEP #nausea @Dr_Who's\n\nno pain...")
+    @example("#'a ’b @#c d’’e f'")
+    def test_tokens_equal_a_match_per_token(self, text):
+        reference = re.compile(r"[#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s]")
+        tokens = tokenize(text)
+        assert tokens == [Token(m.group(), Span(*m.span())) for m in reference.finditer(text)]
+        assert all(type(t) is Token and type(t.span) is Span for t in tokens)
 
 
 def make_tokens(*pairs: tuple[int, int]) -> list[Token]:
