@@ -3,9 +3,11 @@
 # with --jobs 2, and extract and prefilter on the corpus written as JSON
 # lines, with the adescope package found in SRC and keep everything it
 # produces in OUT: each output file (the JSON-lines corpus too), each
-# command's stdout and stderr, and its exit code. Three error-path runs
-# follow on small inputs written into OUT: a header-only corpus (a logged
-# warning), a malformed row and a prediction for an unknown id.
+# command's stdout and stderr, and its exit code. Runs on small inputs
+# written into OUT follow: a header-only corpus (a logged warning), a
+# malformed row, a prediction for an unknown id, detect and filter on a
+# speculation cue matched across a line break (escaped TSV fields), an id
+# no prediction file can hold and an --audit naming the --out file.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -80,4 +82,14 @@ printf '# model: m\nnope\t0:3\n' >"$out/unknown-id.tsv"
 fault header-only extract --corpus header-only.tsv --out header-only.preds.tsv
 fault bad-row extract --corpus bad-row.tsv --out bad-row.preds.tsv
 fault unknown-id evaluate --corpus one.tsv --predictions unknown-id.tsv --out unknown-id.json
+printf 'id\ttext\tclass\tspans\ns1\ti am not\\nsure it is a headache\tS\t\n' >"$out/cue-break.tsv"
+printf '# model: m\ns1\t21:29\n' >"$out/cue-break.preds.tsv"
+printf '{"id": "a\\rb", "text": "i have a headache", "class": "X", "spans": []}\n' >"$out/cr-id.jsonl"
+fault cue-break-detect detect --corpus cue-break.tsv --phenomenon spec \
+    --out cue-break.scopes.tsv
+fault cue-break-filter filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
+    --filters spec --out cue-break.filtered.tsv --audit cue-break.audit.tsv
+fault cr-id extract --corpus cr-id.jsonl --format jsonl --out cr-id.preds.tsv
+fault same-audit filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
+    --out same.tsv --audit same.tsv
 exit "$status"

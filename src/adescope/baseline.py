@@ -8,12 +8,11 @@ same shape a trained extractor's predictions take after loading.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Union
 
 from .combine import EntitySet
-from .corpus import read_text
+from .corpus import lexicon_lines, read_text
 from .errors import ParseError, ValidationError, echo
 from .text import (
     Frozen,
@@ -60,22 +59,12 @@ class AdeLexicon(Frozen):
         return index_patterns((term, term) for term in self.terms)
 
 
-def _term_lines(content: str) -> tuple[str, ...]:
-    return tuple(
-        line.strip()
-        for line in content.split("\n")
-        if line.strip() and not line.strip().startswith("#")
-    )
-
-
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
     """Load one term per line; ``#`` comments and blank lines are skipped."""
     path = Path(path)
-    terms = _term_lines(read_text(path))
-    if not terms:
-        raise ParseError(f"{path}: lexicon contains no terms")
+    lines = lexicon_lines(read_text(path))
     try:
-        return AdeLexicon(terms)
+        return AdeLexicon(line for _, line in lines)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -83,8 +72,7 @@ def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
 @lru_cache(maxsize=1)
 def default_ade_lexicon() -> AdeLexicon:
     """The event term lexicon shipped with the package."""
-    content = resources.files("adescope.data").joinpath("ade_terms.txt").read_text("utf-8")
-    return AdeLexicon(_term_lines(content))
+    return load_ade_lexicon(Path(__file__).with_name("data") / "ade_terms.txt")
 
 
 def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -30,6 +31,7 @@ from .corpus import (
     PredictionFile,
     compose_training_set,
     decode_json,
+    escape_tsv,
     load_corpus,
     load_predictions,
     read_text,
@@ -46,8 +48,7 @@ from .scope import (
     CueLexicon,
     Phenomenon,
     ScopeSpan,
-    default_negation_lexicon,
-    default_speculation_lexicon,
+    bundled_lexicon,
     detect,
     load_lexicon,
     prefilter,
@@ -86,11 +87,9 @@ _SETTINGS = {
     "jobs": (1, (int,), "an integer"),
 }
 
-# Per cue phenomenon: its name in selections, its setting, its default lexicon.
-_CUE_LEXICONS = (
-    ("neg", "negation_lexicon", Phenomenon.NEGATION, default_negation_lexicon),
-    ("spec", "speculation_lexicon", Phenomenon.SPECULATION, default_speculation_lexicon),
-)
+# Each cue phenomenon by its name in selections; its lexicon's setting is
+# "<phenomenon.value>_lexicon".
+_CUE_LEXICONS = {"neg": Phenomenon.NEGATION, "spec": Phenomenon.SPECULATION}
 
 
 def load_config(path: str | Path) -> dict:
@@ -128,13 +127,18 @@ def _require_file(path: str, name: str) -> Path:
 
 
 def _require_out_dirs(args: argparse.Namespace) -> None:
-    """A missing directory for ``--out`` or ``--audit`` is a usage error,
-    raised before any input is read or any output written.
+    """A missing directory for ``--out`` or ``--audit``, or an ``--audit``
+    naming the ``--out`` file, is a usage error, raised before any input is
+    read or any output written.
     """
-    for flag, path in (("--out", args.out), ("--audit", getattr(args, "audit", None))):
+    audit = getattr(args, "audit", None)
+    for flag, path in (("--out", args.out), ("--audit", audit)):
         if path is not None and not _probe(Path.is_dir, Path(path).parent, flag):
             shown = echo(Path(path).parent, str, _PATH_CHARS)
             raise UsageError(f"{flag}: directory not found: {shown}")
+    # realpath, unlike Path.resolve, does not raise on a symlink loop.
+    if audit is not None and os.path.realpath(audit) == os.path.realpath(args.out):
+        raise UsageError(f"--audit and --out name the same file: {echo(audit, str, _PATH_CHARS)}")
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
@@ -142,8 +146,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     default, then check the ranges of window, jobs and filters.
     """
     if getattr(args, "lexicon", None) is not None:  # detect's override
-        setting = next(setting for name, setting, *_ in _CUE_LEXICONS if name == args.phenomenon)
-        setattr(args, setting, args.lexicon)
+        setattr(args, f"{_CUE_LEXICONS[args.phenomenon].value}_lexicon", args.lexicon)
     config = {}
     if args.config:
         _require_file(args.config, "--config")
@@ -178,11 +181,13 @@ def _load_predictions_arg(args: argparse.Namespace, corpus: CorpusPartition) -> 
 def _selected_lexicons(args: argparse.Namespace, selection: str) -> tuple[CueLexicon, ...]:
     """The cue lexicons a selection such as ``neg+spec`` names; none for ``none``."""
     lexicons = []
-    for name, setting, phenomenon, default in _CUE_LEXICONS:
+    for name, phenomenon in _CUE_LEXICONS.items():
         if name in selection:
+            setting = f"{phenomenon.value}_lexicon"
             path = getattr(args, setting)
             lexicons.append(
-                load_lexicon(_require_file(path, setting), phenomenon) if path else default()
+                load_lexicon(_require_file(path, setting), phenomenon) if path
+                else bundled_lexicon(phenomenon)
             )
     return tuple(lexicons)
 
@@ -197,8 +202,8 @@ def _cue_text(text: RawText, scope: ScopeSpan) -> str:
 
 
 def _write_rows(header: str, rows: Iterable[tuple[str, ...]], path: Path) -> None:
-    """Write a TSV of sorted rows under its header."""
-    write_lines(path, [header, *("\t".join(row) for row in sorted(rows))])
+    """Write a TSV of sorted rows under its header, fields escaped like corpus text."""
+    write_lines(path, [header, *("\t".join(map(escape_tsv, row)) for row in sorted(rows))])
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ object per line.
 Prediction files map text ids to predicted spans, one ``id<TAB>spans`` row
 per text, preceded by a ``# key: value`` metadata header block naming the
 producer (model name, run id). Loading after writing is the identity for
-both formats.
+both formats: a writer refuses an id or metadata its file cannot hold.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
     "write_predictions",
     "validate_predictions",
     "read_text",
+    "escape_tsv",
+    "lexicon_lines",
     "decode_json",
     "write_lines",
     "write_outputs",
@@ -109,6 +111,12 @@ def read_text(path: Union[str, Path]) -> str:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
     return content.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def lexicon_lines(content: str) -> list[tuple[int, str]]:
+    """Numbered, stripped lines of a lexicon file; blank and ``#`` lines are skipped."""
+    lines = (line.strip() for line in content.split("\n"))
+    return [(n, line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
 def decode_json(content: str, where: str):
@@ -216,7 +224,8 @@ def _format_span_field(spans: Iterable[Span]) -> str:
     return ";".join([f"{s.start}:{s.end}" for s in sorted(spans)])
 
 
-def _escape_tsv(text: str) -> str:
+def escape_tsv(text: str) -> str:
+    """``text`` with backslash, tab, newline and carriage return escaped."""
     if "\\" in text or "\t" in text or "\n" in text or "\r" in text:
         return text.translate(_ESCAPE)
     return text
@@ -338,33 +347,21 @@ def write_corpus(
     if format == "tsv":
         lines = [CORPUS_HEADER]
         for sample in partition.samples:
-            if "\t" in sample.text.id or "\n" in sample.text.id:
+            sample_id = sample.text.id
+            if "\t" in sample_id or "\n" in sample_id or "\r" in sample_id:
                 raise ValidationError(
-                    f"sample id {echo(sample.text.id)} cannot be serialised as TSV"
+                    f"sample id {echo(sample_id)} cannot be serialised as TSV"
                 )
-            lines.append(
-                "\t".join(
-                    (
-                        sample.text.id,
-                        _escape_tsv(sample.text.content),
-                        sample.sample_class.value,
-                        _format_span_field(sample.gold_spans),
-                    )
-                )
-            )
+            content = escape_tsv(sample.text.content)
+            spans = _format_span_field(sample.gold_spans)
+            lines.append(f"{sample_id}\t{content}\t{sample.sample_class.value}\t{spans}")
     elif format == "jsonl":
-        lines = [
-            json.dumps(
-                {
-                    "id": sample.text.id,
-                    "text": sample.text.content,
-                    "class": sample.sample_class.value,
-                    "spans": sorted(sample.gold_spans),
-                },
-                ensure_ascii=False,
-            )
-            for sample in partition.samples
-        ]
+        records = (
+            {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
+             "spans": sorted(s.gold_spans)}
+            for s in partition.samples
+        )
+        lines = [json.dumps(record, ensure_ascii=False) for record in records]
     else:
         raise ValidationError(f"unknown corpus format {echo(format)}")
     write_lines(path, lines)
@@ -431,9 +428,15 @@ class PredictionFile(Frozen):
     def __init__(
         self, metadata: Mapping[str, str], entries: Mapping[str, frozenset[Span]]
     ) -> None:
+        # A pair must load back unchanged from its "# key: value" line.
         for key, value in metadata.items():
-            if "\n" in key or "\n" in value:
+            if any(c in key or c in value for c in "\n\r"):
                 raise ValidationError("prediction metadata must be single-line")
+            if ":" in key or key != key.strip() or value != value.strip():
+                raise ValidationError(
+                    f"prediction metadata {echo(key)}: {echo(value)} has a ':' in its key "
+                    "or whitespace at an end"
+                )
         self._set(metadata=metadata, entries=entries)
 
     def spans_for(self, text_id: str) -> frozenset[Span]:
@@ -506,7 +509,11 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
     """
     lines = [f"# {key}: {value}" for key, value in predictions.metadata.items()]
     for text_id in sorted(predictions.entries):
-        if "\t" in text_id or "\n" in text_id or text_id.startswith("#"):
+        # A blank row is skipped on load, and a "#" line is metadata.
+        if (
+            "\t" in text_id or "\n" in text_id or "\r" in text_id
+            or not text_id.strip() or text_id.startswith("#")
+        ):
             raise ValidationError(
                 f"text id {echo(text_id)} cannot be serialised in a prediction file"
             )

@@ -23,11 +23,10 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .corpus import read_text
+from .corpus import lexicon_lines, read_text
 from .errors import ParseError, ValidationError, echo
 from .text import (
     Checked,
@@ -54,6 +53,7 @@ __all__ = [
     "ScopeSpan",
     "load_lexicon",
     "parse_lexicon",
+    "bundled_lexicon",
     "default_negation_lexicon",
     "default_speculation_lexicon",
     "find_cues",
@@ -165,11 +165,8 @@ def parse_lexicon(
     are rejected.
     """
     cues: list[Cue] = []
-    for lineno, line in enumerate(content.split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("|")
+    for lineno, line in lexicon_lines(content):
+        parts = line.split("|")
         if len(parts) != 2:
             raise ParseError(f"{source}:{lineno}: expected 'pattern|category'")
         pattern, category_name = parts[0].strip(), parts[1].strip()
@@ -182,10 +179,8 @@ def parse_lexicon(
                 f"{source}:{lineno}: unknown cue category {echo(category_name)}"
             ) from None
         cues.append(Cue(pattern, category, phenomenon))
-    if not cues:
-        raise ParseError(f"{source}: lexicon contains no cues")
     try:
-        return CueLexicon(tuple(cues), phenomenon)
+        return CueLexicon(cues, phenomenon)
     except ValidationError as exc:
         raise ParseError(f"{source}: {exc}") from None
 
@@ -197,19 +192,20 @@ def load_lexicon(path: Union[str, Path], phenomenon: Phenomenon) -> CueLexicon:
 
 
 @lru_cache(maxsize=None)
-def _bundled_lexicon(filename: str, phenomenon: Phenomenon) -> CueLexicon:
-    content = resources.files("adescope.data").joinpath(filename).read_text("utf-8")
-    return parse_lexicon(content, phenomenon, f"adescope.data/{filename}")
+def bundled_lexicon(phenomenon: Phenomenon) -> CueLexicon:
+    """The cue lexicon shipped with the package for ``phenomenon``."""
+    path = Path(__file__).with_name("data") / f"{phenomenon.value}_cues.txt"
+    return load_lexicon(path, phenomenon)
 
 
 def default_negation_lexicon() -> CueLexicon:
     """The negation cue lexicon shipped with the package."""
-    return _bundled_lexicon("negation_cues.txt", Phenomenon.NEGATION)
+    return bundled_lexicon(Phenomenon.NEGATION)
 
 
 def default_speculation_lexicon() -> CueLexicon:
     """The speculation cue lexicon shipped with the package."""
-    return _bundled_lexicon("speculation_cues.txt", Phenomenon.SPECULATION)
+    return bundled_lexicon(Phenomenon.SPECULATION)
 
 
 def find_cues(tokens: Sequence[Token], lexicon: CueLexicon) -> list[CueMatch]:
@@ -311,30 +307,29 @@ def detect(
     }
 
 
+def _detect_one(
+    phenomenon: Phenomenon, text: Union[str, RawText], lexicon: CueLexicon | None, window: int
+) -> set[ScopeSpan]:
+    """Scopes of one lexicon of ``phenomenon``, the bundled one by default."""
+    if lexicon is None:
+        lexicon = bundled_lexicon(phenomenon)
+    if lexicon.phenomenon is not phenomenon:
+        raise ValidationError(f"detect_{phenomenon.value} requires a {phenomenon.value} lexicon")
+    return detect(text, (lexicon,), window)
+
+
 def detect_negation(
-    text: Union[str, RawText],
-    lexicon: CueLexicon | None = None,
-    window: int = DEFAULT_WINDOW,
+    text: Union[str, RawText], lexicon: CueLexicon | None = None, window: int = DEFAULT_WINDOW
 ) -> set[ScopeSpan]:
     """Detect negation scopes; defaults to the bundled negation lexicon."""
-    if lexicon is None:
-        lexicon = default_negation_lexicon()
-    if lexicon.phenomenon is not Phenomenon.NEGATION:
-        raise ValidationError("detect_negation requires a negation lexicon")
-    return detect(text, (lexicon,), window)
+    return _detect_one(Phenomenon.NEGATION, text, lexicon, window)
 
 
 def detect_speculation(
-    text: Union[str, RawText],
-    lexicon: CueLexicon | None = None,
-    window: int = DEFAULT_WINDOW,
+    text: Union[str, RawText], lexicon: CueLexicon | None = None, window: int = DEFAULT_WINDOW
 ) -> set[ScopeSpan]:
     """Detect speculation scopes; defaults to the bundled speculation lexicon."""
-    if lexicon is None:
-        lexicon = default_speculation_lexicon()
-    if lexicon.phenomenon is not Phenomenon.SPECULATION:
-        raise ValidationError("detect_speculation requires a speculation lexicon")
-    return detect(text, (lexicon,), window)
+    return _detect_one(Phenomenon.SPECULATION, text, lexicon, window)
 
 
 def prefilter(

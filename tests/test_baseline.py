@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import adescope.baseline
 from adescope import (
     AdeLexicon,
     ParseError,
@@ -52,13 +55,17 @@ class TestAdeLexicon:
     def test_load_rejects_empty_file(self, tmp_path):
         path = tmp_path / "none.txt"
         path.write_text("# nothing here\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as caught:
             load_ade_lexicon(path)
+        assert str(caught.value) == f"{path}: an ADE lexicon must contain at least one term"
 
     def test_bundled_lexicon_loads(self):
         lexicon = default_ade_lexicon()
         assert "headaches" in lexicon.terms
         assert any(len(tokenize(term)) >= 2 for term in lexicon.terms)
+        assert default_ade_lexicon() is lexicon
+        terms = Path(adescope.baseline.__file__).with_name("data") / "ade_terms.txt"
+        assert lexicon == load_ade_lexicon(terms)
 
 
 class TestExtract:

@@ -225,6 +225,27 @@ class TestFilter:
         assert code == 0
         assert audit.read_text(encoding="utf-8").splitlines()[0] == AUDIT_HEADER
 
+    def test_fields_are_escaped_like_corpus_text(self, tmp_path):
+        """A cue matched across a line break stays on its row in both TSVs."""
+        corpus = tmp_path / "one.tsv"
+        corpus.write_text(
+            f"{CORPUS_HEADER}\ns1\ti am not\\nsure it is a headache\tS\t\n", encoding="utf-8"
+        )
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("# model: m\ns1\t21:29\n", encoding="utf-8")
+        scopes, audit = tmp_path / "scopes.tsv", tmp_path / "audit.tsv"
+        detect = ["detect", "--corpus", str(corpus), "--phenomenon", "spec", "--out", str(scopes)]
+        assert main(detect) == 0
+        assert main(["filter", "--corpus", str(corpus), "--predictions", str(preds),
+                     "--filters", "spec", "--out", str(tmp_path / "f.tsv"),
+                     "--audit", str(audit)]) == 0
+        assert scopes.read_text(encoding="utf-8") == (
+            f"{DETECT_HEADER}\ns1\tspeculation\t14:30\t5:13\tnot\\nsure\n"
+        )
+        assert audit.read_text(encoding="utf-8") == (
+            f"{AUDIT_HEADER}\ns1\t21:29\tspeculation\t14:30\tnot\\nsure\n"
+        )
+
 
 class TestEvaluate:
     def evaluate(self, tmp_path, corpus, preds, *extra):
@@ -572,6 +593,32 @@ class TestExitCodes:
         assert (captured.out, captured.err) == ("", expected)
         assert list(tmp_path.iterdir()) == []
 
+    def test_audit_naming_the_out_file_is_a_usage_error(
+        self, tmp_path, e2e_corpus_path, preds_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["filter", "--corpus", str(e2e_corpus_path), "--predictions", str(preds_path),
+                "--out", "same.tsv", "--audit", str(tmp_path / "same.tsv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"adescope: error: --audit and --out name the same file: {tmp_path / 'same.tsv'}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_id_no_prediction_file_holds_exits_two_unwritten(self, tmp_path, capsys):
+        corpus = tmp_path / "cr.jsonl"
+        corpus.write_text(
+            '{"id": "a\\rb", "text": "i have a headache", "class": "X", "spans": []}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "preds.tsv"
+        assert main(["extract", "--corpus", str(corpus), "--format", "jsonl",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "adescope: error: text id 'a\\rb' cannot be serialised in a prediction file\n"
+        )
+        assert list(tmp_path.iterdir()) == [corpus]
+
     def test_unwritable_audit_leaves_out_unwritten(
         self, tmp_path, e2e_corpus_path, preds_path, capsys
     ):
@@ -773,13 +820,16 @@ class TestEntryPoints:
         assert (result.returncode, result.stdout.strip()) == (0, "[]")
 
     def test_import_leaves_dataclasses_and_logging_unloaded(self):
-        # They cost about 30 ms of every launch. -S skips site's .pth files,
-        # which may import them on some installs.
+        # They cost about 30 ms of every launch, and importlib.resources,
+        # which imports zipfile, tempfile, shutil, bz2 and lzma, about 8 ms
+        # more. -S skips site's .pth files, which may import them on some
+        # installs.
         src = str(Path(adescope.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-S", "-c",
              f"import sys; sys.path.insert(0, {src!r}); import adescope, adescope.cli; "
-             "print([m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules])"],
+             "print([m for m in ('dataclasses', 'inspect', 'logging', 'importlib.resources') "
+             "if m in sys.modules])"],
             capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stdout.strip()) == (0, "[]")

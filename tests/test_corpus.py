@@ -889,6 +889,9 @@ class TestWriteOutputs:
         assert link.is_symlink() and real.read_text(encoding="utf-8") == "new\n"
 
 
+UNLOADABLE = "has a ':' in its key or whitespace at an end"
+
+
 class TestPredictionFiles:
     def test_load_parses_metadata_and_rows(self, tmp_path):
         path = tmp_path / "preds.tsv"
@@ -948,14 +951,37 @@ class TestPredictionFiles:
             load_predictions(path)
 
     def test_unserialisable_ids_rejected(self, tmp_path):
-        for bad in ("has\ttab", "#leading"):
+        for bad in ("has\ttab", "#leading", "has\rcr", "", " "):
             predictions = PredictionFile({}, {bad: frozenset()})
             with pytest.raises(ValidationError):
                 write_predictions(predictions, tmp_path / "bad.tsv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_multiline_metadata_rejected(self):
         with pytest.raises(ValidationError):
             PredictionFile({"model": "two\nlines"}, {})
+
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            ({"model": "a\rb"}, "prediction metadata must be single-line"),
+            ({"a\rb": "m"}, "prediction metadata must be single-line"),
+            ({"a:b": "c"}, f"prediction metadata 'a:b': 'c' {UNLOADABLE}"),
+            ({"m": " x "}, f"prediction metadata 'm': ' x ' {UNLOADABLE}"),
+            ({"m ": "x"}, f"prediction metadata 'm ': 'x' {UNLOADABLE}"),
+        ],
+        ids=["cr-value", "cr-key", "colon-key", "spaced-value", "spaced-key"],
+    )
+    def test_metadata_that_would_not_load_back_is_rejected(self, metadata, message):
+        with pytest.raises(ValidationError) as caught:
+            PredictionFile(metadata, {})
+        assert str(caught.value) == message
+
+    def test_write_corpus_rejects_a_carriage_return_in_an_id(self, tmp_path):
+        partition = CorpusPartition("custom", (make("a\rb", "some text", SampleClass.NO_ADE),))
+        with pytest.raises(ValidationError) as caught:
+            write_corpus(partition, tmp_path / "bad.tsv")
+        assert str(caught.value) == "sample id 'a\\rb' cannot be serialised as TSV"
 
 
 # An id that no file can hold, longer than a message echoes.
@@ -1059,7 +1085,9 @@ class TestValidatePredictions:
         assert str(caught.value) == f"prediction for {shown}: span [0, 99) exceeds text length 15"
 
 
-ids = st.text(alphabet="abcdefghij0123456789_-", min_size=1, max_size=8)
+# Ids and metadata may hold what a file cannot: a write must then refuse.
+ids = st.text(alphabet="abcdefghij0123456789_- \t\n\r:#", min_size=1, max_size=8)
+metadata_fields = st.text(alphabet="ab_ \t\n\r:#", max_size=6)
 contents = st.text(
     alphabet="ab xyz\t\n\r\\:;|#@'é👍", min_size=1, max_size=40
 ).filter(lambda t: t.strip())
@@ -1086,10 +1114,16 @@ def partitions(draw):
 
 
 class TestRoundTripProperties:
+    """A write either raises ValidationError or gives a file that loads back equal."""
+
     @given(partitions(), st.sampled_from(["tsv", "jsonl"]))
     def test_any_partition_survives_serialisation(self, tmp_path_factory, partition, format):
         path = tmp_path_factory.mktemp("prop") / f"corpus.{format}"
-        write_corpus(partition, path, format=format)
+        try:
+            write_corpus(partition, path, format=format)
+        except ValidationError:
+            assert not path.exists()
+            return
         loaded = load_corpus(path, format=format)
         assert loaded.samples == partition.samples
 
@@ -1105,12 +1139,18 @@ class TestRoundTripProperties:
                 max_size=4,
             ),
             max_size=5,
-        )
+        ),
+        st.dictionaries(metadata_fields, metadata_fields, max_size=3),
     )
-    def test_any_prediction_table_survives_serialisation(self, tmp_path_factory, entries):
-        predictions = PredictionFile({"model": "prop"}, entries)
+    def test_any_prediction_table_survives_serialisation(
+        self, tmp_path_factory, entries, metadata
+    ):
         path = tmp_path_factory.mktemp("prop") / "preds.tsv"
-        write_predictions(predictions, path)
+        try:
+            write_predictions(PredictionFile(metadata, entries), path)
+        except ValidationError:
+            assert not path.exists()
+            return
         loaded = load_predictions(path)
         assert loaded.entries == dict(entries)
-        assert loaded.metadata == {"model": "prop"}
+        assert loaded.metadata == metadata

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import adescope.scope
 from adescope import (
     Cue,
     CueCategory,
@@ -59,8 +61,9 @@ class TestLexiconIO:
             parse_lexicon("just a pattern\n", NEG)
 
     def test_empty_lexicon_rejected(self):
-        with pytest.raises(ParseError):
-            parse_lexicon("# only a comment\n", NEG)
+        with pytest.raises(ParseError) as caught:
+            parse_lexicon("# only a comment\n\n", NEG)
+        assert str(caught.value) == "<string>: a cue lexicon must contain at least one cue"
 
     def test_duplicate_pattern_category_rejected(self):
         with pytest.raises(ParseError):
@@ -103,8 +106,15 @@ class TestLexiconIO:
         assert load_lexicon(path, NEG) == lex
 
     def test_bundled_lexicons_load(self):
-        assert default_negation_lexicon().phenomenon is NEG
-        assert default_speculation_lexicon().phenomenon is Phenomenon.SPECULATION
+        """Each is its phenomenon's file, loaded once."""
+        data = Path(adescope.scope.__file__).with_name("data")
+        for default, phenomenon in (
+            (default_negation_lexicon, NEG),
+            (default_speculation_lexicon, Phenomenon.SPECULATION),
+        ):
+            assert default().phenomenon is phenomenon
+            assert default() is default()
+            assert default() == load_lexicon(data / f"{phenomenon.value}_cues.txt", phenomenon)
 
 
 class TestFindCues:
@@ -276,8 +286,15 @@ class TestDetect:
             assert scope_texts(content, scopes) == {expected}
 
     def test_phenomenon_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            detect_negation("maybe later", default_speculation_lexicon())
+        for detector, other, message in (
+            (detect_negation, default_speculation_lexicon(),
+             "detect_negation requires a negation lexicon"),
+            (detect_speculation, default_negation_lexicon(),
+             "detect_speculation requires a speculation lexicon"),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                detector("maybe later", other)
+            assert str(caught.value) == message
 
     def test_narrow_window_shrinks_scope(self):
         text = "not feeling my legs at all today"
