@@ -6,8 +6,10 @@
 # command's stdout and stderr, and its exit code. Runs on small inputs
 # written into OUT follow: a header-only corpus (a logged warning), a
 # malformed row, a prediction for an unknown id, detect and filter on a
-# speculation cue matched across a line break (escaped TSV fields), an id
-# no prediction file can hold and an --audit naming the --out file.
+# speculation cue matched across a line break (escaped TSV fields), ids no
+# corpus or prediction file can hold (a JSON-lines id holding a carriage
+# return, a TSV id starting with # and a blank TSV id: each refused at its
+# file and line when the corpus loads) and an --audit naming the --out file.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -85,11 +87,15 @@ fault unknown-id evaluate --corpus one.tsv --predictions unknown-id.tsv --out un
 printf 'id\ttext\tclass\tspans\ns1\ti am not\\nsure it is a headache\tS\t\n' >"$out/cue-break.tsv"
 printf '# model: m\ns1\t21:29\n' >"$out/cue-break.preds.tsv"
 printf '{"id": "a\\rb", "text": "i have a headache", "class": "X", "spans": []}\n' >"$out/cr-id.jsonl"
+printf 'id\ttext\tclass\tspans\n#1\ti have a headache\tX\t\n' >"$out/hash-id.tsv"
+printf 'id\ttext\tclass\tspans\n  \ti have a headache\tX\t\n' >"$out/blank-id.tsv"
 fault cue-break-detect detect --corpus cue-break.tsv --phenomenon spec \
     --out cue-break.scopes.tsv
 fault cue-break-filter filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
     --filters spec --out cue-break.filtered.tsv --audit cue-break.audit.tsv
 fault cr-id extract --corpus cr-id.jsonl --format jsonl --out cr-id.preds.tsv
+fault hash-id extract --corpus hash-id.tsv --out hash-id.preds.tsv
+fault blank-id extract --corpus blank-id.tsv --out blank-id.preds.tsv
 fault same-audit filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
     --out same.tsv --audit same.tsv
 exit "$status"

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ValidationError, echo
 from .scope import Phenomenon, ScopeSpan
-from .text import Checked, Span
+from .text import Checked, Span, check_id
 
 __all__ = [
     "EntitySet",
@@ -42,8 +42,7 @@ class EntitySet(Checked, namedtuple("EntitySet", "text_id spans")):
     __slots__ = ()
 
     def __new__(cls, text_id: str, spans: Iterable[Span]) -> EntitySet:
-        if not text_id:
-            raise ValidationError("entity set requires a text id")
+        check_id(text_id)
         if not isinstance(spans, frozenset):
             spans = frozenset(spans)
         return tuple.__new__(cls, (text_id, spans))

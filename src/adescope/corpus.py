@@ -13,8 +13,8 @@ object per line.
 
 Prediction files map text ids to predicted spans, one ``id<TAB>spans`` row
 per text, preceded by a ``# key: value`` metadata header block naming the
-producer (model name, run id). Loading after writing is the identity for
-both formats: a writer refuses an id or metadata its file cannot hold.
+producer (model name, run id). Ids and metadata are checked where records
+are made, so the writers only format and loading after writing is the identity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ParseError, ValidationError, echo, echo_list, echo_span
-from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span
+from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id
 
 __all__ = [
     "CorpusPartition",
@@ -256,8 +256,6 @@ def _row_sample(
     location is formatted only then.
     """
     sample_id, text, class_name, spans = row
-    if not sample_id:
-        raise ParseError(f"{source}:{lineno}: empty sample id")
     if sample_id in seen:
         raise ParseError(f"{source}:{lineno}: duplicate sample id {echo(sample_id)}")
     seen.add(sample_id)
@@ -313,6 +311,10 @@ def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
         for key in ("id", "text"):
             if not isinstance(record[key], str):
                 raise ParseError(f"{where}: {key} must be a string")
+            try:  # a lone surrogate escape loads, but no UTF-8 file can hold it
+                record[key].encode()
+            except UnicodeEncodeError:
+                raise ParseError(f"{where}: {key} holds a lone surrogate") from None
         row = [record[key] for key in _JSONL_KEYS]
         samples.append(_row_sample(row, source, lineno, seen, _decode_jsonl))
     if not samples:
@@ -347,14 +349,9 @@ def write_corpus(
     if format == "tsv":
         lines = [CORPUS_HEADER]
         for sample in partition.samples:
-            sample_id = sample.text.id
-            if "\t" in sample_id or "\n" in sample_id or "\r" in sample_id:
-                raise ValidationError(
-                    f"sample id {echo(sample_id)} cannot be serialised as TSV"
-                )
             content = escape_tsv(sample.text.content)
             spans = _format_span_field(sample.gold_spans)
-            lines.append(f"{sample_id}\t{content}\t{sample.sample_class.value}\t{spans}")
+            lines.append(f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}")
     elif format == "jsonl":
         records = (
             {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
@@ -428,6 +425,8 @@ class PredictionFile(Frozen):
     def __init__(
         self, metadata: Mapping[str, str], entries: Mapping[str, frozenset[Span]]
     ) -> None:
+        for text_id in entries:
+            check_id(text_id)
         # A pair must load back unchanged from its "# key: value" line.
         for key, value in metadata.items():
             if any(c in key or c in value for c in "\n\r"):
@@ -465,11 +464,10 @@ def load_predictions(path: Union[str, Path]) -> PredictionFile:
         if len(fields) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'id<TAB>spans'")
         text_id, span_field = fields
-        if not text_id:
-            raise ParseError(f"{path}:{lineno}: empty text id")
         if text_id in entries:
             raise ParseError(f"{path}:{lineno}: duplicate entry for id {echo(text_id)}")
         try:
+            check_id(text_id)
             entries[text_id] = frozenset(_parse_span_field(span_field))
         except ValidationError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
@@ -509,13 +507,5 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
     """
     lines = [f"# {key}: {value}" for key, value in predictions.metadata.items()]
     for text_id in sorted(predictions.entries):
-        # A blank row is skipped on load, and a "#" line is metadata.
-        if (
-            "\t" in text_id or "\n" in text_id or "\r" in text_id
-            or not text_id.strip() or text_id.startswith("#")
-        ):
-            raise ValidationError(
-                f"text id {echo(text_id)} cannot be serialised in a prediction file"
-            )
         lines.append(f"{text_id}\t{_format_span_field(predictions.entries[text_id])}")
     write_lines(path, lines)

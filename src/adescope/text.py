@@ -39,6 +39,7 @@ __all__ = [
     "Frozen",
     "Span",
     "RawText",
+    "check_id",
     "SampleClass",
     "LabeledSample",
     "Token",
@@ -133,14 +134,27 @@ def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     return ordered
 
 
+def check_id(text_id: str) -> None:
+    """Refuse a text id that a corpus or prediction file cannot hold as it is:
+    blank (its row is skipped), holding a row or field separator, or starting
+    with ``#`` (a comment) or U+FEFF (a byte order mark, which reading drops)."""
+    if (
+        not text_id or text_id[0] in "#\ufeff" or text_id.isspace()
+        or "\t" in text_id or "\n" in text_id or "\r" in text_id
+    ):
+        raise ValidationError(
+            f"text id {echo(text_id)} must be non-blank, hold no tab, newline or "
+            "carriage return, and not start with '#' or U+FEFF"
+        )
+
+
 class RawText(Checked, namedtuple("RawText", "id content")):
     """A unit of input text (one post) with a corpus-unique id."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, content: str) -> RawText:
-        if not id:
-            raise ValidationError("text id must be non-empty")
+        check_id(id)
         if not content or content.isspace():  # strip() would copy the text
             raise ValidationError(f"text {echo(id)} has empty content")
         return tuple.__new__(cls, (id, content))

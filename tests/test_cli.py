@@ -615,7 +615,8 @@ class TestExitCodes:
         assert main(["extract", "--corpus", str(corpus), "--format", "jsonl",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "adescope: error: text id 'a\\rb' cannot be serialised in a prediction file\n"
+            f"adescope: error: {corpus}:1 (id 'a\\rb'): text id 'a\\rb' must be non-blank, "
+            "hold no tab, newline or carriage return, and not start with '#' or U+FEFF\n"
         )
         assert list(tmp_path.iterdir()) == [corpus]
 
@@ -677,6 +678,44 @@ class TestDataErrorsNameTheirFiles:
         # well-formed JSON and fails the text-length check instead.
         assert "invalid JSON (" in err or "exceeds text length" in err
         assert "sys." not in err
+
+    @pytest.mark.parametrize(
+        "name,row,shown",
+        [
+            ("hash.tsv", "#1\ti have a headache\tX\t", "'#1'"),
+            ("blank.tsv", "  \ti have a headache\tX\t", "'  '"),
+            ("tab.jsonl", json.dumps({"id": "a\tb", "text": "i have a headache",
+                                      "class": "X", "spans": []}), "'a\\tb'"),
+        ],
+        ids=["hash-tsv", "blank-tsv", "tab-jsonl"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["extract", "detect", "filter", "evaluate", "prefilter", "compose"]
+    )
+    def test_an_unholdable_id_is_refused_at_load(self, tmp_path, capsys, command, name, row, shown):
+        corpus = tmp_path / name
+        jsonl = name.endswith(".jsonl")
+        lines = [row] if jsonl else [CORPUS_HEADER, row]
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("# model: m\n", encoding="utf-8")
+        args = {
+            "extract": [],
+            "detect": ["--phenomenon", "neg"],
+            "filter": ["--predictions", str(preds)],
+            "evaluate": ["--predictions", str(preds)],
+            "prefilter": [],
+            "compose": [],
+        }[command]
+        source = "--base" if command == "compose" else "--corpus"
+        argv = [command, source, str(corpus), "--format", "jsonl" if jsonl else "tsv", *args]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        line = 1 if jsonl else 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {corpus}:{line} (id {shown}): text id {shown} must be non-blank, "
+            "hold no tab, newline or carriage return, and not start with '#' or U+FEFF\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([corpus, preds])
 
     def run_evaluate(self, tmp_path, corpus, rows):
         preds = tmp_path / "preds.tsv"

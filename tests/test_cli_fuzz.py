@@ -7,7 +7,10 @@ run must exit 0, 1 or 2 without an exception escaping, and every data
 error (exit 2) must name the mutated file in lines of at most 300
 characters besides the input paths. A second case draws ``filter``'s
 ``--out`` and ``--audit`` paths from awkward kinds and checks that a failed
-run changes neither target and leaves no temporary file behind.
+run changes neither target and leaves no temporary file behind. A third
+draws small corpora whose ids may hold what no file can: a corpus that
+loads must run through the chain, and each file written must load back
+equal; one that does not load must be refused at a line of its file.
 """
 
 from __future__ import annotations
@@ -15,14 +18,28 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import shutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adescope import load_corpus, write_corpus
+from adescope import (
+    CORPUS_HEADER,
+    ParseError,
+    default_ade_lexicon,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    extract,
+    load_corpus,
+    load_predictions,
+    prefilter,
+    write_corpus,
+    write_predictions,
+)
 from adescope.cli import main
+from adescope.corpus import escape_tsv
 
 FILES = ("corpus.tsv", "corpus.jsonl", "preds.tsv", "neg.txt", "terms.txt", "config.json")
 
@@ -159,3 +176,98 @@ def test_filter_output_paths_are_all_or_nothing(inputs, out_kind, audit_kind):
     elif code != 0:
         assert snapshot(root) == before
     assert not [path for path in root.rglob(".*.tmp")]
+
+
+# Ids beside ordinary ones: blank, led by "#" or a byte order mark, holding
+# a separator, other line and space characters a reader must not split on,
+# and a lone surrogate, which JSON can escape but no UTF-8 file can hold.
+CHAIN_IDS = st.one_of(
+    st.text(alphabet="ab1 #\t\n\r\ufeff\\\x0b\x1c\x85\u2028", min_size=1, max_size=5),
+    st.sampled_from(["#1", "  ", "a\tb", "\ufeffa", "a\ud800", "s1"]),
+)
+WORDS = ("i", "have", "no", "headache", "maybe", "nausea", "not", "sure", ".", "hives", "\\")
+
+
+@st.composite
+def corpora(draw):
+    """A corpus format and ``(id, text, class, spans)`` rows with distinct ids."""
+    rows = []
+    for sid in draw(st.lists(CHAIN_IDS, min_size=1, max_size=4, unique=True)):
+        words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
+        text = " ".join(words)
+        if "headache" in words and draw(st.booleans()):
+            start = text.index("headache")
+            rows.append((sid, text, "A", [[start, start + len("headache")]]))
+        else:
+            rows.append((sid, text, draw(st.sampled_from("XNS")), []))
+    return draw(st.sampled_from(["tsv", "jsonl"])), rows
+
+
+def write_corpus_file(path, format: str, rows) -> None:
+    """The rows as a corpus file, written without the package's checks."""
+    if format == "tsv":
+        lines = [CORPUS_HEADER] + [
+            f"{sid}\t{escape_tsv(text)}\t{cls}\t{';'.join(f'{s}:{e}' for s, e in spans)}"
+            for sid, text, cls, spans in rows
+        ]
+    else:
+        lines = [
+            json.dumps({"id": sid, "text": text, "class": cls, "spans": spans})
+            for sid, text, cls, spans in rows
+        ]
+    # A lone surrogate is written as the bytes of one, which no reader decodes.
+    content = "".join(line + "\n" for line in lines)
+    path.write_text(content, encoding="utf-8", errors="surrogatepass")
+
+
+def rewrites_identically(path, load, write, **options) -> None:
+    """The file, written by the package, loads, and writing what it loaded
+    gives the same bytes."""
+    copy = path.with_name(f"copy-{path.name}")
+    write(load(path, **options), copy, **options)
+    assert copy.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=corpora())
+@example(corpus=("tsv", [("#1", "i have a headache", "X", [])]))
+@example(corpus=("tsv", [("  ", "i have a headache", "X", [])]))
+@example(corpus=("jsonl", [("a\tb", "i have a headache", "X", [])]))
+def test_a_corpus_that_loads_runs_through_the_chain(tmp_path_factory, corpus):
+    format, rows = corpus
+    root = tmp_path_factory.mktemp("chain")
+    path = root / f"corpus.{format}"
+    write_corpus_file(path, format, rows)
+    common = ["--corpus", str(path), "--format", format]
+    try:
+        partition = load_corpus(path, format=format)
+    except ParseError:
+        code, err = run(["extract", *common, "--out", str(root / "p.tsv")])
+        assert code == 2, err
+        assert re.match(rf"adescope: error: {re.escape(str(path))}:\d+", err), err
+        assert sorted(root.iterdir()) == [path]
+        return
+
+    preds, filtered, kept = root / "p.tsv", root / "f.tsv", root / f"kept.{format}"
+    for argv in (
+        ["extract", *common, "--out", str(preds)],
+        ["filter", *common, "--predictions", str(preds), "--out", str(filtered)],
+        ["evaluate", *common, "--predictions", str(filtered), "--out", str(root / "r.json")],
+        ["prefilter", *common, "--out", str(kept)],
+    ):
+        code, err = run(argv)
+        assert code == 0, (argv[0], err)
+
+    copy = root / f"copy.{format}"
+    write_corpus(partition, copy, format=format)
+    assert load_corpus(copy, format=format).samples == partition.samples
+    lexicon = default_ade_lexicon()
+    assert load_predictions(preds).entries == {
+        sample.text.id: extract(sample.text, lexicon).spans for sample in partition.samples
+    }
+    for written in (preds, filtered):
+        rewrites_identically(written, load_predictions, write_predictions)
+    assert load_predictions(filtered).entries.keys() == partition.by_id.keys()
+    cues = (default_negation_lexicon(), default_speculation_lexicon())
+    assert load_corpus(kept, format=format).samples == tuple(prefilter(partition.samples, cues))
+    rewrites_identically(kept, load_corpus, write_corpus, format=format)

@@ -12,8 +12,14 @@ from adescope import (
     Phenomenon,
     ScopeSpan,
     Span,
+    RawText,
     ValidationError,
     combine,
+    default_ade_lexicon,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    detect,
+    extract,
     filter_by_scopes,
     overlap_length,
     overlaps,
@@ -202,3 +208,17 @@ class TestWitnessOracle:
         report = filter_by_scopes(EntitySet("t", ades), scope_list)
         assert report.discarded == tuple(expected)
         assert report.kept.spans == ades - {d.span for d in expected}
+
+
+class TestBundledLexicons:
+    """No bundled ADE term is discarded by a bundled cue that it contains."""
+
+    @pytest.mark.parametrize("term", default_ade_lexicon().terms)
+    def test_a_term_in_a_neutral_sentence_survives_neg_spec(self, term):
+        prefix = "the drug gave me "
+        text = RawText("t1", f"{prefix}{term} today")
+        extracted = extract(text, default_ade_lexicon())
+        assert Span(len(prefix), len(prefix) + len(term)) in extracted.spans
+        lexicons = (default_negation_lexicon(), default_speculation_lexicon())
+        report = filter_by_scopes(extracted, detect(text, lexicons, window=5))
+        assert report.discarded == ()

@@ -35,6 +35,10 @@ def make(sid: str, content: str, cls: SampleClass, *gold: Span) -> LabeledSample
     return LabeledSample(RawText(sid, content), frozenset(gold), cls)
 
 
+# What every refused text id's message says after the id.
+ID_RULE = "must be non-blank, hold no tab, newline or carriage return, and not start with '#' or U+FEFF"
+
+
 def write_lines(path, *lines: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -94,12 +98,11 @@ class TestCorpusRoundTrip:
         row = path.read_text(encoding="utf-8").splitlines()[1]
         assert row.split("\t")[3] == "0:3;8:13"
 
-    def test_tab_in_id_rejected_for_tsv(self, tmp_path):
-        partition = CorpusPartition(
-            "custom", (make("a\tb", "some text", SampleClass.NO_ADE),)
-        )
-        with pytest.raises(ValidationError):
-            write_corpus(partition, tmp_path / "bad.tsv")
+    def test_tab_in_id_rejected_for_tsv(self):
+        # The sample is refused when made, so no TSV row is asked to hold it.
+        with pytest.raises(ValidationError) as caught:
+            make("a\tb", "some text", SampleClass.NO_ADE)
+        assert str(caught.value) == f"text id 'a\\tb' {ID_RULE}"
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -235,7 +238,13 @@ class TestCorpusParsing:
 # One faulty (id, text, class, spans) row per fault, with the message both
 # corpus formats must give for it at the row's file:line.
 ROW_FAULTS = {
-    "empty-id": (("", "hello world", "X", []), "{where}: empty sample id"),
+    "empty-id": (("", "hello world", "X", []), "{where} (id ''): text id '' " + ID_RULE),
+    "blank-id": (("  ", "hello world", "X", []), "{where} (id '  '): text id '  ' " + ID_RULE),
+    "hash-id": (("#1", "hello world", "X", []), "{where} (id '#1'): text id '#1' " + ID_RULE),
+    "bom-id": (
+        ("\ufeffa1", "hello world", "X", []),
+        "{where} (id '\\ufeffa1'): text id '\\ufeffa1' " + ID_RULE,
+    ),
     "duplicate-id": (("x0", "second one", "X", []), "{where}: duplicate sample id 'x0'"),
     "unknown-class": (
         ("a1", "hello world", "B", []),
@@ -322,7 +331,12 @@ ROW_MESSAGES = [
         "{path}:1: expected header 'id\\ttext\\tclass\\tspans'",
         id="tsv-header",
     ),
-    pytest.param("tsv", tsv_fault("\thello world\tX\t"), "{path}:3: empty sample id", id="tsv-empty-id"),
+    pytest.param(
+        "tsv",
+        tsv_fault("\thello world\tX\t"),
+        "{path}:3 (id ''): text id '' " + ID_RULE,
+        id="tsv-empty-id",
+    ),
     pytest.param(
         "tsv", tsv_fault("x0\tsecond one\tX\t"), "{path}:3: duplicate sample id 'x0'", id="tsv-duplicate-id"
     ),
@@ -506,7 +520,19 @@ ROW_MESSAGES = [
         "{path}:3: expected 4 tab-separated fields",
         id="tsv-five-fields",
     ),
-    pytest.param("jsonl", jsonl_fault(id=""), "{path}:2: empty sample id", id="jsonl-empty-id"),
+    pytest.param("jsonl", jsonl_fault(id=""), "{path}:2 (id ''): text id '' " + ID_RULE, id="jsonl-empty-id"),
+    pytest.param(
+        "jsonl",
+        jsonl_fault(id="a\tb"),
+        "{path}:2 (id 'a\\tb'): text id 'a\\tb' " + ID_RULE,
+        id="jsonl-tab-id",
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(id="a\ud800"), "{path}:2: id holds a lone surrogate", id="jsonl-surrogate-id"
+    ),
+    pytest.param(
+        "jsonl", jsonl_fault(text="\udc00 hi"), "{path}:2: text holds a lone surrogate", id="jsonl-surrogate-text"
+    ),
     pytest.param("jsonl", jsonl_fault(id="x0"), "{path}:2: duplicate sample id 'x0'", id="jsonl-duplicate-id"),
     pytest.param("jsonl", jsonl_fault(id=7), "{path}:2: id must be a string", id="jsonl-non-string-id"),
     pytest.param("jsonl", jsonl_fault(text=None), "{path}:2: text must be a string", id="jsonl-non-string-text"),
@@ -628,7 +654,18 @@ ROW_MESSAGES = [
     pytest.param(
         "predictions", predictions_fault("a1\t0:2\t"), "{path}:3: expected 'id<TAB>spans'", id="pred-three-fields"
     ),
-    pytest.param("predictions", predictions_fault("\t0:2"), "{path}:3: empty text id", id="pred-empty-id"),
+    pytest.param(
+        "predictions", predictions_fault("\t0:2"), "{path}:3: text id '' " + ID_RULE, id="pred-empty-id"
+    ),
+    pytest.param(
+        "predictions", predictions_fault("  \t0:2"), "{path}:3: text id '  ' " + ID_RULE, id="pred-blank-id"
+    ),
+    pytest.param(
+        "predictions",
+        predictions_fault("\ufeffa1\t0:2"),
+        "{path}:3: text id '\\ufeffa1' " + ID_RULE,
+        id="pred-bom-id",
+    ),
     pytest.param(
         "predictions", predictions_fault("x0\t"), "{path}:3: duplicate entry for id 'x0'", id="pred-duplicate-id"
     ),
@@ -950,12 +987,11 @@ class TestPredictionFiles:
         with pytest.raises(ParseError, match=r"bad\.tsv:1: non-integer span offsets in '0:1_2'"):
             load_predictions(path)
 
-    def test_unserialisable_ids_rejected(self, tmp_path):
-        for bad in ("has\ttab", "#leading", "has\rcr", "", " "):
-            predictions = PredictionFile({}, {bad: frozenset()})
-            with pytest.raises(ValidationError):
-                write_predictions(predictions, tmp_path / "bad.tsv")
-        assert list(tmp_path.iterdir()) == []
+    def test_unserialisable_ids_rejected(self):
+        for bad in ("has\ttab", "#leading", "has\rcr", "has\nlf", "", " ", "\ufeffbom"):
+            with pytest.raises(ValidationError) as caught:
+                PredictionFile({}, {"fine": frozenset(), bad: frozenset()})
+            assert str(caught.value) == f"text id {bad!r} {ID_RULE}"
 
     def test_multiline_metadata_rejected(self):
         with pytest.raises(ValidationError):
@@ -977,11 +1013,10 @@ class TestPredictionFiles:
             PredictionFile(metadata, {})
         assert str(caught.value) == message
 
-    def test_write_corpus_rejects_a_carriage_return_in_an_id(self, tmp_path):
-        partition = CorpusPartition("custom", (make("a\rb", "some text", SampleClass.NO_ADE),))
+    def test_a_sample_rejects_a_carriage_return_in_its_id(self):
         with pytest.raises(ValidationError) as caught:
-            write_corpus(partition, tmp_path / "bad.tsv")
-        assert str(caught.value) == "sample id 'a\\rb' cannot be serialised as TSV"
+            make("a\rb", "some text", SampleClass.NO_ADE)
+        assert str(caught.value) == f"text id 'a\\rb' {ID_RULE}"
 
 
 # An id that no file can hold, longer than a message echoes.
@@ -990,19 +1025,15 @@ LONG_TAB_ID_ECHO = f"'a\\tb{'i' * 37}…'"
 
 
 class TestLongValuesAreEchoedCut:
-    def test_write_corpus_echoes_an_unwritable_id_cut(self, tmp_path):
-        partition = CorpusPartition("custom", (make(LONG_TAB_ID, "some text", SampleClass.NO_ADE),))
+    def test_a_sample_echoes_an_unwritable_id_cut(self):
         with pytest.raises(ValidationError) as caught:
-            write_corpus(partition, tmp_path / "bad.tsv")
-        assert str(caught.value) == f"sample id {LONG_TAB_ID_ECHO} cannot be serialised as TSV"
+            make(LONG_TAB_ID, "some text", SampleClass.NO_ADE)
+        assert str(caught.value) == f"text id {LONG_TAB_ID_ECHO} {ID_RULE}"
 
-    def test_write_predictions_echoes_an_unwritable_id_cut(self, tmp_path):
-        predictions = PredictionFile({}, {LONG_TAB_ID: frozenset()})
+    def test_a_prediction_file_echoes_an_unwritable_id_cut(self):
         with pytest.raises(ValidationError) as caught:
-            write_predictions(predictions, tmp_path / "bad.tsv")
-        assert str(caught.value) == (
-            f"text id {LONG_TAB_ID_ECHO} cannot be serialised in a prediction file"
-        )
+            PredictionFile({}, {LONG_TAB_ID: frozenset()})
+        assert str(caught.value) == f"text id {LONG_TAB_ID_ECHO} {ID_RULE}"
 
     def test_an_unknown_format_is_echoed_cut(self, tmp_path):
         (tmp_path / "x.tsv").write_text(CORPUS_HEADER + "\n", encoding="utf-8")
@@ -1085,23 +1116,34 @@ class TestValidatePredictions:
         assert str(caught.value) == f"prediction for {shown}: span [0, 99) exceeds text length 15"
 
 
-# Ids and metadata may hold what a file cannot: a write must then refuse.
-ids = st.text(alphabet="abcdefghij0123456789_- \t\n\r:#", min_size=1, max_size=8)
+# Ids and metadata may hold what a file cannot: the record must then refuse
+# them when made. Besides separators anywhere, ids may be whitespace only or
+# start with "#" or a byte order mark.
+ids = st.one_of(
+    st.text(alphabet="abcdefghij0123456789_- \t\n\r:#\ufeff", max_size=8),
+    st.text(alphabet=" \t\u00a0\u3000\x1c", min_size=1, max_size=3),
+    st.tuples(st.sampled_from("#\ufeff"), st.text(alphabet="ab1 #", max_size=4)).map("".join),
+)
 metadata_fields = st.text(alphabet="ab_ \t\n\r:#", max_size=6)
 contents = st.text(
     alphabet="ab xyz\t\n\r\\:;|#@'é👍", min_size=1, max_size=40
 ).filter(lambda t: t.strip())
 
 
+def holdable(text_id: str) -> bool:
+    """Whether every corpus and prediction file holds the id as it is."""
+    return (
+        text_id.strip() != ""
+        and not any(separator in text_id for separator in "\t\n\r")
+        and text_id[0] not in "#\ufeff"
+    )
+
+
 @st.composite
-def partitions(draw):
-    n = draw(st.integers(min_value=0, max_value=6))
-    samples = []
-    used: set[str] = set()
-    for i in range(n):
-        sid = f"{i}-" + draw(ids)
-        assert sid not in used
-        used.add(sid)
+def sample_rows(draw):
+    """Arguments of ``make`` for up to six samples with distinct ids."""
+    rows = []
+    for sid in draw(st.lists(ids, max_size=6, unique=True)):
         content = draw(contents)
         cls = draw(st.sampled_from(list(SampleClass)))
         spans: list[Span] = []
@@ -1109,21 +1151,24 @@ def partitions(draw):
             start = draw(st.integers(min_value=0, max_value=len(content) - 1))
             end = draw(st.integers(min_value=start + 1, max_value=len(content)))
             spans.append(Span(start, end))
-        samples.append(make(sid, content, cls, *spans))
-    return CorpusPartition("custom", tuple(samples))
+        rows.append((sid, content, cls, *spans))
+    return rows
 
 
 class TestRoundTripProperties:
-    """A write either raises ValidationError or gives a file that loads back equal."""
+    """Making a record either raises ValidationError, or its write succeeds
+    and gives a file that loads back equal."""
 
-    @given(partitions(), st.sampled_from(["tsv", "jsonl"]))
-    def test_any_partition_survives_serialisation(self, tmp_path_factory, partition, format):
-        path = tmp_path_factory.mktemp("prop") / f"corpus.{format}"
+    @given(sample_rows(), st.sampled_from(["tsv", "jsonl"]))
+    def test_any_partition_survives_serialisation(self, tmp_path_factory, rows, format):
         try:
-            write_corpus(partition, path, format=format)
+            partition = CorpusPartition("custom", tuple(make(*row) for row in rows))
         except ValidationError:
-            assert not path.exists()
+            assert not all(holdable(row[0]) for row in rows)
             return
+        assert all(holdable(row[0]) for row in rows)
+        path = tmp_path_factory.mktemp("prop") / f"corpus.{format}"
+        write_corpus(partition, path, format=format)
         loaded = load_corpus(path, format=format)
         assert loaded.samples == partition.samples
 
@@ -1145,12 +1190,13 @@ class TestRoundTripProperties:
     def test_any_prediction_table_survives_serialisation(
         self, tmp_path_factory, entries, metadata
     ):
-        path = tmp_path_factory.mktemp("prop") / "preds.tsv"
         try:
-            write_predictions(PredictionFile(metadata, entries), path)
+            predictions = PredictionFile(metadata, entries)
         except ValidationError:
-            assert not path.exists()
             return
+        assert all(map(holdable, entries))
+        path = tmp_path_factory.mktemp("prop") / "preds.tsv"
+        write_predictions(predictions, path)
         loaded = load_predictions(path)
         assert loaded.entries == dict(entries)
         assert loaded.metadata == metadata
