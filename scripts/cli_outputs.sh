@@ -9,7 +9,9 @@
 # speculation cue matched across a line break (escaped TSV fields), ids no
 # corpus or prediction file can hold (a JSON-lines id holding a carriage
 # return, a TSV id starting with # and a blank TSV id: each refused at its
-# file and line when the corpus loads) and an --audit naming the --out file.
+# file and line when the corpus loads), an --audit naming the --out file, a
+# cue lexicon that repeats a cue and a config with invalid JSON on line 3
+# (each refused at its file and line).
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -98,4 +100,9 @@ fault hash-id extract --corpus hash-id.tsv --out hash-id.preds.tsv
 fault blank-id extract --corpus blank-id.tsv --out blank-id.preds.tsv
 fault same-audit filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
     --out same.tsv --audit same.tsv
+printf '# cues\nnot|pre_trigger\nnot|pre_trigger\n' >"$out/dup-cue.txt"
+printf '{\n  "window": 5,\n  "filters": ,\n  "jobs": 1\n}\n' >"$out/bad-config.json"
+fault dup-cue detect --corpus one.tsv --phenomenon neg --lexicon dup-cue.txt \
+    --out dup-cue.scopes.tsv
+fault bad-config extract --corpus one.tsv --config bad-config.json --out bad-config.preds.tsv
 exit "$status"

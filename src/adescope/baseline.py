@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .combine import EntitySet
 from .corpus import lexicon_lines, read_text
-from .errors import ParseError, ValidationError, echo
+from .errors import ValidationError, echo, located
 from .text import (
     Frozen,
     PatternIndex,
@@ -34,24 +34,21 @@ __all__ = [
 
 
 class AdeLexicon(Frozen):
-    """A set of adverse event terms, matched case-insensitively on tokens."""
+    """A set of adverse event terms, matched case-insensitively; each is checked as read."""
 
     _FIELDS = ("terms",)
 
     def __init__(self, terms: Iterable[str]) -> None:
-        terms = tuple(terms)
-        if not terms:
-            raise ValidationError("an ADE lexicon must contain at least one term")
-        normalised = []
-        seen: set[str] = set()
+        normalised: dict[str, None] = {}
         for term in terms:
             term = term.strip().casefold()
             if not term:
                 raise ValidationError("empty ADE lexicon term")
-            if term in seen:
+            if term in normalised:
                 raise ValidationError(f"duplicate ADE lexicon term {echo(term)}")
-            seen.add(term)
-            normalised.append(term)
+            normalised[term] = None
+        if not normalised:
+            raise ValidationError("an ADE lexicon must contain at least one term")
         self._set(terms=tuple(normalised))
 
     @cached_property
@@ -63,10 +60,17 @@ def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
     """Load one term per line; ``#`` comments and blank lines are skipped."""
     path = Path(path)
     lines = lexicon_lines(read_text(path))
+    lineno = None  # the line of the term read last, so of a refused one
+
+    def terms() -> Iterator[str]:
+        nonlocal lineno
+        for lineno, term in lines:
+            yield term
+
     try:
-        return AdeLexicon(line for _, line in lines)
+        return AdeLexicon(terms())
     except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise located(exc, path, lineno) from None
 
 
 @lru_cache(maxsize=1)

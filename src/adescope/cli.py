@@ -41,7 +41,7 @@ from .corpus import (
     write_outputs,
     write_predictions,
 )
-from .errors import ValidationError, echo, echo_list
+from .errors import ValidationError, echo, echo_list, located
 from .metrics import evaluate_corpus, write_report
 from .scope import (
     DEFAULT_WINDOW,
@@ -94,17 +94,17 @@ _CUE_LEXICONS = {"neg": Phenomenon.NEGATION, "spec": Phenomenon.SPECULATION}
 
 def load_config(path: str | Path) -> dict:
     """Read a JSON object of settings, checking each key and its JSON type."""
-    data = decode_json(read_text(path), str(path))
+    data = decode_json(read_text(path), path)
     if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+        raise located("config must be a JSON object", path)
     unknown = data.keys() - _SETTINGS.keys()
     if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {echo_list(unknown)}")
+        raise located(f"unknown config keys: {echo_list(unknown)}", path)
     for key, value in data.items():
         _, types, expected = _SETTINGS[key]
         # bool is an int subclass, but true is not a window or a job count.
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ValidationError(f"{path}: {key}: expected {expected}, got {echo(value)}")
+            raise located(f"{key}: expected {expected}, got {echo(value)}", path)
     return data
 
 

@@ -26,9 +26,9 @@ import os
 import re
 import shutil
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
-from .errors import ParseError, ValidationError, echo, echo_list, echo_span
+from .errors import ValidationError, echo, echo_list, echo_span, located
 from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id
 
 __all__ = [
@@ -102,14 +102,14 @@ def read_text(path: Union[str, Path]) -> str:
     """Decode an input file as UTF-8 text with universal newlines.
 
     A leading byte order mark is dropped. Undecodable bytes raise
-    :class:`ParseError` naming the file and line.
+    :class:`~adescope.errors.ParseError` naming the file and line.
     """
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+    except UnicodeDecodeError as exc:  # its line as the text's newlines number it
+        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise located("not valid UTF-8", path, head.count(b"\n") + 1) from None
     return content.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -119,17 +119,20 @@ def lexicon_lines(content: str) -> list[tuple[int, str]]:
     return [(n, line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
-def decode_json(content: str, where: str):
-    """Parse one JSON document; any fault is a :class:`ParseError` at ``where``."""
+def decode_json(content: str, path: Union[str, Path, None] = None):
+    """Parse one JSON document. A fault raises :class:`ValidationError`, or,
+    given the document's ``path``, a ``ParseError`` at its line there."""
+    lineno = None
     try:
         return json.loads(content)
     except json.JSONDecodeError as exc:
-        reason = exc.msg
+        reason, lineno = exc.msg, exc.lineno
     except ValueError:  # an integer literal longer than the interpreter converts
         reason = "integer literal too long"
     except RecursionError:
         reason = "nested too deeply"
-    raise ParseError(f"{where}: invalid JSON ({reason})")
+    message = f"invalid JSON ({reason})"
+    raise ValidationError(message) if path is None else located(message, path, lineno)
 
 
 def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
@@ -179,15 +182,6 @@ def write_outputs(
         os.replace(temp, target)
 
 
-def _warn(message: str, *args: object) -> None:
-    """Log a warning on this module's logger. Only an empty corpus warns,
-    so :mod:`logging` is imported here rather than by every run.
-    """
-    import logging
-
-    logging.getLogger(__name__).warning(message, *args)
-
-
 def _unescape(match: re.Match) -> str:
     try:
         return _UNESCAPE[match[1]]
@@ -231,114 +225,122 @@ def escape_tsv(text: str) -> str:
     return text
 
 
-def _decode_tsv(text: str, spans: str) -> tuple[str, list[Span]]:
+def _tsv_row(line: str) -> tuple | None:
+    """The id, text, class and spans of a TSV line; None for a blank line."""
+    if not line:
+        return None
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValidationError("expected 4 tab-separated fields")
+    sample_id, text, class_name, spans = fields
     if "\\" in text:
         text = _ESCAPE_RE.sub(_unescape, text)
-    return text, _parse_span_field(spans)
+    return sample_id, text, class_name, _parse_span_field(spans)
 
 
-def _decode_jsonl(text: str, spans) -> tuple[str, list[Span]]:
+def _jsonl_row(line: str) -> tuple | None:
+    """The id, text, class and spans of a JSON line; None for a blank line."""
+    if not line.strip():
+        return None
+    record = decode_json(line)
+    if not isinstance(record, dict):
+        raise ValidationError("expected a JSON object")
+    missing = set(_JSONL_KEYS) - set(record)
+    if missing:
+        raise ValidationError(f"missing keys {sorted(missing)}")
+    for key in ("id", "text"):
+        if not isinstance(record[key], str):
+            raise ValidationError(f"{key} must be a string")
+        try:  # a lone surrogate escape loads, but no UTF-8 file can hold it
+            record[key].encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{key} holds a lone surrogate") from None
+    spans = record["spans"]
     pairs = spans if isinstance(spans, list) else [spans]
     for pair in pairs:
         # type(), not isinstance(): JSON true loads as a bool, an int subclass.
         offsets_ok = isinstance(pair, list) and all(type(offset) is int for offset in pair)
         if not offsets_ok or len(pair) != 2:
             raise ValidationError(f"malformed span {echo(pair, json.dumps)}, expected [start, end]")
-    return text, [Span(start, end) for start, end in pairs]
+    spans = [Span(start, end) for start, end in pairs]
+    return record["id"], record["text"], record["class"], spans
 
 
-def _row_sample(
-    row: Sequence, source: str, lineno: int, seen: set[str], decode
-) -> LabeledSample:
-    """The sample of an ``(id, text, class, spans)`` row; ``decode`` reads its
-    format's text and spans. Faults raise :class:`ParseError` at
-    ``source:lineno``, which names the id once it is known to be new; the
-    location is formatted only then.
-    """
-    sample_id, text, class_name, spans = row
-    if sample_id in seen:
-        raise ParseError(f"{source}:{lineno}: duplicate sample id {echo(sample_id)}")
-    seen.add(sample_id)
+def _tsv_lines(partition: CorpusPartition) -> list[str]:
+    lines = [CORPUS_HEADER]
+    for sample in partition.samples:
+        content = escape_tsv(sample.text.content)
+        spans = _format_span_field(sample.gold_spans)
+        lines.append(f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}")
+    return lines
+
+
+def _jsonl_lines(partition: CorpusPartition) -> list[str]:
+    records = (
+        {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
+         "spans": sorted(s.gold_spans)}
+        for s in partition.samples
+    )
+    return [json.dumps(record, ensure_ascii=False) for record in records]
+
+
+# Each corpus format by name: its header (or None), line reader and partition writer.
+_FORMATS = {
+    "tsv": (CORPUS_HEADER, _tsv_row, _tsv_lines),
+    "jsonl": (None, _jsonl_row, _jsonl_lines),
+}
+
+
+def _corpus_format(format: str) -> tuple:
     try:
-        sample_class = _CLASS_BY_LETTER[class_name]
-    except (KeyError, TypeError):  # TypeError: an unhashable JSON class
-        raise ParseError(
-            f"{source}:{lineno} (id {echo(sample_id)}): unknown class {echo(class_name)}"
-        ) from None
-    try:
-        content, span_list = decode(text, spans)
-        return LabeledSample(RawText(sample_id, content), frozenset(span_list), sample_class)
-    except ValueError as exc:
-        raise ParseError(f"{source}:{lineno} (id {echo(sample_id)}): {exc}") from None
-
-
-def _parse_corpus_tsv(raw: str, source: str) -> list[LabeledSample]:
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        _warn("corpus file %s is empty", source)
-        return []
-    if lines[0] != CORPUS_HEADER:
-        raise ParseError(f"{source}:1: expected header {CORPUS_HEADER!r}")
-    samples: list[LabeledSample] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"{source}:{lineno}: expected 4 tab-separated fields")
-        samples.append(_row_sample(fields, source, lineno, seen, _decode_tsv))
-    if not samples:
-        _warn("corpus file %s contains no samples", source)
-    return samples
-
-
-def _parse_corpus_jsonl(raw: str, source: str) -> list[LabeledSample]:
-    samples: list[LabeledSample] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(raw.split("\n"), 1):
-        if not line.strip():
-            continue
-        where = f"{source}:{lineno}"
-        record = decode_json(line, where)
-        if not isinstance(record, dict):
-            raise ParseError(f"{where}: expected a JSON object")
-        missing = set(_JSONL_KEYS) - set(record)
-        if missing:
-            raise ParseError(f"{where}: missing keys {sorted(missing)}")
-        for key in ("id", "text"):
-            if not isinstance(record[key], str):
-                raise ParseError(f"{where}: {key} must be a string")
-            try:  # a lone surrogate escape loads, but no UTF-8 file can hold it
-                record[key].encode()
-            except UnicodeEncodeError:
-                raise ParseError(f"{where}: {key} holds a lone surrogate") from None
-        row = [record[key] for key in _JSONL_KEYS]
-        samples.append(_row_sample(row, source, lineno, seen, _decode_jsonl))
-    if not samples:
-        _warn("corpus file %s contains no samples", source)
-    return samples
+        return _FORMATS[format]
+    except (KeyError, TypeError):  # TypeError: an unhashable format
+        raise ValidationError(f"unknown corpus format {echo(format)}") from None
 
 
 def load_corpus(path: Union[str, Path], format: str = "tsv") -> CorpusPartition:
     """Load a corpus file. ``format`` is ``tsv`` (native) or ``jsonl``.
 
-    The partition is named after the file's stem. Row-level problems (bad
-    class letter, span out of bounds, class and span mismatch, duplicate
-    ids) raise :class:`ParseError` naming the file, line and sample id; a
-    message echoes at most 40 characters of any input value. An empty file
-    loads as an empty partition with a logged warning.
+    The partition is named after the file's stem. A malformed row (bad class
+    letter, span out of bounds, class and span mismatch, duplicate id)
+    raises :class:`~adescope.errors.ParseError` as ``file:line: message``; a
+    message echoes at most 40 characters of any input value. A file with no
+    samples loads as an empty partition with a logged warning.
     """
+    header, read_row, _ = _corpus_format(format)
     path = Path(path)
     raw = read_text(path)
-    if format == "tsv":
-        samples = _parse_corpus_tsv(raw, str(path))
-    elif format == "jsonl":
-        samples = _parse_corpus_jsonl(raw, str(path))
-    else:
-        raise ValidationError(f"unknown corpus format {echo(format)}")
+    lines = raw.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    first = 2 if header is not None and lines else 1  # line 1 holds the header
+    samples: list[LabeledSample] = []
+    seen: set[str] = set()
+    lineno = 1
+    try:
+        if first == 2 and lines[0] != header:
+            raise ValidationError(f"expected header {header!r}")
+        for lineno, line in enumerate(lines[first - 1 :], first):
+            row = read_row(line)
+            if row is None:
+                continue
+            sample_id, content, class_name, spans = row
+            if sample_id in seen:
+                raise ValidationError(f"duplicate sample id {echo(sample_id)}")
+            seen.add(sample_id)
+            try:
+                sample_class = _CLASS_BY_LETTER[class_name]
+            except (KeyError, TypeError):  # TypeError: an unhashable JSON class
+                raise ValidationError(f"unknown class {echo(class_name)}") from None
+            samples.append(LabeledSample(RawText(sample_id, content), spans, sample_class))
+    except ValidationError as exc:
+        raise located(exc, path, lineno) from None
+    if not samples:  # logging is imported only to warn, not by every run
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "corpus file %s %s", path, "contains no samples" if raw.strip() else "is empty"
+        )
     return CorpusPartition(path.stem, tuple(samples))
 
 
@@ -346,22 +348,7 @@ def write_corpus(
     partition: CorpusPartition, path: Union[str, Path], format: str = "tsv"
 ) -> None:
     """Write a partition in the chosen format; loading it back is the identity."""
-    if format == "tsv":
-        lines = [CORPUS_HEADER]
-        for sample in partition.samples:
-            content = escape_tsv(sample.text.content)
-            spans = _format_span_field(sample.gold_spans)
-            lines.append(f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}")
-    elif format == "jsonl":
-        records = (
-            {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
-             "spans": sorted(s.gold_spans)}
-            for s in partition.samples
-        )
-        lines = [json.dumps(record, ensure_ascii=False) for record in records]
-    else:
-        raise ValidationError(f"unknown corpus format {echo(format)}")
-    write_lines(path, lines)
+    write_lines(path, _corpus_format(format)[2](partition))
 
 
 def compose_training_set(
@@ -444,33 +431,35 @@ class PredictionFile(Frozen):
 
 
 def load_predictions(path: Union[str, Path]) -> PredictionFile:
-    """Load a prediction file; malformed rows raise with their line number."""
+    """Load a prediction file; a malformed row raises as ``file:line: message``."""
     path = Path(path)
+    content = read_text(path)
     metadata: dict[str, str] = {}
     entries: dict[str, frozenset[Span]] = {}
     in_header = True
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if in_header:
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    metadata[key.strip()] = value.strip()
-            continue
-        in_header = False
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'id<TAB>spans'")
-        text_id, span_field = fields
-        if text_id in entries:
-            raise ParseError(f"{path}:{lineno}: duplicate entry for id {echo(text_id)}")
-        try:
+    lineno = None
+    try:
+        for lineno, line in enumerate(content.split("\n"), 1):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                if in_header:
+                    body = line[1:].strip()
+                    if ":" in body:
+                        key, _, value = body.partition(":")
+                        metadata[key.strip()] = value.strip()
+                continue
+            in_header = False
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValidationError("expected 'id<TAB>spans'")
+            text_id, span_field = fields
+            if text_id in entries:
+                raise ValidationError(f"duplicate entry for id {echo(text_id)}")
             check_id(text_id)
             entries[text_id] = frozenset(_parse_span_field(span_field))
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    except ValidationError as exc:
+        raise located(exc, path, lineno) from None
     return PredictionFile(metadata, entries)
 
 

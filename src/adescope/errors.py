@@ -47,4 +47,11 @@ class ValidationError(AdescopeError, ValueError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed; the message carries path and line context."""
+    """A file could not be parsed; the message starts with where (see :func:`located`)."""
+
+
+def located(fault: object, path: object, lineno: int | None = None) -> ParseError:
+    """``fault`` (an exception or a message) as a :class:`ParseError` at ``path:lineno:``,
+    or at ``path:`` for a fault of the whole file. No other code writes where a fault is."""
+    where = path if lineno is None else f"{path}:{lineno}"
+    return ParseError(f"{where}: {fault}")

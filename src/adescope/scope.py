@@ -24,10 +24,10 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .corpus import lexicon_lines, read_text
-from .errors import ParseError, ValidationError, echo
+from .errors import ValidationError, echo, located
 from .text import (
     Checked,
     Frozen,
@@ -105,15 +105,12 @@ class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
 
 
 class CueLexicon(Frozen):
-    """An ordered collection of cues for one phenomenon."""
+    """An ordered collection of cues for one phenomenon; each is checked as read."""
 
     _FIELDS = ("cues", "phenomenon")
 
     def __init__(self, cues: Iterable[Cue], phenomenon: Phenomenon) -> None:
-        cues = tuple(cues)
-        if not cues:
-            raise ValidationError("a cue lexicon must contain at least one cue")
-        seen: set[tuple[str, CueCategory]] = set()
+        by_entry: dict[tuple[str, CueCategory], Cue] = {}
         for cue in cues:
             if cue.phenomenon is not phenomenon:
                 raise ValidationError(
@@ -121,12 +118,14 @@ class CueLexicon(Frozen):
                     f"lexicon is {phenomenon.value}"
                 )
             entry = (cue.pattern, cue.category)
-            if entry in seen:
+            if entry in by_entry:
                 raise ValidationError(
                     f"duplicate cue {echo(cue.pattern)} ({cue.category.value})"
                 )
-            seen.add(entry)
-        self._set(cues=cues, phenomenon=phenomenon)
+            by_entry[entry] = cue
+        if not by_entry:
+            raise ValidationError("a cue lexicon must contain at least one cue")
+        self._set(cues=tuple(by_entry.values()), phenomenon=phenomenon)
 
     @cached_property
     def _index(self) -> PatternIndex:
@@ -164,25 +163,25 @@ def parse_lexicon(
     category name. Duplicate (pattern, category) pairs and empty lexicons
     are rejected.
     """
-    cues: list[Cue] = []
-    for lineno, line in lexicon_lines(content):
-        parts = line.split("|")
-        if len(parts) != 2:
-            raise ParseError(f"{source}:{lineno}: expected 'pattern|category'")
-        pattern, category_name = parts[0].strip(), parts[1].strip()
-        if not pattern:
-            raise ParseError(f"{source}:{lineno}: empty cue pattern")
-        try:
-            category = CueCategory(category_name)
-        except ValueError:
-            raise ParseError(
-                f"{source}:{lineno}: unknown cue category {echo(category_name)}"
-            ) from None
-        cues.append(Cue(pattern, category, phenomenon))
+    lineno = None  # the line of the cue read last, so of a refused one
+
+    def cues() -> Iterator[Cue]:
+        nonlocal lineno
+        for lineno, line in lexicon_lines(content):
+            parts = line.split("|")
+            if len(parts) != 2:
+                raise ValidationError("expected 'pattern|category'")
+            pattern, category_name = parts[0].strip(), parts[1].strip()
+            try:
+                category = CueCategory(category_name)
+            except ValueError:
+                raise ValidationError(f"unknown cue category {echo(category_name)}") from None
+            yield Cue(pattern, category, phenomenon)
+
     try:
-        return CueLexicon(cues, phenomenon)
+        return CueLexicon(cues(), phenomenon)
     except ValidationError as exc:
-        raise ParseError(f"{source}: {exc}") from None
+        raise located(exc, source, lineno) from None
 
 
 def load_lexicon(path: Union[str, Path], phenomenon: Phenomenon) -> CueLexicon:

@@ -615,7 +615,7 @@ class TestExitCodes:
         assert main(["extract", "--corpus", str(corpus), "--format", "jsonl",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"adescope: error: {corpus}:1 (id 'a\\rb'): text id 'a\\rb' must be non-blank, "
+            f"adescope: error: {corpus}:1: text id 'a\\rb' must be non-blank, "
             "hold no tab, newline or carriage return, and not start with '#' or U+FEFF\n"
         )
         assert list(tmp_path.iterdir()) == [corpus]
@@ -648,8 +648,58 @@ class TestExitCodes:
         assert out.count("\n") > 1
 
 
+# A fault on a known line of each line-based input: the file's name and
+# content, the faulty line, the message, and the subcommand that reads the
+# file ("{bad}" stands for it, "{corpus}" for a valid corpus).
+LINE_FAULTS = {
+    "tsv-row": (
+        "c.tsv", f"{CORPUS_HEADER}\nx1\tall quiet\tX\t\n#1\ti have a headache\tX\t\n", 3,
+        "text id '#1' must be non-blank, hold no tab, newline or carriage return, "
+        "and not start with '#' or U+FEFF",
+        ["extract", "--corpus", "{bad}"],
+    ),
+    "jsonl-row": (
+        "c.jsonl",
+        '{"id": "x1", "text": "all quiet", "class": "X", "spans": []}\n'
+        '{"id": "a1", "text": "a headache", "class": "B", "spans": []}\n',
+        2, "unknown class 'B'",
+        ["extract", "--corpus", "{bad}", "--format", "jsonl"],
+    ),
+    "prediction-row": (
+        "p.tsv", "# model: m\ns01\t0:4\ns02\t3:2\n", 3, "invalid span [3, 2)",
+        ["evaluate", "--corpus", "{corpus}", "--predictions", "{bad}"],
+    ),
+    "cue-lexicon": (
+        "neg.txt", "# cues\nnot|pre_trigger\nnot|pre_trigger\n", 3,
+        "duplicate cue 'not' (pre_trigger)",
+        ["detect", "--corpus", "{corpus}", "--phenomenon", "neg", "--lexicon", "{bad}"],
+    ),
+    "term-list": (
+        "terms.txt", "# terms\nheadache\nHeadache\n", 3,
+        "duplicate ADE lexicon term 'headache'",
+        ["extract", "--corpus", "{corpus}", "--ade-lexicon", "{bad}"],
+    ),
+    "config": (
+        "cfg.json", '{\n  "window": 5,\n  "filters": ,\n  "jobs": 1\n}\n', 3,
+        "invalid JSON (Expecting value)",
+        ["extract", "--corpus", "{corpus}", "--config", "{bad}"],
+    ),
+}
+
+
 class TestDataErrorsNameTheirFiles:
     """Every data error (exit 2) names the file at fault; JSON faults included."""
+
+    @pytest.mark.parametrize("fault", LINE_FAULTS)
+    def test_a_line_fault_names_its_file_and_line(self, tmp_path, e2e_corpus_path, capsys, fault):
+        name, content, line, message, argv = LINE_FAULTS[fault]
+        bad = tmp_path / name
+        bad.write_text(content, encoding="utf-8")
+        argv = [arg.format(bad=bad, corpus=e2e_corpus_path) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"adescope: error: {bad}:{line}: {message}"]
+        assert "(id " not in err
 
     @pytest.mark.parametrize(
         "kind,content",
@@ -712,7 +762,7 @@ class TestDataErrorsNameTheirFiles:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         line = 1 if jsonl else 2
         assert capsys.readouterr().err == (
-            f"adescope: error: {corpus}:{line} (id {shown}): text id {shown} must be non-blank, "
+            f"adescope: error: {corpus}:{line}: text id {shown} must be non-blank, "
             "hold no tab, newline or carriage return, and not start with '#' or U+FEFF\n"
         )
         assert sorted(tmp_path.iterdir()) == sorted([corpus, preds])
@@ -750,11 +800,11 @@ class TestDataErrorsNameTheirFiles:
 
     def test_duplicate_ade_term_names_the_term_list(self, tmp_path, e2e_corpus_path, capsys):
         terms = tmp_path / "terms.txt"
-        terms.write_text("headache\nHeadache\n", encoding="utf-8")
+        terms.write_text("# terms\nheadache\nHeadache\n", encoding="utf-8")
         argv = ["extract", "--corpus", str(e2e_corpus_path), "--ade-lexicon", str(terms)]
         assert main([*argv, "--out", str(tmp_path / "p.tsv")]) == 2
         assert capsys.readouterr().err == (
-            f"adescope: error: {terms}: duplicate ADE lexicon term 'headache'\n"
+            f"adescope: error: {terms}:3: duplicate ADE lexicon term 'headache'\n"
         )
 
 

@@ -131,11 +131,12 @@ class TestCorpusParsing:
         with pytest.raises(ParseError, match="duplicate sample id"):
             load_corpus(path)
 
-    def test_unknown_class_names_line_and_id(self, tmp_path):
+    def test_unknown_class_names_its_line(self, tmp_path):
         path = tmp_path / "cls.tsv"
         write_lines(path, CORPUS_HEADER, "a1\thello world\tB\t")
-        with pytest.raises(ParseError, match=r"cls\.tsv:2 \(id 'a1'\)"):
+        with pytest.raises(ParseError) as caught:
             load_corpus(path)
+        assert str(caught.value) == f"{path}:2: unknown class 'B'"
 
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "esc.tsv"
@@ -151,7 +152,7 @@ class TestCorpusParsing:
     def test_malformed_span_field(self, tmp_path, field):
         path = tmp_path / "span.tsv"
         write_lines(path, CORPUS_HEADER, f"a1\tlong enough text\tA\t{field}")
-        with pytest.raises(ParseError, match=r"span\.tsv:2 \(id 'a1'\): "):
+        with pytest.raises(ParseError, match=r"span\.tsv:2: "):
             load_corpus(path)
 
     def test_class_span_consistency_enforced(self, tmp_path):
@@ -231,36 +232,36 @@ class TestCorpusParsing:
         with pytest.raises(ParseError) as caught:
             load_corpus(path, format="jsonl")
         assert str(caught.value) == (
-            f"{path}:1 (id 'a1'): malformed span {shown}, expected [start, end]"
+            f"{path}:1: malformed span {shown}, expected [start, end]"
         )
 
 
 # One faulty (id, text, class, spans) row per fault, with the message both
 # corpus formats must give for it at the row's file:line.
 ROW_FAULTS = {
-    "empty-id": (("", "hello world", "X", []), "{where} (id ''): text id '' " + ID_RULE),
-    "blank-id": (("  ", "hello world", "X", []), "{where} (id '  '): text id '  ' " + ID_RULE),
-    "hash-id": (("#1", "hello world", "X", []), "{where} (id '#1'): text id '#1' " + ID_RULE),
+    "empty-id": (("", "hello world", "X", []), "{where}: text id '' " + ID_RULE),
+    "blank-id": (("  ", "hello world", "X", []), "{where}: text id '  ' " + ID_RULE),
+    "hash-id": (("#1", "hello world", "X", []), "{where}: text id '#1' " + ID_RULE),
     "bom-id": (
         ("\ufeffa1", "hello world", "X", []),
-        "{where} (id '\\ufeffa1'): text id '\\ufeffa1' " + ID_RULE,
+        "{where}: text id '\\ufeffa1' " + ID_RULE,
     ),
     "duplicate-id": (("x0", "second one", "X", []), "{where}: duplicate sample id 'x0'"),
     "unknown-class": (
         ("a1", "hello world", "B", []),
-        "{where} (id 'a1'): unknown class 'B'",
+        "{where}: unknown class 'B'",
     ),
     "class-span-mismatch": (
         ("x1", "quiet day today", "X", [(0, 5)]),
-        "{where} (id 'x1'): sample 'x1': class X must not carry gold spans",
+        "{where}: sample 'x1': class X must not carry gold spans",
     ),
     "span-past-end": (
         ("a1", "short", "A", [(0, 50)]),
-        "{where} (id 'a1'): sample 'a1': span [0, 50) exceeds text length 5",
+        "{where}: sample 'a1': span [0, 50) exceeds text length 5",
     ),
     "overlapping-spans": (
         ("a1", "short text here", "A", [(0, 5), (3, 8)]),
-        "{where} (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+        "{where}: sample 'a1': gold spans [0, 5) and [3, 8) overlap",
     ),
 }
 
@@ -334,79 +335,79 @@ ROW_MESSAGES = [
     pytest.param(
         "tsv",
         tsv_fault("\thello world\tX\t"),
-        "{path}:3 (id ''): text id '' " + ID_RULE,
+        "{path}:3: text id '' " + ID_RULE,
         id="tsv-empty-id",
     ),
     pytest.param(
         "tsv", tsv_fault("x0\tsecond one\tX\t"), "{path}:3: duplicate sample id 'x0'", id="tsv-duplicate-id"
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\thello world\tB\t"), "{path}:3 (id 'a1'): unknown class 'B'", id="tsv-unknown-class"
+        "tsv", tsv_fault("a1\thello world\tB\t"), "{path}:3: unknown class 'B'", id="tsv-unknown-class"
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\thello world\ta\t"), "{path}:3 (id 'a1'): unknown class 'a'", id="tsv-lowercase-class"
+        "tsv", tsv_fault("a1\thello world\ta\t"), "{path}:3: unknown class 'a'", id="tsv-lowercase-class"
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\thello world\t\t"), "{path}:3 (id 'a1'): unknown class ''", id="tsv-empty-class"
+        "tsv", tsv_fault("a1\thello world\t\t"), "{path}:3: unknown class ''", id="tsv-empty-class"
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\tbad \\x escape\tX\t"),
-        "{path}:3 (id 'a1'): bad escape sequence in text field",
+        "{path}:3: bad escape sequence in text field",
         id="tsv-bad-escape",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\ttrailing \\\tX\t"),
-        "{path}:3 (id 'a1'): bad escape sequence in text field",
+        "{path}:3: bad escape sequence in text field",
         id="tsv-trailing-backslash",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\tx:5"),
-        "{path}:3 (id 'a1'): non-integer span offsets in 'x:5'",
+        "{path}:3: non-integer span offsets in 'x:5'",
         id="tsv-non-integer-offset",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t+0:5"),
-        "{path}:3 (id 'a1'): non-integer span offsets in '+0:5'",
+        "{path}:3: non-integer span offsets in '+0:5'",
         id="tsv-signed-offset",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t 0:5"),
-        "{path}:3 (id 'a1'): non-integer span offsets in ' 0:5'",
+        "{path}:3: non-integer span offsets in ' 0:5'",
         id="tsv-spaced-offset",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0:1_2"),
-        "{path}:3 (id 'a1'): non-integer span offsets in '0:1_2'",
+        "{path}:3: non-integer span offsets in '0:1_2'",
         id="tsv-underscore-offset",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0:\u0665"),
-        "{path}:3 (id 'a1'): non-integer span offsets in '0:\u0665'",
+        "{path}:3: non-integer span offsets in '0:\u0665'",
         id="tsv-non-ascii-digit-offset",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0-5"),
-        "{path}:3 (id 'a1'): malformed span '0-5', expected start:end",
+        "{path}:3: malformed span '0-5', expected start:end",
         id="tsv-malformed-span",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0:5;"),
-        "{path}:3 (id 'a1'): malformed span '', expected start:end",
+        "{path}:3: malformed span '', expected start:end",
         id="tsv-trailing-semicolon",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"a1\thello world\tA\t{LONG_SPANS}"),
-        f"{{path}}:3 (id 'a1'): malformed span '{'1:' * 20}…', expected start:end",
+        f"{{path}}:3: malformed span '{'1:' * 20}…', expected start:end",
         id="tsv-long-malformed-span",
     ),
     pytest.param(
@@ -418,97 +419,97 @@ ROW_MESSAGES = [
     pytest.param(
         "tsv",
         tsv_fault(f"{LONG_ID}\thello world\tB\t"),
-        f"{{path}}:3 (id {LONG_ID_ECHO}): unknown class 'B'",
+        f"{{path}}:3: unknown class 'B'",
         id="tsv-long-id-unknown-class",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"{LONG_ID}\thello world\tA\t0:50"),
-        f"{{path}}:3 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: span [0, 50) exceeds text length 11",
+        f"{{path}}:3: sample {LONG_ID_ECHO}: span [0, 50) exceeds text length 11",
         id="tsv-long-id-span-past-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"{'i' * 40}\thello world\tA\t0:50"),
-        f"{{path}}:3 (id '{'i' * 40}'): sample '{'i' * 40}': span [0, 50) exceeds text length 11",
+        f"{{path}}:3: sample '{'i' * 40}': span [0, 50) exceeds text length 11",
         id="tsv-40-character-id-span-past-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"a1\thello world\tA\t0:{LONG_OFFSET}"),
-        f"{{path}}:3 (id 'a1'): sample 'a1': span [0, {LONG_OFFSET_ECHO}) exceeds text length 11",
+        f"{{path}}:3: sample 'a1': span [0, {LONG_OFFSET_ECHO}) exceeds text length 11",
         id="tsv-long-offset-span-past-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"{LONG_ID}\t   \tX\t"),
-        f"{{path}}:3 (id {LONG_ID_ECHO}): text {LONG_ID_ECHO} has empty content",
+        f"{{path}}:3: text {LONG_ID_ECHO} has empty content",
         id="tsv-long-id-blank-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"a1\thello world\t{'B' * 41}\t"),
-        f"{{path}}:3 (id 'a1'): unknown class '{'B' * 40}…'",
+        f"{{path}}:3: unknown class '{'B' * 40}…'",
         id="tsv-long-unknown-class",
     ),
     pytest.param(
         "tsv",
         tsv_fault(f"a1\thello world\t{'B' * 40}\t"),
-        f"{{path}}:3 (id 'a1'): unknown class '{'B' * 40}'",
+        f"{{path}}:3: unknown class '{'B' * 40}'",
         id="tsv-40-character-class",
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\thello world\tA\t5:5"), "{path}:3 (id 'a1'): invalid span [5, 5)", id="tsv-empty-span"
+        "tsv", tsv_fault("a1\thello world\tA\t5:5"), "{path}:3: invalid span [5, 5)", id="tsv-empty-span"
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\thello world\tA\t3:2"), "{path}:3 (id 'a1'): invalid span [3, 2)", id="tsv-reversed-span"
+        "tsv", tsv_fault("a1\thello world\tA\t3:2"), "{path}:3: invalid span [3, 2)", id="tsv-reversed-span"
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0:50"),
-        "{path}:3 (id 'a1'): sample 'a1': span [0, 50) exceeds text length 11",
+        "{path}:3: sample 'a1': span [0, 50) exceeds text length 11",
         id="tsv-span-past-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\the\\tlo world\tA\t0:12"),
-        "{path}:3 (id 'a1'): sample 'a1': span [0, 12) exceeds text length 11",
+        "{path}:3: sample 'a1': span [0, 12) exceeds text length 11",
         id="tsv-span-past-unescaped-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t0:5;3:8"),
-        "{path}:3 (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+        "{path}:3: sample 'a1': gold spans [0, 5) and [3, 8) overlap",
         id="tsv-overlapping-gold",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\thello world\tA\t"),
-        "{path}:3 (id 'a1'): sample 'a1': class A requires at least one gold span",
+        "{path}:3: sample 'a1': class A requires at least one gold span",
         id="tsv-class-a-without-spans",
     ),
     pytest.param(
         "tsv",
         tsv_fault("x1\thello world\tX\t0:5"),
-        "{path}:3 (id 'x1'): sample 'x1': class X must not carry gold spans",
+        "{path}:3: sample 'x1': class X must not carry gold spans",
         id="tsv-class-x-with-spans",
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\t   \tX\t"), "{path}:3 (id 'a1'): text 'a1' has empty content", id="tsv-blank-text"
+        "tsv", tsv_fault("a1\t   \tX\t"), "{path}:3: text 'a1' has empty content", id="tsv-blank-text"
     ),
     pytest.param(
-        "tsv", tsv_fault("a1\t\tX\t"), "{path}:3 (id 'a1'): text 'a1' has empty content", id="tsv-empty-text"
+        "tsv", tsv_fault("a1\t\tX\t"), "{path}:3: text 'a1' has empty content", id="tsv-empty-text"
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\t\\t \\n\tX\t"),
-        "{path}:3 (id 'a1'): text 'a1' has empty content",
+        "{path}:3: text 'a1' has empty content",
         id="tsv-escaped-blank-text",
     ),
     pytest.param(
         "tsv",
         tsv_fault("a1\t\u00a0\u3000\x1f\tX\t"),
-        "{path}:3 (id 'a1'): text 'a1' has empty content",
+        "{path}:3: text 'a1' has empty content",
         id="tsv-unicode-blank-text",
     ),
     pytest.param(
@@ -520,11 +521,11 @@ ROW_MESSAGES = [
         "{path}:3: expected 4 tab-separated fields",
         id="tsv-five-fields",
     ),
-    pytest.param("jsonl", jsonl_fault(id=""), "{path}:2 (id ''): text id '' " + ID_RULE, id="jsonl-empty-id"),
+    pytest.param("jsonl", jsonl_fault(id=""), "{path}:2: text id '' " + ID_RULE, id="jsonl-empty-id"),
     pytest.param(
         "jsonl",
         jsonl_fault(id="a\tb"),
-        "{path}:2 (id 'a\\tb'): text id 'a\\tb' " + ID_RULE,
+        "{path}:2: text id 'a\\tb' " + ID_RULE,
         id="jsonl-tab-id",
     ),
     pytest.param(
@@ -537,33 +538,33 @@ ROW_MESSAGES = [
     pytest.param("jsonl", jsonl_fault(id=7), "{path}:2: id must be a string", id="jsonl-non-string-id"),
     pytest.param("jsonl", jsonl_fault(text=None), "{path}:2: text must be a string", id="jsonl-non-string-text"),
     pytest.param(
-        "jsonl", jsonl_fault(**{"class": "B"}), "{path}:2 (id 'a1'): unknown class 'B'", id="jsonl-unknown-class"
+        "jsonl", jsonl_fault(**{"class": "B"}), "{path}:2: unknown class 'B'", id="jsonl-unknown-class"
     ),
     pytest.param(
-        "jsonl", jsonl_fault(**{"class": 1}), "{path}:2 (id 'a1'): unknown class 1", id="jsonl-number-class"
+        "jsonl", jsonl_fault(**{"class": 1}), "{path}:2: unknown class 1", id="jsonl-number-class"
     ),
     pytest.param(
-        "jsonl", jsonl_fault(**{"class": None}), "{path}:2 (id 'a1'): unknown class None", id="jsonl-null-class"
+        "jsonl", jsonl_fault(**{"class": None}), "{path}:2: unknown class None", id="jsonl-null-class"
     ),
     pytest.param(
-        "jsonl", jsonl_fault(**{"class": ["A"]}), "{path}:2 (id 'a1'): unknown class ['A']", id="jsonl-list-class"
+        "jsonl", jsonl_fault(**{"class": ["A"]}), "{path}:2: unknown class ['A']", id="jsonl-list-class"
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": {"A": 1}}),
-        "{path}:2 (id 'a1'): unknown class {'A': 1}",
+        "{path}:2: unknown class {'A': 1}",
         id="jsonl-object-class",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[0]]}),
-        "{path}:2 (id 'a1'): malformed span [0], expected [start, end]",
+        "{path}:2: malformed span [0], expected [start, end]",
         id="jsonl-malformed-span",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[0] * 3000]}),
-        f"{{path}}:2 (id 'a1'): malformed span {json.dumps([0] * 3000)[:40]}…, expected [start, end]",
+        f"{{path}}:2: malformed span {json.dumps([0] * 3000)[:40]}…, expected [start, end]",
         id="jsonl-long-malformed-span",
     ),
     pytest.param(
@@ -575,71 +576,71 @@ ROW_MESSAGES = [
     pytest.param(
         "jsonl",
         jsonl_fault(id=LONG_ID, **{"class": "A", "spans": [[0, 5], [3, 8]]}),
-        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: gold spans [0, 5) and [3, 8) overlap",
+        f"{{path}}:2: sample {LONG_ID_ECHO}: gold spans [0, 5) and [3, 8) overlap",
         id="jsonl-long-id-overlapping-gold",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(id=LONG_ID, **{"class": "A"}),
-        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: class A requires at least one gold span",
+        f"{{path}}:2: sample {LONG_ID_ECHO}: class A requires at least one gold span",
         id="jsonl-long-id-class-a-without-spans",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(id=LONG_ID, spans=[[0, 5]]),
-        f"{{path}}:2 (id {LONG_ID_ECHO}): sample {LONG_ID_ECHO}: class X must not carry gold spans",
+        f"{{path}}:2: sample {LONG_ID_ECHO}: class X must not carry gold spans",
         id="jsonl-long-id-class-x-with-spans",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": [1] * 5000}),
-        f"{{path}}:2 (id 'a1'): unknown class {repr([1] * 5000)[:40]}…",
+        f"{{path}}:2: unknown class {repr([1] * 5000)[:40]}…",
         id="jsonl-long-list-class",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "B" * 5000}),
-        f"{{path}}:2 (id 'a1'): unknown class '{'B' * 40}…'",
+        f"{{path}}:2: unknown class '{'B' * 40}…'",
         id="jsonl-long-unknown-class",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[5, 5]]}),
-        "{path}:2 (id 'a1'): invalid span [5, 5)",
+        "{path}:2: invalid span [5, 5)",
         id="jsonl-empty-span",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[-1, 3]]}),
-        "{path}:2 (id 'a1'): invalid span [-1, 3)",
+        "{path}:2: invalid span [-1, 3)",
         id="jsonl-negative-span",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[0, 50]]}),
-        "{path}:2 (id 'a1'): sample 'a1': span [0, 50) exceeds text length 11",
+        "{path}:2: sample 'a1': span [0, 50) exceeds text length 11",
         id="jsonl-span-past-text",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A", "spans": [[0, 5], [3, 8]]}),
-        "{path}:2 (id 'a1'): sample 'a1': gold spans [0, 5) and [3, 8) overlap",
+        "{path}:2: sample 'a1': gold spans [0, 5) and [3, 8) overlap",
         id="jsonl-overlapping-gold",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(**{"class": "A"}),
-        "{path}:2 (id 'a1'): sample 'a1': class A requires at least one gold span",
+        "{path}:2: sample 'a1': class A requires at least one gold span",
         id="jsonl-class-a-without-spans",
     ),
     pytest.param(
         "jsonl",
         jsonl_fault(spans=[[0, 5]]),
-        "{path}:2 (id 'a1'): sample 'a1': class X must not carry gold spans",
+        "{path}:2: sample 'a1': class X must not carry gold spans",
         id="jsonl-class-x-with-spans",
     ),
     pytest.param(
-        "jsonl", jsonl_fault(text=" \t\n "), "{path}:2 (id 'a1'): text 'a1' has empty content", id="jsonl-blank-text"
+        "jsonl", jsonl_fault(text=" \t\n "), "{path}:2: text 'a1' has empty content", id="jsonl-blank-text"
     ),
     pytest.param(
         "jsonl",
@@ -739,7 +740,7 @@ class TestRowMessages:
         path = tmp_path / f"long.{kind}"
         if kind == "tsv":
             write_lines(path, *tsv_fault(f"a1\thello world\tA\t{chunk}"))
-            where = f"{path}:3 (id 'a1')"
+            where = f"{path}:3"
         else:
             write_lines(path, *predictions_fault(f"a1\t{chunk}"))
             where = f"{path}:3"
@@ -778,6 +779,16 @@ class TestInputDecoding:
         line = content.count("\n") + 1
         with pytest.raises(ParseError, match=rf"latin1\.txt:{line}: not valid UTF-8"):
             load(path)
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_undecodable_bytes_are_located_on_lines_as_read(self, tmp_path, newline):
+        """Reading ends a line at \\r, \\r\\n or \\n; the UTF-8 fault's line counts alike."""
+        path = tmp_path / "cues.txt"
+        lines = ["# cues", "no|pre_trigger", "caf\xe9|pre_trigger"]
+        path.write_bytes(newline.join(lines).encode("latin-1") + newline.encode())
+        with pytest.raises(ParseError) as caught:
+            load_lexicon(path, Phenomenon.NEGATION)
+        assert str(caught.value) == f"{path}:3: not valid UTF-8"
 
 
 class TestPartitionAndComposition:

@@ -79,7 +79,7 @@ class TestLexiconIO:
             ),
             (
                 lambda: parse_lexicon(f"{long}|pre_trigger\n{long}|pre_trigger\n", NEG),
-                f"<string>: duplicate cue {cut} (pre_trigger)",
+                f"<string>:2: duplicate cue {cut} (pre_trigger)",
             ),
             (
                 lambda: Cue(f" {long}", CueCategory.PRE_TRIGGER, NEG),
