@@ -10,8 +10,9 @@
 # corpus or prediction file can hold (a JSON-lines id holding a carriage
 # return, a TSV id starting with # and a blank TSV id: each refused at its
 # file and line when the corpus loads), an --audit naming the --out file, a
-# cue lexicon that repeats a cue and a config with invalid JSON on line 3
-# (each refused at its file and line).
+# cue lexicon that repeats a cue, a config with invalid JSON on line 3, a
+# TSV corpus that repeats an id on line 3, a prediction file that repeats an
+# id and a term list that repeats a term (each refused at its file and line).
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -105,4 +106,10 @@ printf '{\n  "window": 5,\n  "filters": ,\n  "jobs": 1\n}\n' >"$out/bad-config.j
 fault dup-cue detect --corpus one.tsv --phenomenon neg --lexicon dup-cue.txt \
     --out dup-cue.scopes.tsv
 fault bad-config extract --corpus one.tsv --config bad-config.json --out bad-config.preds.tsv
+printf 'id\ttext\tclass\tspans\nx1\tall quiet\tX\t\nx1\tstill quiet\tX\t\n' >"$out/dup-id.tsv"
+printf '# model: m\nx1\t\nx1\t0:3\n' >"$out/dup-pred.tsv"
+printf '# terms\nrash\nRash\n' >"$out/dup-term.txt"
+fault dup-id extract --corpus dup-id.tsv --out dup-id.preds.tsv
+fault dup-pred evaluate --corpus one.tsv --predictions dup-pred.tsv --out dup-pred.json
+fault dup-term extract --corpus one.tsv --ade-lexicon dup-term.txt --out dup-term.preds.tsv
 exit "$status"

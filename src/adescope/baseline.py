@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .combine import EntitySet
-from .corpus import lexicon_lines, read_text
-from .errors import ValidationError, echo, located
+from .corpus import lexicon_lines, read_located, read_text
+from .errors import ValidationError, echo
 from .text import (
     Frozen,
     PatternIndex,
@@ -59,18 +59,7 @@ class AdeLexicon(Frozen):
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
     """Load one term per line; ``#`` comments and blank lines are skipped."""
     path = Path(path)
-    lines = lexicon_lines(read_text(path))
-    lineno = None  # the line of the term read last, so of a refused one
-
-    def terms() -> Iterator[str]:
-        nonlocal lineno
-        for lineno, term in lines:
-            yield term
-
-    try:
-        return AdeLexicon(terms())
-    except ValidationError as exc:
-        raise located(exc, path, lineno) from None
+    return read_located(path, lexicon_lines(read_text(path)), str, AdeLexicon)
 
 
 @lru_cache(maxsize=1)

@@ -32,6 +32,7 @@ from .corpus import (
     compose_training_set,
     decode_json,
     escape_tsv,
+    format_spans,
     load_corpus,
     load_predictions,
     read_text,
@@ -192,10 +193,6 @@ def _selected_lexicons(args: argparse.Namespace, selection: str) -> tuple[CueLex
     return tuple(lexicons)
 
 
-def _span_field(span) -> str:
-    return f"{span.start}:{span.end}"
-
-
 def _cue_text(text: RawText, scope: ScopeSpan) -> str:
     trigger = scope.trigger.span
     return text.content[trigger.start : trigger.end]
@@ -215,8 +212,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     )
     entity_sets = [extract(sample.text, lexicon) for sample in corpus.samples]
     predictions = PredictionFile(
-        {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))},
-        {es.text_id: es.spans for es in entity_sets},
+        {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))}, entity_sets
     )
     write_outputs([(args.out, partial(write_predictions, predictions))])
     return EXIT_OK
@@ -230,8 +226,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         (
             text.id,
             scope.phenomenon.value,
-            _span_field(scope.span),
-            _span_field(scope.trigger.span),
+            format_spans([scope.span]),
+            format_spans([scope.trigger.span]),
             _cue_text(text, scope),
         )
         for text, scopes in zip(texts, scope_sets)
@@ -250,14 +246,13 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, args.window))
         for text, spans in zip(texts, predictions.entries.values())
     ]
-    entries = {report.kept.text_id: report.kept.spans for report in reports}
-    filtered = PredictionFile(dict(predictions.metadata), entries)
+    filtered = PredictionFile(dict(predictions.metadata), (report.kept for report in reports))
     rows = [
         (
             text.id,
-            _span_field(discard.span),
+            format_spans([discard.span]),
             discard.phenomenon.value,
-            _span_field(discard.scope.span),
+            format_spans([discard.scope.span]),
             _cue_text(text, discard.scope),
         )
         for text, report in zip(texts, reports)
@@ -347,9 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser(
-        "extract", parents=[], help="run the lexicon baseline over a corpus"
-    )
+    p = subparsers.add_parser("extract", help="run the lexicon baseline over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="prediction file to write")
     p.add_argument("--ade-lexicon", dest="ade_lexicon", help="term list override")

@@ -13,8 +13,13 @@ object per line.
 
 Prediction files map text ids to predicted spans, one ``id<TAB>spans`` row
 per text, preceded by a ``# key: value`` metadata header block naming the
-producer (model name, run id). Ids and metadata are checked where records
-are made, so the writers only format and loading after writing is the identity.
+producer (model name, run id).
+
+Every line-based input (corpus, prediction file, lexicon) is read by
+:func:`read_located`, which makes its record from the lines as they are
+parsed and locates a fault at the line read last. Ids and metadata are
+checked once, where records are made, so the writers only format and
+loading after writing is the identity.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ import json
 import os
 import re
 import shutil
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_list, echo_span, located
 from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id
@@ -46,6 +52,8 @@ __all__ = [
     "read_text",
     "escape_tsv",
     "lexicon_lines",
+    "read_located",
+    "format_spans",
     "decode_json",
     "write_lines",
     "write_outputs",
@@ -61,23 +69,24 @@ _ESCAPE = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\
 # The member of each class letter, without an enum call per row.
 _CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
 
+_Record = TypeVar("_Record")
+
 
 class CorpusPartition(Frozen):
-    """An ordered collection of labeled samples with unique ids, under a
-    free label ``name`` that no output carries (a loaded file's stem).
-    ``by_id`` maps each id to its sample.
+    """An ordered collection of labeled samples with unique ids, each checked
+    as read, under a free label ``name`` that no output carries (a loaded
+    file's stem). ``by_id`` maps each id to its sample.
     """
 
     _FIELDS = ("name", "samples")
 
     def __init__(self, name: str, samples: Iterable[LabeledSample]) -> None:
-        samples = tuple(samples)
         by_id: dict[str, LabeledSample] = {}
         for sample in samples:
             if sample.text.id in by_id:
                 raise ValidationError(f"duplicate sample id {echo(sample.text.id)}")
             by_id[sample.text.id] = sample
-        self._set(name=name, samples=samples, by_id=by_id)
+        self._set(name=name, samples=tuple(by_id.values()), by_id=by_id)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -117,6 +126,28 @@ def lexicon_lines(content: str) -> list[tuple[int, str]]:
     """Numbered, stripped lines of a lexicon file; blank and ``#`` lines are skipped."""
     lines = (line.strip() for line in content.split("\n"))
     return [(n, line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
+
+
+def read_located(
+    path: object, lines: Iterable[tuple[int, str]], parse: Callable, make: Callable[..., _Record]
+) -> _Record:
+    """``make(entries)``, where ``entries`` yields ``parse(line)`` for each
+    numbered line as ``make`` reads it, skipping lines parsed to None. A
+    :class:`ValidationError` from either is located at ``path`` and the line
+    read last, or at ``path`` alone when no line was read."""
+    lineno = None
+
+    def entries() -> Iterator:
+        nonlocal lineno
+        for lineno, line in lines:
+            entry = parse(line)
+            if entry is not None:
+                yield entry
+
+    try:
+        return make(entries())
+    except ValidationError as exc:
+        raise located(exc, path, lineno) from None
 
 
 def decode_json(content: str, path: Union[str, Path, None] = None):
@@ -212,7 +243,8 @@ def _parse_span_field(field: str) -> list[Span]:
     return spans
 
 
-def _format_span_field(spans: Iterable[Span]) -> str:
+def format_spans(spans: Iterable[Span]) -> str:
+    """Spans as sorted ``start:end`` pairs joined by ``;``, as files hold them."""
     if not spans:
         return ""
     return ";".join([f"{s.start}:{s.end}" for s in sorted(spans)])
@@ -225,8 +257,16 @@ def escape_tsv(text: str) -> str:
     return text
 
 
-def _tsv_row(line: str) -> tuple | None:
-    """The id, text, class and spans of a TSV line; None for a blank line."""
+def _sample(sample_id: str, text: str, class_name: object, spans: list[Span]) -> LabeledSample:
+    try:
+        sample_class = _CLASS_BY_LETTER[class_name]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON class
+        raise ValidationError(f"unknown class {echo(class_name)}") from None
+    return LabeledSample(RawText(sample_id, text), spans, sample_class)
+
+
+def _tsv_row(line: str) -> LabeledSample | None:
+    """The sample of a TSV line; None for a blank line."""
     if not line:
         return None
     fields = line.split("\t")
@@ -235,11 +275,11 @@ def _tsv_row(line: str) -> tuple | None:
     sample_id, text, class_name, spans = fields
     if "\\" in text:
         text = _ESCAPE_RE.sub(_unescape, text)
-    return sample_id, text, class_name, _parse_span_field(spans)
+    return _sample(sample_id, text, class_name, _parse_span_field(spans))
 
 
-def _jsonl_row(line: str) -> tuple | None:
-    """The id, text, class and spans of a JSON line; None for a blank line."""
+def _jsonl_row(line: str) -> LabeledSample | None:
+    """The sample of a JSON line; None for a blank line."""
     if not line.strip():
         return None
     record = decode_json(line)
@@ -263,14 +303,14 @@ def _jsonl_row(line: str) -> tuple | None:
         if not offsets_ok or len(pair) != 2:
             raise ValidationError(f"malformed span {echo(pair, json.dumps)}, expected [start, end]")
     spans = [Span(start, end) for start, end in pairs]
-    return record["id"], record["text"], record["class"], spans
+    return _sample(record["id"], record["text"], record["class"], spans)
 
 
 def _tsv_lines(partition: CorpusPartition) -> list[str]:
     lines = [CORPUS_HEADER]
     for sample in partition.samples:
         content = escape_tsv(sample.text.content)
-        spans = _format_span_field(sample.gold_spans)
+        spans = format_spans(sample.gold_spans)
         lines.append(f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}")
     return lines
 
@@ -310,38 +350,17 @@ def load_corpus(path: Union[str, Path], format: str = "tsv") -> CorpusPartition:
     header, read_row, _ = _corpus_format(format)
     path = Path(path)
     raw = read_text(path)
-    lines = raw.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    first = 2 if header is not None and lines else 1  # line 1 holds the header
-    samples: list[LabeledSample] = []
-    seen: set[str] = set()
-    lineno = 1
-    try:
-        if first == 2 and lines[0] != header:
-            raise ValidationError(f"expected header {header!r}")
-        for lineno, line in enumerate(lines[first - 1 :], first):
-            row = read_row(line)
-            if row is None:
-                continue
-            sample_id, content, class_name, spans = row
-            if sample_id in seen:
-                raise ValidationError(f"duplicate sample id {echo(sample_id)}")
-            seen.add(sample_id)
-            try:
-                sample_class = _CLASS_BY_LETTER[class_name]
-            except (KeyError, TypeError):  # TypeError: an unhashable JSON class
-                raise ValidationError(f"unknown class {echo(class_name)}") from None
-            samples.append(LabeledSample(RawText(sample_id, content), spans, sample_class))
-    except ValidationError as exc:
-        raise located(exc, path, lineno) from None
-    if not samples:  # logging is imported only to warn, not by every run
+    lines = enumerate(raw.split("\n"), 1)
+    if header is not None and raw and next(lines)[1] != header:  # line 1 holds the header
+        raise located(f"expected header {header!r}", path, 1)
+    partition = read_located(path, lines, read_row, partial(CorpusPartition, path.stem))
+    if not partition.samples:  # logging is imported only to warn, not by every run
         import logging
 
         logging.getLogger(__name__).warning(
             "corpus file %s %s", path, "contains no samples" if raw.strip() else "is empty"
         )
-    return CorpusPartition(path.stem, tuple(samples))
+    return partition
 
 
 def write_corpus(
@@ -403,17 +422,23 @@ def distribution_report(partition: CorpusPartition) -> DistributionReport:
 
 
 class PredictionFile(Frozen):
-    """Predicted spans per text id, plus producer metadata; compared by identity."""
+    """Predicted spans per text id, plus producer metadata; compared by identity.
+    ``entries`` is a mapping or ``(id, spans)`` pairs, as for ``dict()``, each
+    id checked as it is read; ``.entries`` is a dict."""
 
     _FIELDS = ("metadata", "entries")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(
-        self, metadata: Mapping[str, str], entries: Mapping[str, frozenset[Span]]
+        self, metadata: Mapping[str, str], entries: Mapping | Iterable[tuple[str, frozenset[Span]]]
     ) -> None:
-        for text_id in entries:
+        checked: dict[str, frozenset[Span]] = {}
+        for text_id, spans in entries.items() if isinstance(entries, Mapping) else entries:
+            if text_id in checked:
+                raise ValidationError(f"duplicate entry for id {echo(text_id)}")
             check_id(text_id)
+            checked[text_id] = spans
         # A pair must load back unchanged from its "# key: value" line.
         for key, value in metadata.items():
             if any(c in key or c in value for c in "\n\r"):
@@ -423,44 +448,35 @@ class PredictionFile(Frozen):
                     f"prediction metadata {echo(key)}: {echo(value)} has a ':' in its key "
                     "or whitespace at an end"
                 )
-        self._set(metadata=metadata, entries=entries)
+        self._set(metadata=metadata, entries=checked)
 
     def spans_for(self, text_id: str) -> frozenset[Span]:
         """Spans predicted for a text; ids without an entry are empty."""
         return self.entries.get(text_id, frozenset())
 
 
+def _prediction_row(line: str) -> tuple[str, frozenset[Span]] | None:
+    """The id and spans of a prediction row; None for a blank or ``#`` line."""
+    if not line.strip() or line[0] == "#":
+        return None
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ValidationError("expected 'id<TAB>spans'")
+    return fields[0], frozenset(_parse_span_field(fields[1]))
+
+
 def load_predictions(path: Union[str, Path]) -> PredictionFile:
     """Load a prediction file; a malformed row raises as ``file:line: message``."""
     path = Path(path)
-    content = read_text(path)
+    lines = read_text(path).split("\n")
+    first = next((i for i, line in enumerate(lines) if line.strip() and line[0] != "#"), len(lines))
     metadata: dict[str, str] = {}
-    entries: dict[str, frozenset[Span]] = {}
-    in_header = True
-    lineno = None
-    try:
-        for lineno, line in enumerate(content.split("\n"), 1):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if in_header:
-                    body = line[1:].strip()
-                    if ":" in body:
-                        key, _, value = body.partition(":")
-                        metadata[key.strip()] = value.strip()
-                continue
-            in_header = False
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValidationError("expected 'id<TAB>spans'")
-            text_id, span_field = fields
-            if text_id in entries:
-                raise ValidationError(f"duplicate entry for id {echo(text_id)}")
-            check_id(text_id)
-            entries[text_id] = frozenset(_parse_span_field(span_field))
-    except ValidationError as exc:
-        raise located(exc, path, lineno) from None
-    return PredictionFile(metadata, entries)
+    for line in lines[:first]:
+        key, colon, value = line[1:].partition(":")
+        if colon:
+            metadata[key.strip()] = value.strip()
+    rows = enumerate(lines[first:], first + 1)
+    return read_located(path, rows, _prediction_row, partial(PredictionFile, metadata))
 
 
 def unknown_ids_error(ids: Iterable[str]) -> ValidationError:
@@ -496,5 +512,5 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
     """
     lines = [f"# {key}: {value}" for key, value in predictions.metadata.items()]
     for text_id in sorted(predictions.entries):
-        lines.append(f"{text_id}\t{_format_span_field(predictions.entries[text_id])}")
+        lines.append(f"{text_id}\t{format_spans(predictions.entries[text_id])}")
     write_lines(path, lines)

@@ -163,10 +163,6 @@ class SampleOutcomes(NamedTuple):
     sample_class: SampleClass
     outcomes: tuple[MatchOutcome, ...]
 
-    def count(self, kind: MatchKind) -> int:  # type: ignore[override]
-        """How many outcomes are of ``kind`` (not tuple.count)."""
-        return sum(1 for outcome in self.outcomes if outcome.kind is kind)
-
 
 class MatchReport(Frozen):
     """Aggregated evaluation over a corpus; compared by identity."""
@@ -214,19 +210,18 @@ def evaluate_corpus(
         raise unknown_ids_error(unknown)
 
     rows: list[SampleOutcomes] = []
-    tp = par = fp = fn = 0
-    fp_by_class = {cls: 0 for cls in SampleClass}
+    tally = dict.fromkeys(MatchKind, 0)
+    fp_by_class = dict.fromkeys(SampleClass, 0)
     for sample in samples:
         entry = by_id.get(sample.text.id)
         predicted = entry.spans if entry is not None else frozenset()
         outcomes = tuple(match_spans(sample.gold_spans, predicted))
-        row = SampleOutcomes(sample.text.id, sample.sample_class, outcomes)
-        rows.append(row)
-        tp += row.count(MatchKind.TP)
-        par += row.count(MatchKind.PARTIAL)
-        fp += row.count(MatchKind.FP)
-        fn += row.count(MatchKind.FN)
-        fp_by_class[sample.sample_class] += row.count(MatchKind.FP)
+        rows.append(SampleOutcomes(sample.text.id, sample.sample_class, outcomes))
+        for outcome in outcomes:
+            tally[outcome.kind] += 1
+            if outcome.kind is MatchKind.FP:
+                fp_by_class[sample.sample_class] += 1
+    tp, par, fp, fn = tally.values()  # in MatchKind's order: TP, Partial, FP, FN
     return MatchReport(tuple(rows), tp, par, fp, fn, fp_by_class)
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from .corpus import lexicon_lines, read_text
-from .errors import ValidationError, echo, located
+from .corpus import lexicon_lines, read_located, read_text
+from .errors import ValidationError, echo
 from .text import (
     Checked,
     Frozen,
@@ -163,25 +163,20 @@ def parse_lexicon(
     category name. Duplicate (pattern, category) pairs and empty lexicons
     are rejected.
     """
-    lineno = None  # the line of the cue read last, so of a refused one
 
-    def cues() -> Iterator[Cue]:
-        nonlocal lineno
-        for lineno, line in lexicon_lines(content):
-            parts = line.split("|")
-            if len(parts) != 2:
-                raise ValidationError("expected 'pattern|category'")
-            pattern, category_name = parts[0].strip(), parts[1].strip()
-            try:
-                category = CueCategory(category_name)
-            except ValueError:
-                raise ValidationError(f"unknown cue category {echo(category_name)}") from None
-            yield Cue(pattern, category, phenomenon)
+    def cue(line: str) -> Cue:
+        parts = line.split("|")
+        if len(parts) != 2:
+            raise ValidationError("expected 'pattern|category'")
+        pattern, category_name = parts[0].strip(), parts[1].strip()
+        try:
+            category = CueCategory(category_name)
+        except ValueError:
+            raise ValidationError(f"unknown cue category {echo(category_name)}") from None
+        return Cue(pattern, category, phenomenon)
 
-    try:
-        return CueLexicon(cues(), phenomenon)
-    except ValidationError as exc:
-        raise located(exc, source, lineno) from None
+    lexicon = partial(CueLexicon, phenomenon=phenomenon)
+    return read_located(source, lexicon_lines(content), cue, lexicon)
 
 
 def load_lexicon(path: Union[str, Path], phenomenon: Phenomenon) -> CueLexicon:

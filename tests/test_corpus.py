@@ -28,7 +28,10 @@ from adescope import (
     write_corpus,
     write_predictions,
 )
+from adescope import corpus as corpus_module
+from adescope.combine import EntitySet
 from adescope.corpus import write_outputs
+from adescope.text import check_id
 
 
 def make(sid: str, content: str, cls: SampleClass, *gold: Span) -> LabeledSample:
@@ -340,6 +343,10 @@ ROW_MESSAGES = [
     ),
     pytest.param(
         "tsv", tsv_fault("x0\tsecond one\tX\t"), "{path}:3: duplicate sample id 'x0'", id="tsv-duplicate-id"
+    ),
+    # A duplicate id is found where the partition is made, after the row's own checks.
+    pytest.param(
+        "tsv", tsv_fault("x0\tsecond one\tQ\t"), "{path}:3: unknown class 'Q'", id="tsv-duplicate-id-unknown-class"
     ),
     pytest.param(
         "tsv", tsv_fault("a1\thello world\tB\t"), "{path}:3: unknown class 'B'", id="tsv-unknown-class"
@@ -672,6 +679,12 @@ ROW_MESSAGES = [
     ),
     pytest.param(
         "predictions",
+        predictions_fault("x0\t0:2:4"),
+        "{path}:3: malformed span '0:2:4', expected start:end",
+        id="pred-duplicate-id-malformed-span",
+    ),
+    pytest.param(
+        "predictions",
         predictions_fault("a1\tx:5"),
         "{path}:3: non-integer span offsets in 'x:5'",
         id="pred-non-integer-offset",
@@ -805,6 +818,11 @@ class TestPartitionAndComposition:
 
     def test_by_id_lookup(self):
         assert PARTITION.by_id["n1"].sample_class is SampleClass.NEGATED
+
+    def test_a_partition_reads_its_samples_once_in_order(self):
+        partition = CorpusPartition("custom", iter(PARTITION.samples))
+        assert partition.samples == PARTITION.samples
+        assert list(partition.by_id) == [sample.text.id for sample in PARTITION.samples]
 
     def make_pools(self):
         base = CorpusPartition(
@@ -979,6 +997,47 @@ class TestPredictionFiles:
         again = tmp_path / "again.tsv"
         write_predictions(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_loading_checks_each_id_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            corpus_module, "check_id", lambda text_id: calls.append(text_id) or check_id(text_id)
+        )
+        path = tmp_path / "preds.tsv"
+        write_lines(path, "# model: m", "a1\t0:2", "b2\t", "c3\t1:4;6:8")
+        assert set(load_predictions(path).entries) == {"a1", "b2", "c3"}
+        assert calls == ["a1", "b2", "c3"]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            lambda entries: list(entries.items()),
+            lambda entries: (item for item in entries.items()),
+            lambda entries: [EntitySet(text_id, spans) for text_id, spans in entries.items()],
+        ],
+        ids=["list", "generator", "entity-sets"],
+    )
+    def test_pairs_and_a_mapping_give_the_same_file(self, pairs):
+        entries = {"b2": frozenset({Span(3, 6)}), "a1": frozenset(), "c3": frozenset({Span(0, 1)})}
+        from_pairs = PredictionFile({"model": "m"}, pairs(entries))
+        from_mapping = PredictionFile({"model": "m"}, entries)
+        assert from_pairs.metadata == from_mapping.metadata
+        assert from_pairs.entries == from_mapping.entries == entries
+        assert list(from_pairs.entries) == list(from_mapping.entries) == ["b2", "a1", "c3"]
+        assert type(from_pairs.entries) is dict
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("x0", frozenset()), ("x0", frozenset({Span(0, 2)}))],
+            [EntitySet("x0", ()), EntitySet("a1", ()), EntitySet("x0", ())],
+        ],
+        ids=["tuples", "entity-sets"],
+    )
+    def test_duplicate_pairs_rejected(self, pairs):
+        with pytest.raises(ValidationError) as caught:
+            PredictionFile({}, pairs)
+        assert str(caught.value) == "duplicate entry for id 'x0'"
 
     def test_duplicate_prediction_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
