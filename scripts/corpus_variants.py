@@ -12,10 +12,11 @@ the same ids, classes and order as ``data/corpus/test.tsv``, and
   and the suffix follows every span, so the gold spans stay valid, and
   the matcher keys curly apostrophes and non-ASCII words.
 - No bundled text holds a backslash escape and no row holds two spans. The
-  escaped variant appends `` \\t(see \\\\ note)\\n then nausea`` (as escaped in
-  the file) to every text and gives every class A row a second span over
-  that "nausea", at its offset in the unescaped text, so the unescape pass,
-  the escaping writer and the span join all run.
+  escaped variant appends `` \\t(see \\\\ note)\\r\\n then nausea`` (as escaped
+  in the file) to every text and gives every class A row a second span over
+  that "nausea", at its offset in the unescaped text, so the unescape pass
+  and the escaping writer run on each of the four escapes, and the span
+  join runs.
 - Every bundled text is a short post. The long variant joins consecutive
   texts with newlines into posts of over 2,048 characters (the last post
   takes what is left; earlier versions keyed texts past that length on a
@@ -35,8 +36,8 @@ from pathlib import Path
 TEST_SPLIT = Path(__file__).resolve().parent.parent / "data" / "corpus" / "test.tsv"
 
 # The escaped variant's suffix as written in the file, and as a loader reads it.
-ESCAPED_SUFFIX = " \\t(see \\\\ note)\\n then nausea"
-UNESCAPED_SUFFIX = " \t(see \\ note)\n then nausea"
+ESCAPED_SUFFIX = " \\t(see \\\\ note)\\r\\n then nausea"
+UNESCAPED_SUFFIX = " \t(see \\ note)\r\n then nausea"
 
 
 def nonascii(text_id: str, text: str, cls: str, spans: str) -> tuple[str, ...]:

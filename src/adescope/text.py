@@ -19,8 +19,11 @@ Cue phrases and event terms are found by one shared matcher on match keys:
 :func:`text_keys` keys a text's token surfaces in one pass, without building
 tokens, :func:`index_patterns` keys lexicon patterns the same way, and
 :func:`longest_matches` scans a key sequence for the longest pattern at each
-position. A text is tokenized only when a lexicon matches in it, to turn the
-matched token ranges into character spans (:func:`token_span`).
+position. Only this module turns token positions into character offsets,
+from the running lengths of one ``re.split`` of the text: :func:`tokenize`
+builds every token that way, and :func:`locate_matches` keys and matches a
+text from one split and builds spans only for the matched runs, with no
+token.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "token_keys",
     "index_patterns",
     "longest_matches",
+    "locate_matches",
     "spans_to_bio",
     "bio_to_spans",
 ]
@@ -353,6 +357,21 @@ def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[in
         else:
             position += 1
     return matches
+
+
+def locate_matches(text: Union[str, RawText], index: PatternIndex) -> list[Span]:
+    """The character span of each :func:`longest_matches` match in the text.
+
+    One split of the text gives both its keys (exactly :func:`text_keys`)
+    and, only when a pattern matches, the offsets of the matched runs, by
+    :func:`tokenize`'s running-length rule; no token is built.
+    """
+    parts = _TOKEN_RE.split(text.content if isinstance(text, RawText) else text)
+    matches = longest_matches(_keys(parts[1::2]), index)
+    if not matches:
+        return []
+    ends = list(accumulate(map(len, parts)))
+    return [Span(ends[2 * first], ends[2 * last + 1]) for first, last, _ in matches]
 
 
 def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:

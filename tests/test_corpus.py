@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import logging
 
@@ -30,7 +31,7 @@ from adescope import (
 )
 from adescope import corpus as corpus_module
 from adescope.combine import EntitySet
-from adescope.corpus import write_outputs
+from adescope.corpus import escape_tsv, write_outputs
 from adescope.text import check_id
 
 
@@ -88,6 +89,30 @@ class TestCorpusRoundTrip:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert lines[1].split("\t")[1] == "tab\\there\\nnewline \\\\ backslash\\rreturn"
+
+    def test_escape_matches_a_character_table_on_every_short_string(self, tmp_path):
+        # Every string of up to five characters over the four escaped
+        # characters and the letters of their escapes (37,449 strings), so
+        # each order of a backslash next to a "t", "n" or "r" is written and
+        # read back. Each is bracketed in its row: a blank text is no sample.
+        table = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+        alphabet = "\\\t\n\rtnra"
+        strings = [
+            "".join(chars)
+            for length in range(6)
+            for chars in itertools.product(alphabet, repeat=length)
+        ]
+        assert len(strings) == 37_449
+        for text in strings:
+            assert escape_tsv(text) == "".join(table.get(char, char) for char in text)
+        path = tmp_path / "escapes.tsv"
+        partition = CorpusPartition(
+            "escapes",
+            (make(f"e{i}", f"<{text}>", SampleClass.NO_ADE) for i, text in enumerate(strings)),
+        )
+        write_corpus(partition, path)
+        loaded = load_corpus(path)
+        assert [sample.text.content[1:-1] for sample in loaded.samples] == strings
 
     def test_spans_serialised_sorted(self, tmp_path):
         path = tmp_path / "spans.tsv"

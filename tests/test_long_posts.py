@@ -1,5 +1,5 @@
 """Filtering, matching and BIO projection on one long post stay near-linear
-in its length.
+in its length, and term extraction locates every match in one.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
@@ -18,14 +18,19 @@ from adescope import (
     EntitySet,
     MatchKind,
     Phenomenon,
+    RawText,
     ScopeSpan,
     Span,
     Token,
     bio_to_spans,
+    default_ade_lexicon,
+    extract,
     filter_by_scopes,
     match_spans,
     spans_to_bio,
+    tokenize,
 )
+from adescope.text import longest_matches, token_keys, token_span
 
 SENTENCES = 10_000
 WIDTH = 100
@@ -98,3 +103,25 @@ def test_bio_projection_scales_with_post_length():
     assert bio_to_spans(tokens, tags) == set(spans)
 
     assert elapsed < 0.5, f"spans_to_bio took {elapsed:.2f}s"
+
+
+def test_extract_locates_every_term_of_a_long_post():
+    # Bundled terms in upper case, as hashtags and split by a newline
+    # ("restless" ends a sentence, "Legs" opens the next), with curly
+    # apostrophes and mentions around them, so every offset after the
+    # first sentence depends on the widths before it.
+    lexicon = default_ade_lexicon()
+    terms = lexicon.terms
+    sentences = [
+        f"Legs day {i}: it’s {terms[i % len(terms)].upper()} again, "
+        f"#{terms[(3 * i) % len(terms)].replace(' ', '')} @doc{i}, can’t cope; restless"
+        for i in range(SENTENCES)
+    ]
+    text = RawText("post", "\n".join(sentences))
+    tokens = tokenize(text)
+    expected = {
+        token_span(tokens, first, last)
+        for first, last, _ in longest_matches(token_keys(tokens), lexicon._index)
+    }
+    assert len(expected) > 2 * SENTENCES
+    assert extract(text, lexicon).spans == expected

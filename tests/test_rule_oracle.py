@@ -5,9 +5,10 @@ longest; the reference scope marks each token a trigger governs one token
 at a time. Texts mix the bundled cues and event terms, in upper case, as
 hashtags and with curly apostrophes, with filler words, punctuation and
 newlines, so that texts with and without a lexicon key are both common
-and the paths by which ``detect`` and ``extract`` tokenize only a text a
-lexicon can match in, and ``prefilter`` tokenizes none, are checked on
-both sides.
+and the path by which ``detect`` tokenizes only a text a lexicon can match
+in is checked on both sides, as are ``prefilter``, which tokenizes none,
+and ``extract``, which keys and locates its matches from one split of the
+text and builds no token.
 """
 
 from __future__ import annotations

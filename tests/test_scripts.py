@@ -37,7 +37,7 @@ def test_corpus_variants_load_with_every_sample(tmp_path):
         assert [s.text.id for s in variant.samples] == [s.text.id for s in test_split.samples]
     assert not any(sample.text.content.isascii() for sample in nonascii.samples)
     for sample in escaped.samples:
-        assert sample.text.content.endswith(" \t(see \\ note)\n then nausea")
+        assert sample.text.content.endswith(" \t(see \\ note)\r\n then nausea")
         assert len(sample.gold_spans) == (2 if sample.sample_class is SampleClass.ADE else 0)
 
 
