@@ -6,7 +6,9 @@
 # command's stdout and stderr, and its exit code. Runs on small inputs
 # written into OUT follow: a header-only corpus (a logged warning), a
 # malformed row, a prediction for an unknown id, detect and filter on a
-# speculation cue matched across a line break (escaped TSV fields), ids no
+# speculation cue matched across a line break (escaped TSV fields), detect
+# of both phenomena on cue windows that cross a lone carriage return, a
+# tab, a … token and a CRLF (the gaps a scope may or may not cross), ids no
 # corpus or prediction file can hold (a JSON-lines id holding a carriage
 # return, a TSV id starting with # and a blank TSV id: each refused at its
 # file and line when the corpus loads), an --audit naming the --out file, a
@@ -101,6 +103,15 @@ fault hash-id extract --corpus hash-id.tsv --out hash-id.preds.tsv
 fault blank-id extract --corpus blank-id.tsv --out blank-id.preds.tsv
 fault same-audit filter --corpus cue-break.tsv --predictions cue-break.preds.tsv \
     --out same.tsv --audit same.tsv
+# Cue windows across each kind of gap: a lone carriage return and a CRLF
+# (both stop a scope), a tab (does not) and a … token (stops it).
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n' \
+    'g1\tno rash\\ror itch, maybe\\tthe dose\tX\t' \
+    'g2\tnever\\tany pain\\r\\nor rash; i think the pill… or the dose\tX\t' \
+    'g3\tok\\rthe rash\\tor something, not sure\\twhy\tX\t' \
+    'g4\tDON’T know\\t\\tif it… might be the #Dose\\r\\n\tX\t' >"$out/gaps.tsv"
+fault detect-gaps-neg detect --corpus gaps.tsv --phenomenon neg --out gaps.scopes-neg.tsv
+fault detect-gaps-spec detect --corpus gaps.tsv --phenomenon spec --out gaps.scopes-spec.tsv
 printf '# cues\nnot|pre_trigger\nnot|pre_trigger\n' >"$out/dup-cue.txt"
 printf '{\n  "window": 5,\n  "filters": ,\n  "jobs": 1\n}\n' >"$out/bad-config.json"
 fault dup-cue detect --corpus one.tsv --phenomenon neg --lexicon dup-cue.txt \

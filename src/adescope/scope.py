@@ -14,8 +14,15 @@ Cue categories:
 * ``terminator`` closes an open scope ("but", "however").
 
 A scope ends at the earliest of: the window being exhausted, a non-pseudo
-cue match, terminal punctuation (. ! ? or a newline between tokens), or
-the edge of the text. Scopes never cross sentence boundaries.
+cue match, terminal punctuation (. ! ? …), a newline or carriage return
+between tokens, or the edge of the text. Scopes never cross sentence
+boundaries.
+
+:func:`detect` tokenizes a text once for all its lexicons. The cues are
+matched on the tokens' keys, the scope walk reads token surfaces and the
+gaps between them from the text's split, and character spans are built
+only for the matched cue runs and the scopes they open (see
+:class:`~adescope.text.Tokens`).
 """
 
 from __future__ import annotations
@@ -35,12 +42,10 @@ from .text import (
     PatternIndex,
     RawText,
     Span,
-    Token,
+    Tokens,
     index_patterns,
     longest_matches,
     text_keys,
-    token_keys,
-    token_span,
     tokenize,
 )
 
@@ -202,43 +207,42 @@ def default_speculation_lexicon() -> CueLexicon:
     return bundled_lexicon(Phenomenon.SPECULATION)
 
 
-def find_cues(tokens: Sequence[Token], lexicon: CueLexicon) -> list[CueMatch]:
+def find_cues(tokens: Tokens, lexicon: CueLexicon) -> list[CueMatch]:
     """Locate cue phrases in a token sequence.
 
-    Matching is case-insensitive on token comparison keys and greedy: at
+    Matching is case-insensitive on the tokens' match keys and greedy: at
     each position the longest matching pattern wins and the scan resumes
     after it, so matches never overlap and a pseudo-trigger swallows the
     shorter trigger it subsumes. Returns matches in text order.
     """
     return [
-        CueMatch(cue, token_span(tokens, first, last), first, last)
-        for first, last, cue in longest_matches(token_keys(tokens), lexicon._index)
+        CueMatch(cue, tokens.span(first, last), first, last)
+        for first, last, cue in longest_matches(tokens.keys, lexicon._index)
     ]
 
 
 def resolve_scopes(
     text: Union[str, RawText],
-    tokens: Sequence[Token],
+    tokens: Tokens,
     cue_matches: Iterable[CueMatch],
     window: int = DEFAULT_WINDOW,
 ) -> list[ScopeSpan]:
     """Project trigger cues onto scopes.
 
-    ``text`` must be the string the tokens were produced from; it is needed
-    to spot newlines between tokens. Pre-triggers scan forward from the
-    token after the cue, post-triggers scan backward from the token before
-    it; both stop at a non-pseudo cue match, terminal punctuation, a
-    newline gap, the window limit, or the text edge. Cues with nothing left
-    to govern produce no scope. Scopes are returned ordered by position.
+    ``tokens`` are the text's; the text supplies only the scopes' id (a
+    :class:`~adescope.text.RawText`'s, else none). Pre-triggers scan forward
+    from the token after the cue, post-triggers scan backward from the token
+    before it; both stop at a non-pseudo cue match, terminal punctuation, a
+    newline or carriage return between tokens, the window limit, or the text
+    edge. Cues with nothing left to govern produce no scope. Scopes are
+    returned ordered by position.
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {echo(window, str)}")
-    if isinstance(text, RawText):
-        content, text_id = text.content, text.id
-    else:
-        content, text_id = text, None
+    text_id = text.id if isinstance(text, RawText) else None
 
     matches = list(cue_matches)
+    count = len(tokens)
     occupied: set[int] = set()
     for match in matches:
         if match.cue.category is not CueCategory.PSEUDO_TRIGGER:
@@ -246,12 +250,11 @@ def resolve_scopes(
 
     def extends(previous: int, position: int) -> bool:
         """Whether a scope at token ``previous`` may take in its neighbour."""
-        if not 0 <= position < len(tokens) or position in occupied:
+        if not 0 <= position < count or position in occupied:
             return False
-        if tokens[position].surface in TERMINAL_TOKENS:
+        if tokens.surface(position) in TERMINAL_TOKENS:
             return False
-        left, right = min(previous, position), max(previous, position)
-        gap = content[tokens[left].span.end : tokens[right].span.start]
+        gap = tokens.gap(min(previous, position))
         return "\n" not in gap and "\r" not in gap
 
     scopes: list[ScopeSpan] = []
@@ -269,7 +272,7 @@ def resolve_scopes(
         if reached != edge:
             first, last = sorted((edge + step, reached))
             scopes.append(
-                ScopeSpan(token_span(tokens, first, last), match, match.cue.phenomenon, text_id)
+                ScopeSpan(tokens.span(first, last), match, match.cue.phenomenon, text_id)
             )
     scopes.sort(key=lambda s: (s.span, s.trigger.span.start))
     return scopes
@@ -283,20 +286,20 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    Only a text that holds a first key of some lexicon (see
-    :func:`~adescope.text.longest_matches`) is tokenized; any other text, or
-    an empty lexicon collection, yields no scopes without tokenizing.
+    The text is split and keyed once; only a lexicon with a first key among
+    the text's keys (see :func:`~adescope.text.longest_matches`) is scanned,
+    so a text no lexicon can match in yields no scopes without a character
+    offset, token or span being computed. An empty lexicon collection yields
+    no scopes without tokenizing.
     """
     lexicons = tuple(lexicons)
-    if lexicons:
-        keys = text_keys(text)
-        lexicons = tuple(lex for lex in lexicons if not lex._index.keys().isdisjoint(keys))
     if not lexicons:
         return set()
     tokens = tokenize(text)
     return {
         scope
         for lexicon in lexicons
+        if not lexicon._index.keys().isdisjoint(tokens.keys)
         for scope in resolve_scopes(text, tokens, find_cues(tokens, lexicon), window)
     }
 

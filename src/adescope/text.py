@@ -4,8 +4,8 @@ Offsets throughout the package are half-open ``[start, end)`` counts of
 Unicode scalar values into the owning text, so ``text[span.start:span.end]``
 is always the covered surface. A :class:`Span` is a ``(start, end)``
 NamedTuple that sorts and hashes as a tuple, so ``Span(0, 3) == (0, 3)``;
-its constructor checks the offsets, and only :func:`tokenize` builds spans
-unchecked.
+its constructor checks the offsets, and only the tokens of a
+:class:`Tokens` hold spans built unchecked.
 
 The package's other value records are namedtuples too, compared and hashed
 as their field tuples; one with rules checks them in ``__new__``, also on
@@ -19,21 +19,22 @@ Cue phrases and event terms are found by one shared matcher on match keys:
 :func:`text_keys` keys a text's token surfaces in one pass, without building
 tokens, :func:`index_patterns` keys lexicon patterns the same way, and
 :func:`longest_matches` scans a key sequence for the longest pattern at each
-position. Only this module turns token positions into character offsets,
-from the running lengths of one ``re.split`` of the text: :func:`tokenize`
-builds every token that way, and :func:`locate_matches` keys and matches a
-text from one split and builds spans only for the matched runs, with no
-token.
+position. :func:`tokenize` returns :class:`Tokens`, a lazy view of one
+``re.split`` of the text that holds its keys and is the only code that turns
+token positions into character offsets, from the running lengths of the
+split's parts; it builds a span only for a run it is asked for, and its
+tokens only when it is indexed or iterated. :func:`locate_matches` keys and
+matches a text through it and builds spans only for the matched runs.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, repeat
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_span
 
@@ -46,12 +47,11 @@ __all__ = [
     "SampleClass",
     "LabeledSample",
     "Token",
+    "Tokens",
     "TagSequence",
     "disjoint_spans",
     "tokenize",
-    "token_span",
     "text_keys",
-    "token_keys",
     "index_patterns",
     "longest_matches",
     "locate_matches",
@@ -83,8 +83,9 @@ class Checked:
 class Frozen:
     """Base of the package's plain (non-tuple) classes.
 
-    ``__init__`` sets every attribute once, through :meth:`_set`; assigning
-    or deleting one afterwards raises :class:`AttributeError`. The repr is
+    ``__init__`` sets every attribute once, through :meth:`_set`, as does the
+    first use of an attribute built lazily; assigning or deleting one
+    afterwards raises :class:`AttributeError`. The repr is
     ``Name(field=…)`` over ``_FIELDS``, and two instances of one class are
     equal, and hash alike, when their ``_FIELDS`` are; a class compared by
     identity sets ``__eq__`` and ``__hash__`` back to ``object``'s.
@@ -261,22 +262,84 @@ class TagSequence(Frozen):
         return self.tags[position]
 
 
-def tokenize(text: Union[str, RawText]) -> list[Token]:
+class Tokens(Frozen, Sequence):
+    """The tokens of one text, read from one ``re.split`` of it.
+
+    The split alternates gaps and tokens: gap, token, gap, ..., token, gap.
+    :attr:`keys` holds every token's match key (exactly :func:`text_keys`),
+    :meth:`surface` and :meth:`gap` read the split's parts, and
+    :meth:`span` turns a run of token positions into character offsets from
+    the running lengths of the parts, computed on first use. :class:`Token`
+    values are built, all at once, only when the sequence is indexed or
+    iterated; it then equals the list of them, so ``Tokens("") == []``.
+    """
+
+    _FIELDS = ("content",)
+    __hash__ = None  # type: ignore[assignment]
+    # Built on first use, then kept on the instance.
+    _ends: list[int] | None = None
+    _tokens: list[Token] | None = None
+
+    def __init__(self, text: Union[str, RawText]) -> None:
+        content = text.content if isinstance(text, RawText) else text
+        parts = _TOKEN_RE.split(content)
+        self._set(content=content, parts=parts, keys=_keys(parts[1::2]))
+
+    def _running_lengths(self) -> list[int]:
+        """The running lengths of the parts: token starts at even positions
+        and token ends at odd ones."""
+        if self._ends is None:
+            self._set(_ends=list(accumulate(map(len, self.parts))))
+        return self._ends
+
+    def _token_list(self) -> list[Token]:
+        # A token is a non-empty match, so its offsets are a valid span by
+        # construction and are built unchecked.
+        if self._tokens is None:
+            ends = self._running_lengths()
+            spans = map(tuple.__new__, repeat(Span), zip(ends[0::2], ends[1::2]))
+            tokens = map(tuple.__new__, repeat(Token), zip(self.parts[1::2], spans))
+            self._set(_tokens=list(tokens))
+        return self._tokens
+
+    def surface(self, position: int) -> str:
+        """The text of the token at ``position``."""
+        return self.parts[2 * position + 1]
+
+    def gap(self, position: int) -> str:
+        """The text between the token at ``position`` and the next one, or
+        the end of the text."""
+        return self.parts[2 * position + 2]
+
+    def span(self, first: int, last: int) -> Span:
+        """The character span that tokens ``first..last`` (inclusive) cover."""
+        ends = self._running_lengths()
+        return Span(ends[2 * first], ends[2 * last + 1])
+
+    def __len__(self) -> int:
+        return len(self.parts) // 2
+
+    def __getitem__(self, position: Union[int, slice]) -> Union[Token, list[Token]]:
+        return self._token_list()[position]
+
+    def __iter__(self) -> Iterator[Token]:
+        return iter(self._token_list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Tokens):
+            other = other._token_list()
+        return self._token_list() == other if isinstance(other, list) else NotImplemented
+
+
+def tokenize(text: Union[str, RawText]) -> Tokens:
     """Split text into tokens; offsets index into the original string.
 
     Whitespace separates tokens and is never part of one. Punctuation is
     split from adjacent word characters, except a leading # or @ (hashtags
     and mentions) and apostrophes inside contractions. Empty input yields
-    an empty list.
+    no tokens.
     """
-    content = text.content if isinstance(text, RawText) else text
-    # parts is gap, token, gap, ..., token, gap; the running lengths at even
-    # positions are token starts and at odd positions token ends. A token is
-    # a non-empty match, so its offsets are a valid span by construction.
-    parts = _TOKEN_RE.split(content)
-    ends = list(accumulate(map(len, parts)))
-    spans = map(tuple.__new__, repeat(Span), zip(ends[0::2], ends[1::2]))
-    return list(map(tuple.__new__, repeat(Token), zip(parts[1::2], spans)))
+    return Tokens(text)
 
 
 def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
@@ -299,16 +362,6 @@ def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
 def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
     """The match key of every token of the text, without tokenizing it."""
     return _keys(_TOKEN_RE.findall(text.content if isinstance(text, RawText) else text))
-
-
-def token_keys(tokens: Sequence[Token]) -> tuple[str, ...]:
-    """The match key of every token, in order."""
-    return _keys(map(attrgetter("surface"), tokens))
-
-
-def token_span(tokens: Sequence[Token], first: int, last: int) -> Span:
-    """The character span that tokens ``first..last`` (inclusive) cover."""
-    return Span(tokens[first].span.start, tokens[last].span.end)
 
 
 V = TypeVar("V")
@@ -346,32 +399,26 @@ def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[in
     key of the index, so keys disjoint from ``index.keys()`` match nothing.
     """
     matches: list[tuple[int, int, V]] = []
-    position, count = 0, len(keys)
-    while position < count:
-        for pattern, value in index.get(keys[position], ()):
-            last = position + len(pattern) - 1
-            if keys[position : last + 1] == pattern:
-                matches.append((position, last, value))
-                position = last + 1
-                break
-        else:
-            position += 1
+    resume = 0  # the first position after the last match
+    for position, key in enumerate(keys):
+        if key in index and position >= resume:
+            for pattern, value in index[key]:
+                last = position + len(pattern) - 1
+                if keys[position : last + 1] == pattern:
+                    matches.append((position, last, value))
+                    resume = last + 1
+                    break
     return matches
 
 
 def locate_matches(text: Union[str, RawText], index: PatternIndex) -> list[Span]:
     """The character span of each :func:`longest_matches` match in the text.
 
-    One split of the text gives both its keys (exactly :func:`text_keys`)
-    and, only when a pattern matches, the offsets of the matched runs, by
-    :func:`tokenize`'s running-length rule; no token is built.
+    The text's :class:`Tokens` give both its keys and, only when a pattern
+    matches, the offsets of the matched runs; no token is built.
     """
-    parts = _TOKEN_RE.split(text.content if isinstance(text, RawText) else text)
-    matches = longest_matches(_keys(parts[1::2]), index)
-    if not matches:
-        return []
-    ends = list(accumulate(map(len, parts)))
-    return [Span(ends[2 * first], ends[2 * last + 1]) for first, last, _ in matches]
+    tokens = Tokens(text)
+    return [tokens.span(first, last) for first, last, _ in longest_matches(tokens.keys, index)]
 
 
 def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:

@@ -1,5 +1,6 @@
-"""Filtering, matching and BIO projection on one long post stay near-linear
-in its length, and term extraction locates every match in one.
+"""Filtering, matching, BIO projection and scope detection on one long post
+stay near-linear in its length, and term extraction locates every match in
+one.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
@@ -24,13 +25,16 @@ from adescope import (
     Token,
     bio_to_spans,
     default_ade_lexicon,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    detect,
     extract,
     filter_by_scopes,
     match_spans,
     spans_to_bio,
     tokenize,
 )
-from adescope.text import longest_matches, token_keys, token_span
+from adescope.text import longest_matches
 
 SENTENCES = 10_000
 WIDTH = 100
@@ -120,8 +124,54 @@ def test_extract_locates_every_term_of_a_long_post():
     text = RawText("post", "\n".join(sentences))
     tokens = tokenize(text)
     expected = {
-        token_span(tokens, first, last)
-        for first, last, _ in longest_matches(token_keys(tokens), lexicon._index)
+        tokens.span(first, last)
+        for first, last, _ in longest_matches(tokens.keys, lexicon._index)
     }
     assert len(expected) > 2 * SENTENCES
     assert extract(text, lexicon).spans == expected
+
+
+def test_detect_resolves_every_scope_of_a_long_post():
+    # Per sentence: a negation cue written with a curly apostrophe whose
+    # window of 5 crosses a tab; a speculation cue whose scope crosses a
+    # tab and stops at a lone carriage return; and a post-trigger whose
+    # backward scope stops at the same carriage return. Sentences are
+    # padded to WIDTH and end in a newline, so every scope is the first
+    # sentence's shifted by whole sentences and tokens.
+    template = "i DON’T get rash\tor itch; maybe\tthe #Dose\rwas bad or something"
+    sentence = template.ljust(WIDTH - 1) + "\n"
+    per_sentence = len(tokenize(template))
+    text = RawText("post", sentence * SENTENCES)
+    neg, spec = default_negation_lexicon(), default_speculation_lexicon()
+    cues = {cue.pattern: cue for lexicon in (neg, spec) for cue in lexicon.cues}
+
+    def at(word: str) -> int:
+        return template.index(word)
+
+    # (cue, trigger start and end, trigger tokens, scope start and end)
+    rules = [
+        ("don't", at("DON’T"), at(" get"), 1, 1, at("get"), at(" maybe")),
+        ("maybe", at("maybe"), at("\tthe"), 7, 7, at("the"), at("\rwas")),
+        ("or something", at("or some"), len(template), 12, 13, at("was"), at(" or some")),
+    ]
+    expected = {
+        ScopeSpan(
+            sentence_span(i, start, end),
+            CueMatch(
+                cues[pattern],
+                sentence_span(i, cue_start, cue_end),
+                i * per_sentence + first,
+                i * per_sentence + last,
+            ),
+            cues[pattern].phenomenon,
+            "post",
+        )
+        for i in range(SENTENCES)
+        for pattern, cue_start, cue_end, first, last, start, end in rules
+    }
+
+    started = time.perf_counter()
+    scopes = detect(text, (neg, spec))
+    elapsed = time.perf_counter() - started
+    assert scopes == expected
+    assert elapsed < 3.0, f"detect took {elapsed:.2f}s"

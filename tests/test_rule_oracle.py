@@ -3,12 +3,14 @@
 The reference matcher tries every pattern at every token and keeps the
 longest; the reference scope marks each token a trigger governs one token
 at a time. Texts mix the bundled cues and event terms, in upper case, as
-hashtags and with curly apostrophes, with filler words, punctuation and
-newlines, so that texts with and without a lexicon key are both common
-and the path by which ``detect`` tokenizes only a text a lexicon can match
-in is checked on both sides, as are ``prefilter``, which tokenizes none,
-and ``extract``, which keys and locates its matches from one split of the
-text and builds no token.
+hashtags and with curly apostrophes, with filler words, punctuation,
+newlines, lone carriage returns and tabs. So texts with and without a
+lexicon key are both common, and each path is checked on both sides:
+``detect``, which keys a text from its one tokenization and scans only the
+lexicons with a key in it; ``prefilter``, which tokenizes none; and
+``extract``, which keys and locates its matches from one split of the text
+and builds no token. Cue windows cross gaps with and without a line break,
+so the scope-gap rule is drawn on both sides too.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ FILLER = ["the", "meds", "today", "really", "got", "tablet", "@doc", "x2", "afte
 PIECES = st.one_of(
     st.sampled_from(FILLER),
     st.sampled_from(FILLER),
-    st.sampled_from([".", ",", "?", "!", "…", "\n", "\r\n"]),
+    st.sampled_from([".", ",", "?", "!", "…", "\n", "\r\n", "\r", "\t"]),
     variants(CUE_WORDS),
     variants(ADE.terms),
 )

@@ -16,6 +16,7 @@ from adescope import (
     Phenomenon,
     RawText,
     SampleClass,
+    Tokens,
     ValidationError,
     default_negation_lexicon,
     default_speculation_lexicon,
@@ -350,14 +351,24 @@ class TestDetect:
         monkeypatch.setattr("adescope.scope.tokenize", refuse)
         assert detect("no pain today", (), 5) == set()
 
-    def test_cue_free_text_skips_tokenizing(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("tokenized a text no cue can match")
+    def test_cue_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr("adescope.scope.tokenize", refuse)
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        def refuse(*args):
+            raise AssertionError("scanned or located a text no cue can match")
+
+        monkeypatch.setattr("adescope.scope.tokenize", counting)
+        monkeypatch.setattr("adescope.scope.find_cues", refuse)
+        # Every offset, Token and Span of a Tokens comes from its running lengths.
+        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
         both = (default_negation_lexicon(), default_speculation_lexicon())
         text = RawText("q", "Metoprolol gave me a headache.\nStill here, #fine")
         assert detect(text, both, 5) == set()
+        assert calls == [text]
         sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
         assert prefilter([sample], both) == []
 

@@ -22,7 +22,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import index_patterns, longest_matches, text_keys, token_keys
+from adescope.text import _TOKEN_RE, index_patterns, longest_matches, text_keys
 
 
 def surfaces(text: str) -> list[str]:
@@ -106,6 +106,21 @@ class TestLabeledSample:
             )
 
 
+@st.composite
+def split_texts(draw):
+    """Words, marks and non-ASCII words between gaps of spaces, tabs, lone
+    carriage returns and line breaks, or none."""
+    words = draw(st.lists(st.sampled_from([
+        "no", "PAIN", "don’t", "CAN’T", "#Nausea", "@doc", "#’", "café", "ΟΔΟΣ", "日本",
+        "straße", "x2", ".", "…", ",", "’", "#", "@",
+    ]), max_size=12))
+    gaps = draw(st.lists(
+        st.sampled_from([" ", "", "\r", "\r\n", "\t", "\n", " \t "]),
+        min_size=len(words) + 1, max_size=len(words) + 1,
+    ))
+    return gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+
+
 class TestTokenize:
     def test_empty_text_yields_no_tokens(self):
         assert tokenize("") == []
@@ -164,6 +179,34 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokens == [Token(m.group(), Span(*m.span())) for m in reference.finditer(text)]
         assert all(type(t) is Token and type(t.span) is Span for t in tokens)
+
+    @given(split_texts())
+    @example("")
+    @example("no\rpain\r\n#Rash\t’")
+    def test_the_split_gives_the_tokens_keys_spans_and_gaps(self, text):
+        tokens = tokenize(text)
+        expected = [Token(m.group(), Span(*m.span())) for m in _TOKEN_RE.finditer(text)]
+        assert list(tokens) == expected
+        assert len(tokens) == len(expected)
+        assert tokens.keys == text_keys(text)
+        for first in range(len(tokens)):
+            for last in range(first, len(tokens)):
+                assert tokens.span(first, last) == Span(
+                    expected[first].span.start, expected[last].span.end
+                )
+        ends = [token.span.start for token in expected[1:]] + [len(text)]
+        for position, (token, end) in enumerate(zip(expected, ends)):
+            assert tokens.surface(position) == token.surface
+            assert tokens.gap(position) == text[token.span.end : end]
+
+    def test_builds_tokens_only_when_read(self):
+        tokens = tokenize("no pain")
+        assert tokens.keys == ("no", "pain") and len(tokens) == 2
+        assert tokens._tokens is None and tokens._ends is None
+        assert tokens[1] == Token("pain", Span(3, 7))
+        assert tokens == tokenize("no pain") == list(tokens)
+        with pytest.raises(TypeError):
+            hash(tokens)
 
 
 def make_tokens(*pairs: tuple[int, int]) -> list[Token]:
@@ -329,8 +372,8 @@ def naive_key(surface: str) -> str:
 
 
 class TestMatchable:
-    """The tokenize gate: a text's keys, found without tokenizing it, are the
-    keys of its tokens, and an index disjoint from them has no match."""
+    """The lexicon gate: a text's keys, found with or without tokenizing it,
+    are the keys of its tokens, and an index disjoint from them has no match."""
 
     @settings(max_examples=400)
     @given(st.one_of(
@@ -349,7 +392,7 @@ class TestMatchable:
         tokens = tokenize(text)
         keys = text_keys(text)
         assert keys == tuple(naive_key(t.surface) for t in tokens)
-        assert token_keys(tokens) == keys
+        assert tokens.keys == keys
         for patterns in pattern_lists:
             index = index_patterns((p, p) for p in patterns)
             if index.keys().isdisjoint(keys):
