@@ -1,8 +1,9 @@
 """Baseline entity extractor.
 
-A lexicon matcher that scans token sequences for known event terms and
-returns the matched spans as an :class:`~adescope.combine.EntitySet`, the
-same shape a trained extractor's predictions take after loading.
+A lexicon matcher that finds known event terms through the same tokenizer
+and longest-match scanner as the cue detector, and returns the matched
+spans as an :class:`~adescope.combine.EntitySet`, the same shape a trained
+extractor's predictions take after loading.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from typing import Iterable, Union
 from .combine import EntitySet
 from .corpus import lexicon_lines, read_located, read_text
 from .errors import ValidationError, echo
-from .text import Frozen, PatternIndex, RawText, index_patterns, locate_matches
-
-# Not called here: the benchmark's traced pass and some tests patch
-# ``baseline.tokenize``, so the name stays bound until that seam goes.
-from .text import tokenize  # noqa: F401
+from .text import Frozen, PatternIndex, RawText, index_patterns, longest_matches, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -68,9 +65,11 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
 
     Matches are token-boundary aligned, case-insensitive, longest-leftmost
     and non-overlapping; the returned spans cover whole tokens, so a
-    hashtagged term keeps its marker in the span. The terms are matched on
-    the keys of one split of the text, and spans are built only for the
-    matched runs (:func:`~adescope.text.locate_matches`); no text is
-    tokenized.
+    hashtagged term keeps its marker in the span. As in
+    :func:`~adescope.scope.find_cues`, the terms are matched on the keys of
+    the text's :class:`~adescope.text.Tokens`, and a span is built only for
+    a matched run; no :class:`~adescope.text.Token` is built.
     """
-    return EntitySet(text.id, frozenset(locate_matches(text, lexicon._index)))
+    tokens = tokenize(text)
+    matches = longest_matches(tokens.keys, lexicon._index)
+    return EntitySet(text.id, frozenset([tokens.span(first, last) for first, last, _ in matches]))

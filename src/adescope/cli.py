@@ -269,10 +269,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
-    entity_sets = [
-        EntitySet(text_id, spans) for text_id, spans in predictions.entries.items()
-    ]
-    report = evaluate_corpus(corpus.samples, entity_sets)
+    report = evaluate_corpus(corpus.samples, predictions.entries.items())
     write_outputs([(args.out, partial(write_report, report, verbose=args.verbose))])
 
     scores = report.scores

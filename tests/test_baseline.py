@@ -9,6 +9,7 @@ from adescope import (
     AdeLexicon,
     ParseError,
     RawText,
+    Tokens,
     ValidationError,
     default_ade_lexicon,
     extract,
@@ -72,13 +73,22 @@ class TestExtract:
     def test_single_term_with_offsets(self):
         assert spans_of("the pain is back") == {("pain", 4, 8)}
 
-    def test_term_free_text_skips_tokenizing(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("tokenized a text no term can match")
+    def test_term_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr("adescope.baseline.tokenize", refuse)
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        def refuse(*args):
+            raise AssertionError("located a text no term can match")
+
+        monkeypatch.setattr("adescope.baseline.tokenize", counting)
+        # Every offset, Token and Span of a Tokens comes from its running lengths.
+        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
         assert spans_of("slept well, #fine\nthanks") == set()
         assert spans_of("slept well", default_ade_lexicon()) == set()
+        assert calls == [RawText("t", "slept well, #fine\nthanks"), RawText("t", "slept well")]
 
     @pytest.mark.parametrize(
         "content,found",
@@ -88,12 +98,11 @@ class TestExtract:
             ("fine\npain again", {("pain", 5, 9)}),
         ],
     )
-    def test_texts_with_a_term_match_without_tokenizing(self, monkeypatch, content, found):
-        def refuse(text):
-            raise AssertionError("extract tokenized a text")
+    def test_texts_with_a_term_match_without_building_tokens(self, monkeypatch, content, found):
+        def refuse(self):
+            raise AssertionError("extract built a Token")
 
-        monkeypatch.setattr("adescope.baseline.tokenize", refuse)
-        monkeypatch.setattr("adescope.text.tokenize", refuse)
+        monkeypatch.setattr(Tokens, "_token_list", refuse)
         assert spans_of(content, AdeLexicon(("nausea", "can't sleep", "pain"))) == found
 
     def test_case_insensitive(self):

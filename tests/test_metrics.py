@@ -10,16 +10,19 @@ from adescope import (
     LabeledSample,
     MatchKind,
     MatchOutcome,
+    PredictionFile,
     RawText,
     SampleClass,
     Span,
     ValidationError,
     evaluate_corpus,
+    load_predictions,
     match_spans,
     overlap_length,
     overlaps,
     relaxed_scores,
     report_to_dict,
+    write_predictions,
 )
 
 counts = st.integers(min_value=0, max_value=500)
@@ -239,6 +242,25 @@ class TestEvaluateCorpus:
         assert report.fp_by_class[SampleClass.SPECULATED] == 1
         assert report.fp_by_class[SampleClass.NO_ADE] == 0
         assert report.scores == relaxed_scores(2, 0, 3, 1)
+
+    def test_pairs_from_a_loaded_prediction_file_count_as_entity_sets(self, tmp_path):
+        entity_sets = [
+            EntitySet("a1", frozenset({Span(0, 8)})),
+            EntitySet("a2", frozenset({Span(4, 10), Span(12, 15)})),
+            EntitySet("n1", frozenset({Span(3, 11)})),
+        ]
+        path = tmp_path / "preds.tsv"
+        write_predictions(PredictionFile({}, entity_sets), path)
+        pairs = load_predictions(path).entries.items()
+        from_pairs = evaluate_corpus(CORPUS, pairs)
+        from_sets = evaluate_corpus(CORPUS, entity_sets)
+        assert from_pairs.samples == from_sets.samples
+        assert (from_pairs.tp, from_pairs.par, from_pairs.fp, from_pairs.fn) == (2, 0, 2, 1)
+        assert from_pairs.fp_by_class == from_sets.fp_by_class
+        twice = [*pairs, ("n1", frozenset())]
+        with pytest.raises(ValidationError) as caught:
+            evaluate_corpus(CORPUS, twice)
+        assert str(caught.value) == "duplicate predictions for text id 'n1'"
 
     def test_missing_prediction_counts_as_empty(self):
         report = evaluate_corpus(CORPUS, [])
