@@ -3,7 +3,12 @@
 # with --jobs 2, and extract and prefilter on the corpus written as JSON
 # lines, with the adescope package found in SRC and keep everything it
 # produces in OUT: each output file (the JSON-lines corpus too), each
-# command's stdout and stderr, and its exit code. Runs on small inputs
+# command's stdout and stderr, and its exit code. filter --audit and
+# evaluate --verbose then run on a four-row corpus with sparse predictions
+# (filter-sparse): cue-bearing texts with empty prediction rows, a text
+# absent from the predictions, and one prediction inside a scope and one
+# outside, where filter detects no scopes and evaluate matches nothing for
+# a text without spans. Runs on small inputs
 # written into OUT follow: a header-only corpus (a logged warning), a
 # malformed row, a prediction for an unknown id, detect and filter on a
 # speculation cue matched across a line break (escaped TSV fields), detect
@@ -74,6 +79,18 @@ write_corpus(load_corpus(sys.argv[1]), sys.argv[2], format="jsonl")' "$corpus" "
 run extract-jsonl extract --corpus "$out/corpus.jsonl" --format jsonl --out "$out/preds-jsonl.tsv"
 run prefilter-jsonl prefilter --corpus "$out/corpus.jsonl" --format jsonl \
     --phenomena neg+spec --out "$out/kept.jsonl"
+# Sparse predictions: f1 and f4 bear cues under empty prediction rows, f2
+# has none, and f3 has one prediction inside a negation scope, one outside.
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n' \
+    'f1\tno headache today\tN\t' \
+    'f2\ti have a headache\tA\t9:17' \
+    'f3\tno nausea so far, but this pill gives me a rash\tA\t43:47' \
+    'f4\tmaybe the dose is fine\tX\t' >"$out/sparse.tsv"
+printf '# model: m\nf1\t\nf3\t3:9;43:47\nf4\t\n' >"$out/sparse.preds.tsv"
+run filter-sparse filter --corpus "$out/sparse.tsv" --predictions "$out/sparse.preds.tsv" \
+    --out "$out/sparse.filtered.tsv" --audit "$out/sparse.audit.tsv"
+run filter-sparse-evaluate evaluate --corpus "$out/sparse.tsv" \
+    --predictions "$out/sparse.filtered.tsv" --out "$out/sparse.report.json" --verbose
 # Error paths, run inside OUT on relative names so that no message names
 # OUT. Their exit codes are recorded but leave the script's status alone.
 fault() {  # fault NAME SUBCOMMAND ARGS...

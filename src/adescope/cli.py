@@ -238,12 +238,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
+    """Drop each prediction inside a detected scope and audit the drops.
+    Scopes are detected only in texts with a predicted span (a text with
+    none has nothing to drop), so the scope work scales with those texts.
+    """
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
     lexicons = _selected_lexicons(args, args.filters)
     texts = [corpus.by_id[text_id].text for text_id in predictions.entries]
     reports = [
-        filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, args.window))
+        filter_by_scopes(
+            EntitySet(text.id, spans), detect(text, lexicons, args.window) if spans else ()
+        )
         for text, spans in zip(texts, predictions.entries.values())
     ]
     filtered = PredictionFile(dict(predictions.metadata), (report.kept for report in reports))

@@ -81,7 +81,8 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     Each discarded span records a witness scope: the earliest-starting
     overlapping scope, ties broken by the longest. Scopes bound to a
     different text id are a validation error; an empty scope set returns
-    the input unchanged.
+    ``ades`` itself as ``kept``, with no sort or sweep, so a caller that
+    detects scopes only in texts with predictions pays nothing for the rest.
 
     One sweep finds the witnesses: the spans, sorted by start, walk a
     pointer through the scopes in witness order, which only moves forward
@@ -89,6 +90,8 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     O(S log S + A log A) for S scopes and A spans, not O(S * A).
     """
     ordered = sorted(scopes, key=_witness_order)
+    if not ordered:
+        return FilterReport(ades, ())
     for scope in ordered:
         if scope.text_id is not None and scope.text_id != ades.text_id:
             raise ValidationError(

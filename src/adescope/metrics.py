@@ -214,7 +214,12 @@ def evaluate_corpus(
     tally = dict.fromkeys(MatchKind, 0)
     fp_by_class = dict.fromkeys(SampleClass, 0)
     for sample in samples:
-        outcomes = tuple(match_spans(sample.gold_spans, by_id.get(sample.text.id, ())))
+        predicted = by_id.get(sample.text.id, ())
+        # With neither gold nor predicted spans there is nothing to match.
+        outcomes = (
+            tuple(match_spans(sample.gold_spans, predicted))
+            if sample.gold_spans or predicted else ()
+        )
         rows.append(SampleOutcomes(sample.text.id, sample.sample_class, outcomes))
         for outcome in outcomes:
             tally[outcome.kind] += 1

@@ -13,16 +13,45 @@ import adescope
 import adescope.cli
 from adescope import (
     CORPUS_HEADER,
+    EntitySet,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    detect,
+    filter_by_scopes,
     load_corpus,
     load_predictions,
+    match_spans,
+    tokenize,
 )
 from adescope.cli import AUDIT_HEADER, DETECT_HEADER, main
+from adescope.corpus import escape_tsv, format_spans
+from adescope.scope import DEFAULT_WINDOW
 
 E2E_IDS = {f"s{i:02d}" for i in range(1, 13)}
 
 
 def total_spans(path) -> int:
     return sum(len(spans) for spans in load_predictions(path).entries.values())
+
+
+# Cue-bearing texts with empty prediction rows (f1, f4), a text absent from
+# the predictions (f2), and one prediction inside a scope and one outside (f3).
+SPARSE_CORPUS = (
+    f"{CORPUS_HEADER}\n"
+    "f1\tno headache today\tN\t\n"
+    "f2\ti have a headache\tA\t9:17\n"
+    "f3\tno nausea so far, but this pill gives me a rash\tA\t43:47\n"
+    "f4\tmaybe the dose is fine\tX\t\n"
+)
+SPARSE_PREDICTIONS = "# model: m\nf1\t\nf3\t3:9;43:47\nf4\t\n"
+
+
+@pytest.fixture
+def sparse_paths(tmp_path):
+    corpus, preds = tmp_path / "sparse.tsv", tmp_path / "sparse.preds.tsv"
+    corpus.write_text(SPARSE_CORPUS, encoding="utf-8")
+    preds.write_text(SPARSE_PREDICTIONS, encoding="utf-8")
+    return corpus, preds
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +275,53 @@ class TestFilter:
             f"{AUDIT_HEADER}\ns1\t21:29\tspeculation\t14:30\tnot\\nsure\n"
         )
 
+    def test_scopes_are_detected_only_in_texts_with_predictions(
+        self, tmp_path, monkeypatch, e2e_corpus_path, preds_path
+    ):
+        tokenized = []
+
+        def counting(text):
+            tokenized.append(text.id)
+            return tokenize(text)
+
+        monkeypatch.setattr("adescope.scope.tokenize", counting)
+        self.run_filter(tmp_path, e2e_corpus_path, preds_path, "neg+spec")
+        entries = load_predictions(preds_path).entries
+        predicted = [text_id for text_id, spans in entries.items() if spans]
+        assert 0 < len(predicted) < len(entries)
+        assert tokenized == predicted
+
+    def test_sparse_predictions_filter_as_every_text_detected(self, tmp_path, sparse_paths):
+        corpus_path, preds_path = sparse_paths
+        out, audit = tmp_path / "f.tsv", tmp_path / "audit.tsv"
+        assert main(["filter", "--corpus", str(corpus_path), "--predictions", str(preds_path),
+                     "--out", str(out), "--audit", str(audit)]) == 0
+
+        corpus, predictions = load_corpus(corpus_path), load_predictions(preds_path)
+        lexicons = (default_negation_lexicon(), default_speculation_lexicon())
+        texts = {text_id: corpus.by_id[text_id].text for text_id in predictions.entries}
+        scopes = {
+            text_id: detect(text, lexicons, DEFAULT_WINDOW) for text_id, text in texts.items()
+        }
+        assert scopes["f1"] and scopes["f4"] and not predictions.entries["f1"]
+        reports = {
+            text_id: filter_by_scopes(EntitySet(text_id, spans), scopes[text_id])
+            for text_id, spans in predictions.entries.items()
+        }
+        assert load_predictions(out).entries == {
+            text_id: report.kept.spans for text_id, report in reports.items()
+        }
+        rows = sorted(
+            (text_id, format_spans([d.span]), d.phenomenon.value, format_spans([d.scope.span]),
+             texts[text_id].content[d.scope.trigger.span.start : d.scope.trigger.span.end])
+            for text_id, report in reports.items()
+            for d in report.discarded
+        )
+        assert rows == [("f3", "3:9", "negation", "3:17", "no")]
+        assert audit.read_text(encoding="utf-8").splitlines() == [
+            AUDIT_HEADER, *("\t".join(map(escape_tsv, row)) for row in rows)
+        ]
+
 
 class TestEvaluate:
     def evaluate(self, tmp_path, corpus, preds, *extra):
@@ -284,6 +360,43 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert {row["id"] for row in payload["samples"]} == E2E_IDS
+
+    def test_samples_without_spans_are_not_matched(self, tmp_path, monkeypatch, sparse_paths):
+        corpus_path, preds_path = sparse_paths
+        matched = []
+
+        def counting(gold, predicted):
+            matched.append((gold, predicted))
+            return match_spans(gold, predicted)
+
+        monkeypatch.setattr("adescope.metrics.match_spans", counting)
+        code, out = self.evaluate(tmp_path, corpus_path, preds_path, "--verbose")
+        assert code == 0
+        corpus, predictions = load_corpus(corpus_path), load_predictions(preds_path)
+        assert matched == [
+            (sample.gold_spans, predictions.entries.get(sample.text.id, ()))
+            for sample in corpus.samples
+            if sample.text.id in ("f2", "f3")
+        ]
+        rows = json.loads(out.read_text(encoding="utf-8"))["samples"]
+        assert rows == [
+            {
+                "id": sample.text.id,
+                "class": sample.sample_class.value,
+                "outcomes": [
+                    {
+                        "kind": outcome.kind.value,
+                        "gold": outcome.gold and list(outcome.gold),
+                        "predicted": outcome.predicted and list(outcome.predicted),
+                    }
+                    for outcome in match_spans(
+                        sample.gold_spans, predictions.spans_for(sample.text.id)
+                    )
+                ],
+            }
+            for sample in corpus.samples
+        ]
+        assert [len(row["outcomes"]) for row in rows] == [0, 1, 2, 0]
 
 
 class TestCompose:

@@ -133,6 +133,13 @@ def filter_instances(draw):
 
 class TestFilterProperties:
     @given(filter_instances())
+    def test_no_scopes_keep_the_input_itself(self, instance):
+        ades, _, _ = instance
+        report = filter_by_scopes(ades, [])
+        assert report.kept is ades
+        assert report.discarded == ()
+
+    @given(filter_instances())
     def test_partition_of_input(self, case):
         ades, negs, _ = case
         report = filter_by_scopes(ades, negs)
