@@ -8,18 +8,25 @@
 # (filter-sparse): cue-bearing texts with empty prediction rows, a text
 # absent from the predictions, and one prediction inside a scope and one
 # outside, where filter detects no scopes and evaluate matches nothing for
-# a text without spans. Runs on small inputs
-# written into OUT follow: a header-only corpus (a logged warning), a
-# malformed row, a prediction for an unknown id, detect and filter on a
-# speculation cue matched across a line break (escaped TSV fields), detect
-# of both phenomena on cue windows that cross a lone carriage return, a
-# tab, a … token and a CRLF (the gaps a scope may or may not cross), ids no
-# corpus or prediction file can hold (a JSON-lines id holding a carriage
-# return, a TSV id starting with # and a blank TSV id: each refused at its
-# file and line when the corpus loads), an --audit naming the --out file, a
-# cue lexicon that repeats a cue, a config with invalid JSON on line 3, a
-# TSV corpus that repeats an id on line 3, a prediction file that repeats an
-# id and a term list that repeats a term (each refused at its file and line).
+# a text without spans. extract --ade-lexicon, detect --lexicon and
+# prefilter --neg-lexicon then run on lexicons that are not bundled
+# (user-lexicons): terms sharing first words, one term a prefix of longer
+# ones, terms whose keys are equal though their text differs (by a # or a
+# curly apostrophe), a pseudo-trigger and a pre-trigger with the same
+# words, and triggers that are prefixes of longer pseudo-triggers, so the
+# shared matcher is diffed on more than the bundled lexicons. Runs on
+# small inputs written into OUT follow: a header-only corpus (a logged
+# warning), a malformed row, a prediction for an unknown id, detect and
+# filter on a speculation cue matched across a line break (escaped TSV
+# fields), detect of both phenomena on cue windows that cross a lone
+# carriage return, a tab, a … token and a CRLF (the gaps a scope may or
+# may not cross), ids no corpus or prediction file can hold (a
+# JSON-lines id holding a carriage return, a TSV id starting with # and
+# a blank TSV id: each refused at its file and line when the corpus
+# loads), an --audit naming the --out file, a cue lexicon that repeats a
+# cue, a config with invalid JSON on line 3, a TSV corpus that repeats
+# an id on line 3, a prediction file that repeats an id and a term list
+# that repeats a term (each refused at its file and line).
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -91,6 +98,26 @@ run filter-sparse filter --corpus "$out/sparse.tsv" --predictions "$out/sparse.p
     --out "$out/sparse.filtered.tsv" --audit "$out/sparse.audit.tsv"
 run filter-sparse-evaluate evaluate --corpus "$out/sparse.tsv" \
     --predictions "$out/sparse.filtered.tsv" --out "$out/sparse.report.json" --verbose
+# User lexicons: "muscle" and "muscle pain" are prefixes of longer terms,
+# "skin #rash" and "can’t sleep" key as "skin rash" and "can't sleep", the
+# pseudo-trigger "no doubt" wins over the pre-trigger of the same words, and
+# "no" and "not" are prefixes of longer pseudo-triggers.
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n' \
+    'u1\tmy muscle pain in legs is back, muscle pain in arms too\tA\t3:22' \
+    'u2\tMuscle ache and a skin #Rash, i can’t sleep\tA\t0:11' \
+    'u3\tno doubt the muscle pain is from it\tA\t13:24' \
+    'u4\tnot only muscle pain but no skin rash\tA\t9:20' \
+    'u5\tno muscle ache, not sure about skin rash or muscle\tN\t' >"$out/user.tsv"
+printf '# terms\nmuscle\nmuscle pain\nmuscle pain in legs\nmuscle ache\nskin #rash\nskin rash\ncan’t sleep\ncan'"'"'t sleep\n' \
+    >"$out/user-terms.txt"
+printf '# cues\nno doubt|pseudo_trigger\nno doubt|pre_trigger\nno|pre_trigger\nnot|pre_trigger\nnot only|pseudo_trigger\nnot sure about|pseudo_trigger\nbut|terminator\n' \
+    >"$out/user-cues.txt"
+run user-lexicons-extract extract --corpus "$out/user.tsv" --ade-lexicon "$out/user-terms.txt" \
+    --out "$out/user.preds.tsv"
+run user-lexicons-detect detect --corpus "$out/user.tsv" --phenomenon neg \
+    --lexicon "$out/user-cues.txt" --out "$out/user.scopes.tsv"
+run user-lexicons-prefilter prefilter --corpus "$out/user.tsv" --phenomena neg \
+    --neg-lexicon "$out/user-cues.txt" --out "$out/user.kept.tsv"
 # Error paths, run inside OUT on relative names so that no message names
 # OUT. Their exit codes are recorded but leave the script's status alone.
 fault() {  # fault NAME SUBCOMMAND ARGS...

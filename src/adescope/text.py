@@ -17,8 +17,8 @@ every command-line launch.
 
 Cue phrases and event terms are found by one shared matcher on match keys:
 :func:`text_keys` keys a text's token surfaces in one pass, without building
-tokens, :func:`index_patterns` keys lexicon patterns the same way, and
-:func:`longest_matches` scans a key sequence for the longest pattern at each
+tokens, :func:`index_patterns` keys lexicon patterns the same way into a
+trie, and :func:`longest_matches` walks it for the longest pattern at each
 position. :func:`tokenize` returns :class:`Tokens`, a lazy view of one
 ``re.split`` of the text that holds its keys and is the only code that turns
 token positions into character offsets, from the running lengths of the
@@ -34,7 +34,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_span
 
@@ -371,27 +371,24 @@ def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
 
 V = TypeVar("V")
 
-#: Patterns grouped by their first key, each group ordered longest first.
-PatternIndex = Mapping[str, Sequence[tuple[tuple[str, ...], V]]]
+#: A trie of match keys; the node where a pattern ends maps " " to its value.
+PatternIndex = Mapping[str, Any]
 
 
 def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
-    """Index ``(pattern, value)`` pairs for :func:`longest_matches`.
+    """Index ``(pattern, value)`` pairs for :func:`longest_matches` as a trie.
 
     Each pattern is keyed the way texts are (:func:`text_keys`), so it must
-    hold at least one token. When patterns share a key sequence the first
-    entry's value wins.
+    hold at least one token, and each key steps one level down; no key holds
+    a space. When patterns share a key sequence the first entry's value wins.
     """
-    table: dict[tuple[str, ...], V] = {}
+    root: dict[str, Any] = {}
     for pattern, value in entries:
-        table.setdefault(text_keys(pattern), value)
-    groups: dict[str, list[tuple[tuple[str, ...], V]]] = {}
-    for keys, value in table.items():
-        groups.setdefault(keys[0], []).append((keys, value))
-    return {
-        first: tuple(sorted(group, key=lambda entry: -len(entry[0])))
-        for first, group in groups.items()
-    }
+        node = root
+        for key in text_keys(pattern):
+            node = node.setdefault(key, {})
+        node.setdefault(" ", value)
+    return root
 
 
 def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[int, int, V]]:
@@ -400,23 +397,26 @@ def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[in
     A key run matches a pattern when it equals the pattern's keys. At each
     position the longest pattern starting there wins and the scan resumes
     after it. Returns ``(first, last, value)`` in order; ``first`` and
-    ``last`` are inclusive token positions. A match starts only at a first
-    key of the index, so keys disjoint from ``index.keys()`` match nothing.
-
-    Each candidate pattern is compared as a slice, longest first, so a scan
-    costs about N·P·L for N keys, P patterns sharing a first key and L keys
-    per pattern.
+    ``last`` are inclusive token positions. A match starts only at a key of
+    the trie's root, so keys disjoint from ``index.keys()`` match nothing.
+    From there the trie is walked while the keys follow it, and the deepest
+    pattern end passed wins. A scan costs about N·L_max for N keys and L_max
+    keys in the longest pattern, whatever the lexicon's size, so a pattern of
+    thousands of keys that a text follows far is still slow.
     """
     matches: list[tuple[int, int, V]] = []
     resume = 0  # the first position after the last match
     for position, key in enumerate(keys):
         if key in index and position >= resume:
-            for pattern, value in index[key]:
-                last = position + len(pattern) - 1
-                if keys[position : last + 1] == pattern:
-                    matches.append((position, last, value))
-                    resume = last + 1
+            node, match = index, None
+            for last in range(position, len(keys)):
+                if (node := node.get(keys[last])) is None:
                     break
+                if " " in node:
+                    match = (position, last, node[" "])
+            if match is not None:
+                matches.append(match)
+                resume = match[1] + 1
     return matches
 
 

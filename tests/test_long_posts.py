@@ -1,16 +1,21 @@
 """Filtering, matching, BIO projection and scope detection on one long post
-stay near-linear in its length, and term extraction locates every match in
-one.
+stay near-linear in its length, term extraction locates every match in
+one, and matching costs about the same however many patterns share a first
+key.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
 all-pairs scan does on the order of 10,000 x 10,000 overlap tests in each
-step; the sweeps do a few per span.
+step; the sweeps do a few per span. The large lexicons are built here from
+a fixed seed: a scan that tries every pattern sharing a first key does
+their size's worth of work at each key.
 """
 
 from __future__ import annotations
 
+import random
 import time
+from collections import Counter
 
 from adescope import (
     Cue,
@@ -30,11 +35,13 @@ from adescope import (
     detect,
     extract,
     filter_by_scopes,
+    load_corpus,
     match_spans,
     spans_to_bio,
     tokenize,
 )
-from adescope.text import longest_matches
+from adescope.baseline import AdeLexicon
+from adescope.text import index_patterns, longest_matches, text_keys
 
 SENTENCES = 10_000
 WIDTH = 100
@@ -175,3 +182,74 @@ def test_detect_resolves_every_scope_of_a_long_post():
     elapsed = time.perf_counter() - started
     assert scopes == expected
     assert elapsed < 3.0, f"detect took {elapsed:.2f}s"
+
+
+def test_patterns_sharing_a_long_prefix_scan_in_time():
+    # 100 patterns of 100 keys share their first 99, so the walk from each of
+    # 20,000 keys follows 99 of them; only the last 100 keys match a pattern.
+    patterns = ["a " * 99 + f"b{i}" for i in range(100)]
+    index = index_patterns((pattern, i) for i, pattern in enumerate(patterns))
+    keys = ("a",) * 19_999 + ("b7",)
+
+    started = time.perf_counter()
+    matches = longest_matches(keys, index)
+    elapsed = time.perf_counter() - started
+    assert matches == [(19_900, 19_999, 7)]
+    assert elapsed < 1.0, f"longest_matches took {elapsed:.2f}s"
+
+
+def generated_terms(contents: list[str], count: int, seed: int) -> list[str]:
+    """``count`` distinct terms over the words of ``contents``. Half are runs
+    of one to four tokens of a text; half open with one of the ten most
+    frequent words and go on with one to four words drawn evenly, so a few
+    first words each lead thousands of terms, and most match nowhere."""
+    rng = random.Random(seed)
+    texts = [[token.surface for token in tokenize(content)] for content in contents]
+    words = sorted({word for text in texts for word in text})
+    frequent = [word for word, _ in Counter(w for text in texts for w in text).most_common(10)]
+    terms: dict[str, None] = {}
+    while len(terms) < count:
+        if rng.random() < 0.5:
+            text = rng.choice(texts)
+            start = rng.randrange(len(text))
+            term = text[start : start + rng.randint(1, 4)]
+        else:
+            term = [rng.choice(frequent)] + rng.choices(words, k=rng.randint(1, 4))
+        terms.setdefault(" ".join(term).casefold(), None)
+    return list(terms)
+
+
+def reference_spans(content: str, patterns: set[tuple[str, ...]], longest: int) -> set[Span]:
+    """Leftmost-longest term spans: at each position, every length from the
+    longest pattern's down is looked up in the set of pattern keys."""
+    tokens = tokenize(content)
+    spans, position = set(), 0
+    while position < len(tokens):
+        for length in range(min(longest, len(tokens) - position), 0, -1):
+            if tokens.keys[position : position + length] in patterns:
+                spans.add(tokens.span(position, position + length - 1))
+                position += length
+                break
+        else:
+            position += 1
+    return spans
+
+
+def test_a_large_term_list_extracts_in_time(corpus_dir):
+    # 20,000 terms over the test split's words, extracted from the split
+    # repeated ten times (5,400 texts).
+    samples = load_corpus(corpus_dir / "test.tsv").samples
+    contents = [sample.text.content for sample in samples]
+    terms = generated_terms(contents, 20_000, seed=23)
+    texts = [sample.text for sample in samples] * 10
+
+    started = time.perf_counter()
+    lexicon = AdeLexicon(terms)
+    found = [extract(text, lexicon).spans for text in texts]
+    elapsed = time.perf_counter() - started
+    patterns = {text_keys(term) for term in terms}
+    longest = max(map(len, patterns))
+    expected = [reference_spans(content, patterns, longest) for content in contents]
+    assert found == expected * 10
+    assert sum(map(len, expected)) > 1_000
+    assert elapsed < 0.6, f"extract took {elapsed:.2f}s"

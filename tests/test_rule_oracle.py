@@ -10,7 +10,10 @@ lexicon key are both common, and each path is checked on both sides:
 lexicons with a key in it; ``prefilter``, which tokenizes none; and
 ``extract``, which keys and locates its matches from one split of the text
 and builds no token. Cue windows cross gaps with and without a line break,
-so the scope-gap rule is drawn on both sides too.
+so the scope-gap rule is drawn on both sides too. The matcher itself is
+also checked on pattern lists drawn from a small vocabulary, not only the
+bundled lexicons: patterns share first keys and prefixes, some key alike
+though written differently, and a lone ``#`` keys as the empty string.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from adescope import (
     prefilter,
     tokenize,
 )
+from adescope.text import index_patterns, longest_matches
 
 NEG, SPEC = default_negation_lexicon(), default_speculation_lexicon()
 ADE = default_ade_lexicon()
@@ -190,3 +194,27 @@ def test_extract_follows_the_rules(content):
     }
     found = {(s.start, s.end) for s in extract(RawText("t", content), ADE).spans}
     assert found == expected
+
+
+# "A", "#a" and "a" key alike, as do the three spellings of "don't"; "#"
+# alone keys as "". Drawn one to four at a time, patterns share first keys
+# and prefixes, and some key alike though written differently.
+WORDS = ["a", "A", "#a", "b", "#", "don't", "DON’T", "don’t", "c"]
+PATTERN_LISTS = st.lists(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+    min_size=1,
+    max_size=12,
+)
+WORD_TEXTS = st.lists(st.sampled_from(WORDS + ["x", ".", "\n"]), max_size=20).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PATTERN_LISTS, WORD_TEXTS)
+def test_longest_matches_follows_the_rules_for_any_lexicon(patterns, content):
+    tokens = tokenize(content)
+    naive = [
+        (tuple(key(t.surface) for t in tokenize(pattern)), (order,), order)
+        for order, pattern in enumerate(patterns)
+    ]
+    found = longest_matches(tokens.keys, index_patterns((p, o) for o, p in enumerate(patterns)))
+    assert found == naive_matches([key(t.surface) for t in tokens], naive)
