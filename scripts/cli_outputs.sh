@@ -11,10 +11,9 @@
 # a text without spans. extract --ade-lexicon, detect --lexicon and
 # prefilter --neg-lexicon then run on lexicons that are not bundled
 # (user-lexicons): terms sharing first words, one term a prefix of longer
-# ones, terms whose keys are equal though their text differs (by a # or a
-# curly apostrophe), a pseudo-trigger and a pre-trigger with the same
-# words, and triggers that are prefixes of longer pseudo-triggers, so the
-# shared matcher is diffed on more than the bundled lexicons. Runs on
+# ones, terms written with a # or a curly apostrophe that posts match
+# without either, and triggers that are prefixes of longer pseudo-triggers,
+# so the shared matcher is diffed on more than the bundled lexicons. Runs on
 # small inputs written into OUT follow: a header-only corpus (a logged
 # warning), a malformed row, a prediction for an unknown id, detect and
 # filter on a speculation cue matched across a line break (escaped TSV
@@ -25,8 +24,11 @@
 # a blank TSV id: each refused at its file and line when the corpus
 # loads), an --audit naming the --out file, a cue lexicon that repeats a
 # cue, a config with invalid JSON on line 3, a TSV corpus that repeats
-# an id on line 3, a prediction file that repeats an id and a term list
-# that repeats a term (each refused at its file and line).
+# an id on line 3, a prediction file that repeats an id, a term list
+# that repeats a term, a term list with "skin rash" then "skin #rash" and
+# a cue lexicon with the pseudo-trigger "no doubt" then the pre-trigger
+# "no doubt" (entries that key alike: each refused at its file and line),
+# and extract with an empty --ade-lexicon path (a missing file, exit 1).
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -99,8 +101,7 @@ run filter-sparse filter --corpus "$out/sparse.tsv" --predictions "$out/sparse.p
 run filter-sparse-evaluate evaluate --corpus "$out/sparse.tsv" \
     --predictions "$out/sparse.filtered.tsv" --out "$out/sparse.report.json" --verbose
 # User lexicons: "muscle" and "muscle pain" are prefixes of longer terms,
-# "skin #rash" and "can’t sleep" key as "skin rash" and "can't sleep", the
-# pseudo-trigger "no doubt" wins over the pre-trigger of the same words, and
+# "skin #rash" and "can’t sleep" key as "skin rash" and "can't sleep", and
 # "no" and "not" are prefixes of longer pseudo-triggers.
 printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n' \
     'u1\tmy muscle pain in legs is back, muscle pain in arms too\tA\t3:22' \
@@ -108,9 +109,9 @@ printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n' \
     'u3\tno doubt the muscle pain is from it\tA\t13:24' \
     'u4\tnot only muscle pain but no skin rash\tA\t9:20' \
     'u5\tno muscle ache, not sure about skin rash or muscle\tN\t' >"$out/user.tsv"
-printf '# terms\nmuscle\nmuscle pain\nmuscle pain in legs\nmuscle ache\nskin #rash\nskin rash\ncan’t sleep\ncan'"'"'t sleep\n' \
+printf '# terms\nmuscle\nmuscle pain\nmuscle pain in legs\nmuscle ache\nskin #rash\ncan’t sleep\n' \
     >"$out/user-terms.txt"
-printf '# cues\nno doubt|pseudo_trigger\nno doubt|pre_trigger\nno|pre_trigger\nnot|pre_trigger\nnot only|pseudo_trigger\nnot sure about|pseudo_trigger\nbut|terminator\n' \
+printf '# cues\nno doubt|pseudo_trigger\nno|pre_trigger\nnot|pre_trigger\nnot only|pseudo_trigger\nnot sure about|pseudo_trigger\nbut|terminator\n' \
     >"$out/user-cues.txt"
 run user-lexicons-extract extract --corpus "$out/user.tsv" --ade-lexicon "$out/user-terms.txt" \
     --out "$out/user.preds.tsv"
@@ -167,4 +168,12 @@ printf '# terms\nrash\nRash\n' >"$out/dup-term.txt"
 fault dup-id extract --corpus dup-id.tsv --out dup-id.preds.tsv
 fault dup-pred evaluate --corpus one.tsv --predictions dup-pred.tsv --out dup-pred.json
 fault dup-term extract --corpus one.tsv --ade-lexicon dup-term.txt --out dup-term.preds.tsv
+printf '# terms\nskin rash\nskin #rash\n' >"$out/dup-key-term.txt"
+printf '# cues\nno doubt|pseudo_trigger\nno doubt|pre_trigger\n' >"$out/dup-key-cue.txt"
+fault dup-key-term extract --corpus one.tsv --ade-lexicon dup-key-term.txt \
+    --out dup-key-term.preds.tsv
+fault dup-key-cue detect --corpus one.tsv --phenomenon neg --lexicon dup-key-cue.txt \
+    --out dup-key-cue.scopes.tsv
+fault empty-lexicon-path extract --corpus one.tsv --ade-lexicon "" \
+    --out empty-lexicon-path.preds.tsv
 exit "$status"

@@ -8,14 +8,14 @@ extractor's predictions take after loading.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .combine import EntitySet
 from .corpus import lexicon_lines, read_located, read_text
-from .errors import ValidationError, echo
-from .text import Frozen, PatternIndex, RawText, index_patterns, longest_matches, tokenize
+from .errors import ValidationError
+from .text import Frozen, RawText, index_patterns, longest_matches, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -26,26 +26,26 @@ __all__ = [
 
 
 class AdeLexicon(Frozen):
-    """A set of adverse event terms, matched case-insensitively; each is checked as read."""
+    """A set of adverse event terms, matched case-insensitively; each is checked and
+    indexed as read, so a term keyed like an earlier one is refused."""
 
     _FIELDS = ("terms",)
 
     def __init__(self, terms: Iterable[str]) -> None:
-        normalised: dict[str, None] = {}
-        for term in terms:
-            term = term.strip().casefold()
-            if not term:
-                raise ValidationError("empty ADE lexicon term")
-            if term in normalised:
-                raise ValidationError(f"duplicate ADE lexicon term {echo(term)}")
-            normalised[term] = None
-        if not normalised:
-            raise ValidationError("an ADE lexicon must contain at least one term")
-        self._set(terms=tuple(normalised))
+        kept: list[str] = []
 
-    @cached_property
-    def _index(self) -> PatternIndex:
-        return index_patterns((term, term) for term in self.terms)
+        def entries() -> Iterator[tuple[str, str]]:
+            for term in terms:
+                term = term.strip().casefold()
+                if not term:
+                    raise ValidationError("empty ADE lexicon term")
+                kept.append(term)
+                yield term, term
+
+        index = index_patterns(entries())
+        if not kept:
+            raise ValidationError("an ADE lexicon must contain at least one term")
+        self._set(terms=tuple(kept), _index=index)
 
 
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:

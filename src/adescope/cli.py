@@ -123,7 +123,8 @@ def _require_file(path: str, name: str) -> Path:
     """``path`` as a Path; a missing file is a usage error naming the flag or setting."""
     resolved = Path(path)
     if not _probe(Path.is_file, resolved, name):
-        raise UsageError(f"{name}: file not found: {echo(path, str, _PATH_CHARS)}")
+        shown = echo(path, str, _PATH_CHARS) if path else "''"
+        raise UsageError(f"{name}: file not found: {shown}")
     return resolved
 
 
@@ -179,18 +180,21 @@ def _load_predictions_arg(args: argparse.Namespace, corpus: CorpusPartition) -> 
     return predictions
 
 
+def _lexicon(args: argparse.Namespace, setting: str, load: Callable, bundled: Callable):
+    """``load`` of the file a lexicon setting names, or ``bundled()`` when it
+    is unset; an empty path names no file, as any other missing one."""
+    path = getattr(args, setting)
+    return bundled() if path is None else load(_require_file(path, setting))
+
+
 def _selected_lexicons(args: argparse.Namespace, selection: str) -> tuple[CueLexicon, ...]:
     """The cue lexicons a selection such as ``neg+spec`` names; none for ``none``."""
-    lexicons = []
-    for name, phenomenon in _CUE_LEXICONS.items():
-        if name in selection:
-            setting = f"{phenomenon.value}_lexicon"
-            path = getattr(args, setting)
-            lexicons.append(
-                load_lexicon(_require_file(path, setting), phenomenon) if path
-                else bundled_lexicon(phenomenon)
-            )
-    return tuple(lexicons)
+    return tuple(
+        _lexicon(args, f"{phenomenon.value}_lexicon", partial(load_lexicon, phenomenon=phenomenon),
+                 partial(bundled_lexicon, phenomenon))
+        for name, phenomenon in _CUE_LEXICONS.items()
+        if name in selection
+    )
 
 
 def _cue_text(text: RawText, scope: ScopeSpan) -> str:
@@ -205,11 +209,7 @@ def _write_rows(header: str, rows: Iterable[tuple[str, ...]], path: Path) -> Non
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
-    lexicon = (
-        load_ade_lexicon(_require_file(args.ade_lexicon, "ade_lexicon"))
-        if args.ade_lexicon
-        else default_ade_lexicon()
-    )
+    lexicon = _lexicon(args, "ade_lexicon", load_ade_lexicon, default_ade_lexicon)
     entity_sets = [extract(sample.text, lexicon) for sample in corpus.samples]
     predictions = PredictionFile(
         {"model": "lexicon-baseline", "terms": str(len(lexicon.terms))}, entity_sets

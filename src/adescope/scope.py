@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .corpus import lexicon_lines, read_located, read_text
 from .errors import ValidationError, echo
@@ -39,7 +39,6 @@ from .text import (
     Checked,
     Frozen,
     LabeledSample,
-    PatternIndex,
     RawText,
     Span,
     Tokens,
@@ -87,17 +86,6 @@ class CueCategory(str, Enum):
     TERMINATOR = "terminator"
 
 
-# When distinct cues normalise to the same token key sequence, the safest
-# reading wins: refuse to open a scope before closing one, close before
-# opening forward, forward before backward.
-_CATEGORY_PRIORITY = {
-    CueCategory.PSEUDO_TRIGGER: 0,
-    CueCategory.TERMINATOR: 1,
-    CueCategory.PRE_TRIGGER: 2,
-    CueCategory.POST_TRIGGER: 3,
-}
-
-
 class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
     """One lexicon entry: a casefolded phrase with its category."""
 
@@ -110,32 +98,29 @@ class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
 
 
 class CueLexicon(Frozen):
-    """An ordered collection of cues for one phenomenon; each is checked as read."""
+    """An ordered collection of cues for one phenomenon; each is checked and
+    indexed as read, so a cue keyed like an earlier one is refused, whatever
+    either's category (see :func:`~adescope.text.index_patterns`)."""
 
     _FIELDS = ("cues", "phenomenon")
 
     def __init__(self, cues: Iterable[Cue], phenomenon: Phenomenon) -> None:
-        by_entry: dict[tuple[str, CueCategory], Cue] = {}
-        for cue in cues:
-            if cue.phenomenon is not phenomenon:
-                raise ValidationError(
-                    f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
-                    f"lexicon is {phenomenon.value}"
-                )
-            entry = (cue.pattern, cue.category)
-            if entry in by_entry:
-                raise ValidationError(
-                    f"duplicate cue {echo(cue.pattern)} ({cue.category.value})"
-                )
-            by_entry[entry] = cue
-        if not by_entry:
-            raise ValidationError("a cue lexicon must contain at least one cue")
-        self._set(cues=tuple(by_entry.values()), phenomenon=phenomenon)
+        kept: list[Cue] = []
 
-    @cached_property
-    def _index(self) -> PatternIndex:
-        ranked = sorted(self.cues, key=lambda cue: _CATEGORY_PRIORITY[cue.category])
-        return index_patterns((cue.pattern, cue) for cue in ranked)
+        def entries() -> Iterator[tuple[str, Cue]]:
+            for cue in cues:
+                if cue.phenomenon is not phenomenon:
+                    raise ValidationError(
+                        f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
+                        f"lexicon is {phenomenon.value}"
+                    )
+                kept.append(cue)
+                yield cue.pattern, cue
+
+        index = index_patterns(entries())
+        if not kept:
+            raise ValidationError("a cue lexicon must contain at least one cue")
+        self._set(cues=tuple(kept), phenomenon=phenomenon, _index=index)
 
 
 class CueMatch(Checked, namedtuple("CueMatch", "cue span first_token last_token")):
@@ -165,8 +150,10 @@ def parse_lexicon(
 
     Blank lines and lines starting with ``#`` are ignored. Every other line
     must contain exactly one ``|`` separating a non-empty pattern from a
-    category name. Duplicate (pattern, category) pairs and empty lexicons
-    are rejected.
+    category name. A cue whose match keys an earlier line's cue has (the
+    same words, or the same but for case, a hashtag's ``#`` or a curly
+    apostrophe), whatever either's category, and an empty lexicon are
+    rejected.
     """
 
     def cue(line: str) -> Cue:

@@ -380,14 +380,21 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
 
     Each pattern is keyed the way texts are (:func:`text_keys`), so it must
     hold at least one token, and each key steps one level down; no key holds
-    a space. When patterns share a key sequence the first entry's value wins.
+    a space. A pattern keyed like an earlier one could never match, so it is
+    a :class:`ValidationError` as its entry is read: the one rule for when two
+    lexicon entries are the same.
     """
     root: dict[str, Any] = {}
     for pattern, value in entries:
         node = root
-        for key in text_keys(pattern):
+        for key in (keys := text_keys(pattern)):
             node = node.setdefault(key, {})
-        node.setdefault(" ", value)
+        if " " in node:
+            raise ValidationError(
+                f"duplicate lexicon entry {echo(pattern)}: "
+                f"an earlier entry has the match keys {echo(' '.join(keys))}"
+            )
+        node[" "] = value
     return root
 
 

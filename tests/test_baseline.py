@@ -40,7 +40,27 @@ class TestAdeLexicon:
     def test_long_duplicate_is_echoed_cut(self):
         with pytest.raises(ValidationError) as caught:
             AdeLexicon(("pain" * 50, "PAIN" * 50))
-        assert str(caught.value) == f"duplicate ADE lexicon term '{'pain' * 10}…'"
+        cut = f"'{'pain' * 10}…'"
+        assert str(caught.value) == (
+            f"duplicate lexicon entry {cut}: an earlier entry has the match keys {cut}"
+        )
+
+    @pytest.mark.parametrize(
+        "earlier,later,keys",
+        [("skin rash", "skin #rash", "skin rash"), ("can't sleep", "CAN’T sleep", "can't sleep")],
+        ids=["hashtag", "curly-apostrophe"],
+    )
+    def test_load_refuses_a_term_keyed_like_an_earlier_one_at_its_line(
+        self, tmp_path, earlier, later, keys
+    ):
+        path = tmp_path / "terms.txt"
+        path.write_text(f"{earlier}\n{later}\nrash\n", encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_ade_lexicon(path)
+        assert str(caught.value) == (
+            f"{path}:2: duplicate lexicon entry {later.casefold()!r}: "
+            f"an earlier entry has the match keys {keys!r}"
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -617,6 +617,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize(
+        "args,setting",
+        [
+            (["extract", "--ade-lexicon", ""], "ade_lexicon"),
+            (["detect", "--phenomenon", "neg", "--lexicon", ""], "negation_lexicon"),
+            (["prefilter", "--spec-lexicon", ""], "speculation_lexicon"),
+            (["extract", "--config", "{config}"], "ade_lexicon"),
+            (["detect", "--phenomenon", "spec", "--config", "{config}"], "speculation_lexicon"),
+            (["prefilter", "--config", "{config}"], "negation_lexicon"),
+        ],
+        ids=["extract-flag", "detect-flag", "prefilter-flag",
+             "config-ade", "config-speculation", "config-negation"],
+    )
+    def test_an_empty_lexicon_path_names_its_setting(
+        self, tmp_path, e2e_corpus_path, capsys, args, setting
+    ):
+        """An empty path names no file: it does not select the bundled lexicon."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({setting: ""}), encoding="utf-8")
+        argv = [arg.format(config=config) for arg in args]
+        out = tmp_path / "o.tsv"
+        assert main([*argv, "--corpus", str(e2e_corpus_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"adescope: error: {setting}: file not found: ''\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "args,name",
         [
             (["extract", "--corpus", "{long}", "--out", "{tmp}/o.tsv"], "--corpus"),
@@ -784,12 +809,12 @@ LINE_FAULTS = {
     ),
     "cue-lexicon": (
         "neg.txt", "# cues\nnot|pre_trigger\nnot|pre_trigger\n", 3,
-        "duplicate cue 'not' (pre_trigger)",
+        "duplicate lexicon entry 'not': an earlier entry has the match keys 'not'",
         ["detect", "--corpus", "{corpus}", "--phenomenon", "neg", "--lexicon", "{bad}"],
     ),
     "term-list": (
         "terms.txt", "# terms\nheadache\nHeadache\n", 3,
-        "duplicate ADE lexicon term 'headache'",
+        "duplicate lexicon entry 'headache': an earlier entry has the match keys 'headache'",
         ["extract", "--corpus", "{corpus}", "--ade-lexicon", "{bad}"],
     ),
     "config": (
@@ -917,8 +942,42 @@ class TestDataErrorsNameTheirFiles:
         argv = ["extract", "--corpus", str(e2e_corpus_path), "--ade-lexicon", str(terms)]
         assert main([*argv, "--out", str(tmp_path / "p.tsv")]) == 2
         assert capsys.readouterr().err == (
-            f"adescope: error: {terms}:3: duplicate ADE lexicon term 'headache'\n"
+            f"adescope: error: {terms}:3: duplicate lexicon entry 'headache': "
+            "an earlier entry has the match keys 'headache'\n"
         )
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "setting,args,content,shown,keys",
+        [
+            ("ade_lexicon", ["extract"], "skin rash\nskin #rash\n", "skin #rash", "skin rash"),
+            ("ade_lexicon", ["extract"], "can't\nCAN’T\n", "can’t", "can't"),
+            (
+                "negation_lexicon", ["detect", "--phenomenon", "neg"],
+                "no doubt|pseudo_trigger\nno doubt|pre_trigger\n", "no doubt", "no doubt",
+            ),
+        ],
+        ids=["hashtag-term", "curly-apostrophe-term", "pseudo-and-pre-cue"],
+    )
+    def test_entries_keyed_alike_are_refused_at_their_line(
+        self, tmp_path, e2e_corpus_path, capsys, via, setting, args, content, shown, keys
+    ):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(f"# entries\n{content}", encoding="utf-8")
+        if via == "flag":
+            flag = "--ade-lexicon" if setting == "ade_lexicon" else "--lexicon"
+            args = [*args, flag, str(lexicon)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({setting: str(lexicon)}), encoding="utf-8")
+            args = [*args, "--config", str(config)]
+        out = tmp_path / "out.tsv"
+        assert main([*args, "--corpus", str(e2e_corpus_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"adescope: error: {lexicon}:3: duplicate lexicon entry {shown!r}: "
+            f"an earlier entry has the match keys {keys!r}\n"
+        )
+        assert not out.exists()
 
 
 class TestLongConfigValues:

@@ -13,11 +13,14 @@ and builds no token. Cue windows cross gaps with and without a line break,
 so the scope-gap rule is drawn on both sides too. The matcher itself is
 also checked on pattern lists drawn from a small vocabulary, not only the
 bundled lexicons: patterns share first keys and prefixes, some key alike
-though written differently, and a lone ``#`` keys as the empty string.
+though written differently, and a lone ``#`` keys as the empty string. A
+list with patterns that key alike is refused at the first repeat, and the
+matcher is checked on the patterns that key apart.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adescope import (
@@ -25,6 +28,7 @@ from adescope import (
     LabeledSample,
     RawText,
     SampleClass,
+    ValidationError,
     default_ade_lexicon,
     default_negation_lexicon,
     default_speculation_lexicon,
@@ -212,9 +216,15 @@ WORD_TEXTS = st.lists(st.sampled_from(WORDS + ["x", ".", "\n"]), max_size=20).ma
 @given(PATTERN_LISTS, WORD_TEXTS)
 def test_longest_matches_follows_the_rules_for_any_lexicon(patterns, content):
     tokens = tokenize(content)
-    naive = [
-        (tuple(key(t.surface) for t in tokenize(pattern)), (order,), order)
-        for order, pattern in enumerate(patterns)
-    ]
-    found = longest_matches(tokens.keys, index_patterns((p, o) for o, p in enumerate(patterns)))
+    keyed = [tuple(key(t.surface) for t in tokenize(pattern)) for pattern in patterns]
+    repeats = [order for order, words in enumerate(keyed) if words in keyed[:order]]
+    if repeats:
+        # The first pattern keyed like an earlier one is refused; the
+        # matcher is then checked on the patterns that key apart.
+        with pytest.raises(ValidationError) as caught:
+            index_patterns((p, o) for o, p in enumerate(patterns))
+        assert str(caught.value).startswith(f"duplicate lexicon entry {patterns[repeats[0]]!r}:")
+    kept = [order for order in range(len(patterns)) if order not in repeats]
+    naive = [(keyed[order], (order,), order) for order in kept]
+    found = longest_matches(tokens.keys, index_patterns((patterns[o], o) for o in kept))
     assert found == naive_matches([key(t.surface) for t in tokens], naive)

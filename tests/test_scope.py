@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -70,6 +70,28 @@ class TestLexiconIO:
         with pytest.raises(ParseError):
             parse_lexicon("no|pre_trigger\nNO|pre_trigger\n", NEG)
 
+    # Two spellings that key alike, and their keys: the same words in another
+    # case, or with a hashtag and spacing, or with a curly apostrophe. (A line
+    # that starts with "#" is a comment, so no cue in a file starts with one.)
+    KEYED_ALIKE = [
+        ("no", "NO", "no"),
+        ("no doubt", "No  #Doubt", "no doubt"),
+        ("can't", "CAN’T", "can't"),
+    ]
+
+    @pytest.mark.parametrize("earlier,later", list(product(CueCategory, repeat=2)))
+    def test_cues_keyed_alike_are_refused(self, earlier, later):
+        """Whatever either's category, the later cue could never match; it is
+        refused at its own line, before the lines after it are read."""
+        for first, second, keys in self.KEYED_ALIKE:
+            with pytest.raises(ParseError) as caught:
+                lines = f"{first}|{earlier.value}\n{second}|{later.value}\nbut|terminator\n"
+                parse_lexicon(lines, NEG)
+            assert str(caught.value) == (
+                f"<string>:2: duplicate lexicon entry {second.casefold()!r}: "
+                f"an earlier entry has the match keys {keys!r}"
+            )
+
     def test_long_values_are_echoed_cut(self):
         long = "no" * 100
         cut = f"'{long[:40]}…'"
@@ -80,7 +102,8 @@ class TestLexiconIO:
             ),
             (
                 lambda: parse_lexicon(f"{long}|pre_trigger\n{long}|pre_trigger\n", NEG),
-                f"<string>:2: duplicate cue {cut} (pre_trigger)",
+                f"<string>:2: duplicate lexicon entry {cut}: "
+                f"an earlier entry has the match keys {cut}",
             ),
             (
                 lambda: Cue(f" {long}", CueCategory.PRE_TRIGGER, NEG),
@@ -152,28 +175,6 @@ class TestFindCues:
         text = "and there's no way I'm sleeping"
         (match,) = find_cues(tokenize(text), lex)
         assert text[match.span.start : match.span.end] == "there's no way"
-
-    # Cues whose patterns differ but share token keys ("no" and "#no"): the
-    # safest category wins whatever the lexicon order.
-    SAFEST_FIRST = [
-        CueCategory.PSEUDO_TRIGGER,
-        CueCategory.TERMINATOR,
-        CueCategory.PRE_TRIGGER,
-        CueCategory.POST_TRIGGER,
-    ]
-
-    @pytest.mark.parametrize("plain,hashed", list(permutations(CueCategory, 2)))
-    def test_colliding_cues_resolve_to_the_safest_category(self, plain, hashed):
-        expected = min(plain, hashed, key=self.SAFEST_FIRST.index)
-        for entries in ((("no", plain), ("#no", hashed)), (("#no", hashed), ("no", plain))):
-            (match,) = find_cues(tokenize("no"), lexicon(*entries))
-            assert match.cue.category is expected
-
-    @pytest.mark.parametrize("category", list(CueCategory))
-    def test_colliding_cues_of_one_category_keep_the_earlier(self, category):
-        for patterns in (("no", "#no"), ("#no", "no")):
-            (match,) = find_cues(tokenize("no"), lexicon(*((p, category) for p in patterns)))
-            assert match.cue.pattern == patterns[0]
 
 
 class TestResolveScopes:
