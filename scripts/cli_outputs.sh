@@ -29,6 +29,9 @@
 # a cue lexicon with the pseudo-trigger "no doubt" then the pre-trigger
 # "no doubt" (entries that key alike: each refused at its file and line),
 # and extract with an empty --ade-lexicon path (a missing file, exit 1).
+# extract with an empty --config path runs too: it names no file, so it
+# exits 1 rather than running with the defaults. Last, compose gets an
+# --n-pool but no --add-n, a pool it would read and then drop, and exits 1.
 #
 #   scripts/cli_outputs.sh SRC OUT [CORPUS]
 #
@@ -176,4 +179,9 @@ fault dup-key-cue detect --corpus one.tsv --phenomenon neg --lexicon dup-key-cue
     --out dup-key-cue.scopes.tsv
 fault empty-lexicon-path extract --corpus one.tsv --ade-lexicon "" \
     --out empty-lexicon-path.preds.tsv
+fault empty-config-path extract --corpus one.tsv --config "" \
+    --out empty-config-path.preds.tsv
+printf 'id\ttext\tclass\tspans\nn1\tno rash here\tN\t\n' >"$out/n-pool.tsv"
+fault pool-without-add compose --base one.tsv --n-pool n-pool.tsv \
+    --out pool-without-add.tsv
 exit "$status"

@@ -150,7 +150,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     if getattr(args, "lexicon", None) is not None:  # detect's override
         setattr(args, f"{_CUE_LEXICONS[args.phenomenon].value}_lexicon", args.lexicon)
     config = {}
-    if args.config:
+    if args.config is not None:
         _require_file(args.config, "--config")
         config = load_config(args.config)
     for name, (default, _, _) in _SETTINGS.items():
@@ -292,10 +292,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    if args.add_n and not args.n_pool:
-        raise UsageError("--n-pool is required with --add-n")
-    if args.add_s and not args.s_pool:
-        raise UsageError("--s-pool is required with --add-s")
+    for add_flag, add, pool_flag, pool in (
+        ("--add-n", args.add_n, "--n-pool", args.n_pool),
+        ("--add-s", args.add_s, "--s-pool", args.s_pool),
+    ):
+        if add and not pool:
+            raise UsageError(f"{pool_flag} is required with {add_flag}")
+        if pool is not None and not add:  # a pool would be read, then dropped
+            raise UsageError(f"{add_flag} is required with {pool_flag}")
     corpora = (("--base", args.base), ("--n-pool", args.n_pool), ("--s-pool", args.s_pool))
     base, n_pool, s_pool = (
         None if path is None else load_corpus(_require_file(path, flag), format=args.format)

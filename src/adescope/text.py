@@ -228,6 +228,12 @@ class Token(NamedTuple):
 
 _VALID_TAGS = frozenset({"B", "I", "O"})
 
+# Over a tag sequence joined into one string (each tag is one character), a
+# span is a run of B or I continued by I's, and an I dangles, continuing no
+# span, when it opens the sequence or follows an O.
+_RUN_RE = re.compile("[BI]I*")
+_DANGLING_I_RE = re.compile("(?<![BI])I")
+
 
 class TagSequence(Frozen):
     """A BIO tag per token. May be ill-formed; see :meth:`is_well_formed`."""
@@ -243,13 +249,8 @@ class TagSequence(Frozen):
 
     @property
     def is_well_formed(self) -> bool:
-        """True when no I tag opens the sequence or follows an O."""
-        previous = "O"
-        for tag in self.tags:
-            if tag == "I" and previous == "O":
-                return False
-            previous = tag
-        return True
+        """True when no I tag dangles: each follows a B or an I."""
+        return _DANGLING_I_RE.search("".join(self.tags)) is None
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -458,42 +459,21 @@ def bio_to_spans(
 ) -> set[Span]:
     """Recover character spans from BIO tags over tokens.
 
-    Each maximal B(I)* run becomes one span from the first token's start to
-    the last token's end. An I that opens the sequence or follows an O is
-    repaired to B by default; with ``strict=True`` it raises instead.
-    Token-boundary-aligned spans round-trip exactly through
-    :func:`spans_to_bio`.
+    Each run of ``[BI]I*`` in the tags becomes one span, from its first
+    token's start to its last token's end. A dangling I, one not after a B
+    or an I, opens a run as the B it is repaired to; with ``strict=True``
+    the first one raises instead. Token-boundary-aligned spans round-trip
+    exactly through :func:`spans_to_bio`.
     """
-    sequence = TagSequence(tags).tags
-    if len(sequence) != len(tokens):
+    joined = "".join(TagSequence(tags).tags)
+    if len(joined) != len(tokens):
+        raise ValidationError(f"{len(joined)} tags for {len(tokens)} tokens")
+    if strict and (dangling := _DANGLING_I_RE.search(joined)):
         raise ValidationError(
-            f"{len(sequence)} tags for {len(tokens)} tokens"
+            f"ill-formed tag sequence: I at position {dangling.start()} "
+            "does not continue a span"
         )
-
-    spans: set[Span] = set()
-    run_start: int | None = None
-    run_end = 0
-    previous = "O"
-    for position, tag in enumerate(sequence):
-        if tag == "I" and previous == "O":
-            if strict:
-                raise ValidationError(
-                    f"ill-formed tag sequence: I at position {position} "
-                    "does not continue a span"
-                )
-            tag = "B"
-        if tag == "B":
-            if run_start is not None:
-                spans.add(Span(run_start, run_end))
-            run_start = tokens[position].span.start
-            run_end = tokens[position].span.end
-        elif tag == "I":
-            run_end = tokens[position].span.end
-        else:
-            if run_start is not None:
-                spans.add(Span(run_start, run_end))
-                run_start = None
-        previous = tag
-    if run_start is not None:
-        spans.add(Span(run_start, run_end))
-    return spans
+    return {
+        Span(tokens[run.start()].span.start, tokens[run.end() - 1].span.end)
+        for run in _RUN_RE.finditer(joined)
+    }

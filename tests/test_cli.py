@@ -435,11 +435,31 @@ class TestCompose:
 
     def test_add_flag_without_pool_is_usage_error(self, tmp_path, capsys):
         base = self.write_corpus_file(tmp_path / "base.tsv", "x1\tall quiet\tX\t")
-        code = main(
-            ["compose", "--base", str(base), "--add-n", "--out", str(tmp_path / "o.tsv")]
-        )
-        assert code == 1
-        assert "--n-pool" in capsys.readouterr().err
+        out = tmp_path / "o.tsv"
+        for add_flag, pool_flag in (("--add-n", "--n-pool"), ("--add-s", "--s-pool")):
+            assert main(["compose", "--base", str(base), add_flag, "--out", str(out)]) == 1
+            expected = f"adescope: error: {pool_flag} is required with {add_flag}\n"
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pool_flag,add_flag,row",
+        [("--n-pool", "--add-n", "n1\tno rash here\tN\t"),
+         ("--s-pool", "--add-s", "s1\tmaybe a rash\tS\t")],
+        ids=["n-pool", "s-pool"],
+    )
+    def test_a_pool_without_its_add_flag_is_usage_error(
+        self, tmp_path, capsys, pool_flag, add_flag, row
+    ):
+        """A pool given without its add flag would be read and then dropped."""
+        base = self.write_corpus_file(tmp_path / "base.tsv", "x1\tall quiet\tX\t")
+        pool = self.write_corpus_file(tmp_path / "pool.tsv", row)
+        out = tmp_path / "o.tsv"
+        argv = ["compose", "--base", str(base), pool_flag, str(pool), "--out", str(out)]
+        assert main(argv) == 1
+        expected = f"adescope: error: {add_flag} is required with {pool_flag}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
 
 class TestPrefilter:
@@ -704,6 +724,33 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [["extract"], ["detect", "--phenomenon", "neg"], ["prefilter"]],
+        ids=["extract", "detect", "prefilter"],
+    )
+    def test_an_empty_config_path_is_usage_error(
+        self, tmp_path, e2e_corpus_path, capsys, args
+    ):
+        """An empty --config names no file: it does not mean the defaults."""
+        out = tmp_path / "o.tsv"
+        argv = [*args, "--corpus", str(e2e_corpus_path), "--config", "", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "adescope: error: --config: file not found: ''\n"
+        assert not out.exists()
+
+    def test_a_config_that_is_not_an_object_is_a_data_error(
+        self, tmp_path, e2e_corpus_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text("[]\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        argv = ["extract", "--corpus", str(e2e_corpus_path), "--config", str(config)]
+        assert main([*argv, "--out", str(out)]) == 2
+        expected = f"adescope: error: {config}: config must be a JSON object\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
 
     def test_evaluate_takes_no_jobs(self, tmp_path, e2e_corpus_path, preds_path, capsys):

@@ -131,10 +131,14 @@ class TestRecord:
             assert hash(one) == object.__hash__(one)
 
     def test_assignment_raises(self, cls, fields, args, other_args, by_value):
+        """Assigning or deleting any field raises, as on the frozen dataclass."""
         obj = cls(*args)
         for name in fields.split():
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert hasattr(obj, name)
 
 
 def test_scope_text_id_defaults_to_none():

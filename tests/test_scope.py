@@ -11,11 +11,13 @@ from adescope import (
     Cue,
     CueCategory,
     CueLexicon,
+    CueMatch,
     LabeledSample,
     ParseError,
     Phenomenon,
     RawText,
     SampleClass,
+    Span,
     Tokens,
     ValidationError,
     default_negation_lexicon,
@@ -175,6 +177,19 @@ class TestFindCues:
         text = "and there's no way I'm sleeping"
         (match,) = find_cues(tokenize(text), lex)
         assert text[match.span.start : match.span.end] == "there's no way"
+
+    @pytest.mark.parametrize(
+        "first,last", [(-1, 0), (-2, -1), (3, 2)], ids=["negative", "both-negative", "reversed"]
+    )
+    def test_a_match_refuses_a_bad_token_range(self, first, last):
+        cue = Cue("no", CueCategory.PRE_TRIGGER, NEG)
+        for build in (
+            lambda: CueMatch(cue, Span(0, 2), first, last),
+            lambda: CueMatch(cue, Span(0, 2), 0, 0)._replace(first_token=first, last_token=last),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert str(caught.value) == f"bad token range {first}..{last}"
 
 
 class TestResolveScopes:

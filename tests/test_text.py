@@ -293,6 +293,12 @@ class TestBio:
         assert not TagSequence(("I", "O")).is_well_formed
         assert not TagSequence(("O", "I")).is_well_formed
 
+    def test_tag_sequence_indexes_its_tags(self):
+        tags = TagSequence(("B", "I", "O"))
+        assert (tags[0], tags[1], tags[-1]) == ("B", "I", "O")
+        with pytest.raises(IndexError):
+            tags[3]
+
 
 @st.composite
 def tokens_with_aligned_spans(draw):
@@ -326,6 +332,94 @@ class TestBioProperties:
     def test_projection_is_well_formed(self, case):
         tokens, spans = case
         assert spans_to_bio(tokens, spans).is_well_formed
+
+
+def reference_bio_to_spans(tokens, tags, strict=False):
+    """The token-by-token state machine that once decoded BIO tags: the
+    oracle for ``bio_to_spans``, kept as it was."""
+    sequence = TagSequence(tags).tags
+    if len(sequence) != len(tokens):
+        raise ValidationError(f"{len(sequence)} tags for {len(tokens)} tokens")
+    spans = set()
+    run_start = None
+    run_end = 0
+    previous = "O"
+    for position, tag in enumerate(sequence):
+        if tag == "I" and previous == "O":
+            if strict:
+                raise ValidationError(
+                    f"ill-formed tag sequence: I at position {position} "
+                    "does not continue a span"
+                )
+            tag = "B"
+        if tag == "B":
+            if run_start is not None:
+                spans.add(Span(run_start, run_end))
+            run_start = tokens[position].span.start
+            run_end = tokens[position].span.end
+        elif tag == "I":
+            run_end = tokens[position].span.end
+        else:
+            if run_start is not None:
+                spans.add(Span(run_start, run_end))
+                run_start = None
+        previous = tag
+    if run_start is not None:
+        spans.add(Span(run_start, run_end))
+    return spans
+
+
+def reference_is_well_formed(tags) -> bool:
+    previous = "O"
+    for tag in tags:
+        if tag == "I" and previous == "O":
+            return False
+        previous = tag
+    return True
+
+
+def outcome(decode, *args):
+    """What ``decode(*args)`` returns, or the type and message it raises."""
+    try:
+        return decode(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tagged_tokens(draw):
+    """Any B/I/O sequence, empty included, over tokens of drawn widths and
+    gaps: as many tokens as tags, or now and then one fewer or one more."""
+    tags = draw(st.lists(st.sampled_from("BIO"), max_size=12))
+    count = max(0, len(tags) + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+    tokens, cursor = [], 0
+    for i in range(count):
+        cursor += draw(st.integers(min_value=1, max_value=2))
+        width = draw(st.integers(min_value=1, max_value=3))
+        tokens.append(Token(f"t{i}", Span(cursor, cursor + width)))
+        cursor += width
+    return tokens, tags
+
+
+class TestBioOracle:
+    """``bio_to_spans`` and ``is_well_formed`` agree with the state machine on
+    every tag sequence, ill-formed ones included."""
+
+    @settings(max_examples=500)
+    @given(tagged_tokens(), st.booleans())
+    @example(([], []), True)
+    @example((make_tokens((0, 1), (2, 3)), ["I", "I"]), False)
+    @example((make_tokens((0, 1), (2, 3)), ["I", "I"]), True)
+    @example((make_tokens((0, 1), (2, 3), (4, 5)), ["B", "O", "I"]), True)
+    @example((make_tokens((0, 1), (2, 3), (4, 5)), ["B", "I", "B"]), True)
+    @example((make_tokens((0, 1), (2, 3), (4, 5), (6, 7)), ["O", "I", "O", "I"]), False)
+    @example((make_tokens((0, 1)), ["I", "O"]), True)
+    def test_decoding_matches_the_state_machine(self, case, strict):
+        tokens, tags = case
+        expected = outcome(reference_bio_to_spans, tokens, tags, strict)
+        assert outcome(bio_to_spans, tokens, tags, strict) == expected
+        assert outcome(bio_to_spans, tokens, TagSequence(tags), strict) == expected
+        assert TagSequence(tags).is_well_formed is reference_is_well_formed(tags)
 
 
 # Pieces of gate texts and patterns: ASCII words and marks, and pieces whose
