@@ -389,7 +389,8 @@ def compose_training_set(
 
     The output keeps a stable order: base samples first, then the N pool,
     then the S pool. The base must contain only classes A and X, each pool
-    only its own class, and ids must not collide.
+    only its own class, and ids must not collide. A pool is given exactly
+    when its add flag is set: an unused pool is refused, not dropped.
     """
     for sample in base.samples:
         if sample.sample_class not in (SampleClass.ADE, SampleClass.NO_ADE):
@@ -402,10 +403,12 @@ def compose_training_set(
         (add_n, n_pool, SampleClass.NEGATED, "n_pool"),
         (add_s, s_pool, SampleClass.SPECULATED, "s_pool"),
     ):
-        if not flag:
-            continue
         if pool is None:
-            raise ValidationError(f"{label} is required when its add flag is set")
+            if flag:
+                raise ValidationError(f"{label} is required when its add flag is set")
+            continue
+        if not flag:
+            raise ValidationError(f"{label} is given but its add flag is not set")
         for sample in pool.samples:
             if sample.sample_class is not wanted:
                 raise ValidationError(

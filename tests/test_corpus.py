@@ -869,10 +869,17 @@ class TestPartitionAndComposition:
 
     def test_compose_flags_select_pools(self):
         base, n_pool, s_pool = self.make_pools()
-        only_n = compose_training_set(base, add_n=True, n_pool=n_pool, s_pool=s_pool)
+        only_n = compose_training_set(base, add_n=True, n_pool=n_pool)
         assert [s.text.id for s in only_n.samples] == ["a1", "x1", "n1"]
-        neither = compose_training_set(base, n_pool=n_pool, s_pool=s_pool)
-        assert neither.samples == base.samples
+        assert compose_training_set(base).samples == base.samples
+
+    def test_compose_refuses_a_pool_without_its_add_flag(self):
+        # A pool whose flag is not set would be read and then dropped.
+        base, n_pool, s_pool = self.make_pools()
+        with pytest.raises(ValidationError, match="s_pool is given but its add flag is not set"):
+            compose_training_set(base, add_n=True, n_pool=n_pool, s_pool=s_pool)
+        with pytest.raises(ValidationError, match="n_pool is given but its add flag is not set"):
+            compose_training_set(base, n_pool=n_pool, s_pool=s_pool)
 
     def test_compose_validates_base_classes(self):
         _, n_pool, s_pool = self.make_pools()

@@ -1,7 +1,7 @@
 """Filtering, matching, BIO projection and scope detection on one long post
 stay near-linear in its length, term extraction locates every match in
-one, and matching costs about the same however many patterns share a first
-key.
+one, matching costs about the same however many patterns share a first
+key, and prefiltering keys a long post only up to its first trigger.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
@@ -22,9 +22,11 @@ from adescope import (
     CueCategory,
     CueMatch,
     EntitySet,
+    LabeledSample,
     MatchKind,
     Phenomenon,
     RawText,
+    SampleClass,
     ScopeSpan,
     Span,
     Token,
@@ -37,6 +39,7 @@ from adescope import (
     filter_by_scopes,
     load_corpus,
     match_spans,
+    prefilter,
     spans_to_bio,
     tokenize,
 )
@@ -182,6 +185,31 @@ def test_detect_resolves_every_scope_of_a_long_post():
     elapsed = time.perf_counter() - started
     assert scopes == expected
     assert elapsed < 3.0, f"detect took {elapsed:.2f}s"
+
+
+def test_prefilter_keys_long_posts_only_up_to_their_first_trigger():
+    # 20 posts of 200,013 characters whose first line holds "not". Keying
+    # every character of them took 0.35-0.46 s; up to the trigger, 2-3 ms.
+    filler = "my head hurt after the dose today\n" * 5_882
+    first_line = "the rash did not go away\n"
+    lexicons = (default_negation_lexicon(), default_speculation_lexicon())
+
+    def posts(content: str, count: int) -> list[LabeledSample]:
+        return [
+            LabeledSample(RawText(f"p{i}", content), frozenset(), SampleClass.NO_ADE)
+            for i in range(count)
+        ]
+
+    opening = posts(first_line + filler, 20)
+    started = time.perf_counter()
+    kept = prefilter(opening, lexicons)
+    elapsed = time.perf_counter() - started
+    assert kept == opening
+    assert len(opening[0].text.content) == 200_013
+    assert elapsed < 0.1, f"prefilter took {elapsed:.3f}s"
+    # Without a trigger, and with one only in the last line, the whole post is keyed.
+    closing = posts(filler + first_line, 1)
+    assert prefilter(posts(filler, 1) + closing, lexicons) == closing
 
 
 def test_patterns_sharing_a_long_prefix_scan_in_time():

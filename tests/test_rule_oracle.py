@@ -7,7 +7,8 @@ hashtags and with curly apostrophes, with filler words, punctuation,
 newlines, lone carriage returns and tabs. So texts with and without a
 lexicon key are both common, and each path is checked on both sides:
 ``detect``, which keys a text from its one tokenization and scans only the
-lexicons with a key in it; ``prefilter``, which tokenizes none; and
+lexicons with a key in it; ``prefilter``, which tokenizes none, and again
+with its first prefix shrunk to a few characters, on longer texts; and
 ``extract``, which keys and locates its matches from one split of the text
 and builds no token. Cue windows cross gaps with and without a line break,
 so the scope-gap rule is drawn on both sides too. The matcher itself is
@@ -20,8 +21,10 @@ matcher is checked on the patterns that key apart.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adescope import (
     CueCategory,
@@ -44,13 +47,6 @@ NEG, SPEC = default_negation_lexicon(), default_speculation_lexicon()
 ADE = default_ade_lexicon()
 TERMINALS = {".", "!", "?", "…"}
 TRIGGERS = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
-# When two cues have the same words, the one that opens no scope wins.
-PRIORITY = {
-    CueCategory.PSEUDO_TRIGGER: 0,
-    CueCategory.TERMINATOR: 1,
-    CueCategory.PRE_TRIGGER: 2,
-    CueCategory.POST_TRIGGER: 3,
-}
 
 
 def key(surface: str) -> str:
@@ -60,7 +56,8 @@ def key(surface: str) -> str:
 
 def naive_matches(keys: list[str], patterns: list[tuple[tuple[str, ...], tuple, object]]):
     """Leftmost-longest matches as ``(first, last, value)``: at each token,
-    every pattern is tried and the longest, then lowest-ranked, wins.
+    every pattern is tried and the longest, then lowest-ranked, wins. No two
+    patterns of a lexicon key alike, so cue order alone ranks cues.
     """
     found, position = [], 0
     while position < len(keys):
@@ -80,7 +77,7 @@ def naive_matches(keys: list[str], patterns: list[tuple[tuple[str, ...], tuple, 
 
 def cue_patterns(lexicon):
     return [
-        (tuple(key(t.surface) for t in tokenize(cue.pattern)), (PRIORITY[cue.category], order), cue)
+        (tuple(key(t.surface) for t in tokenize(cue.pattern)), (order,), cue)
         for order, cue in enumerate(lexicon.cues)
     ]
 
@@ -180,6 +177,38 @@ def test_find_cues_detect_and_prefilter_follow_the_rules(content, lexicons, wind
         for _, _, cue in naive_matches(keys, cue_patterns(lexicon))
     )
     assert prefilter([sample], lexicons) == ([sample] if fires else [])
+
+
+# Cues that open no scope, some headed by a trigger ("no" of "no wonder"),
+# drawn often enough that many texts hold a trigger only as such a head.
+NON_TRIGGERS = [
+    cue.pattern for lexicon in (NEG, SPEC) for cue in lexicon.cues if cue.category not in TRIGGERS
+]
+PREFIX_TEXTS = (
+    st.lists(st.one_of(PIECES, variants(NON_TRIGGERS)), min_size=1, max_size=40)
+    .map(" ".join)
+    .filter(str.strip)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PREFIX_TEXTS, SELECTIONS)
+@example("the no wonder", (NEG,))
+@example("no significant change", (NEG,))  # as many keys as the longest cue
+def test_prefilter_on_shrunk_prefixes_follows_the_rules(content, lexicons):
+    # Prefixes of a few characters cut most texts many times, and a cut
+    # often falls inside a cue, where a trigger that the whole text extends
+    # into a longer cue must not decide.
+    sample = LabeledSample(RawText("t", content), frozenset(), SampleClass.NO_ADE)
+    keys = [key(t.surface) for t in tokenize(content)]
+    fires = any(
+        cue.category in TRIGGERS
+        for lexicon in lexicons
+        for _, _, cue in naive_matches(keys, cue_patterns(lexicon))
+    )
+    for chars in (1, 2, 3, 8, 16):
+        with mock.patch("adescope.scope._PREFIX_CHARS", chars):
+            assert prefilter([sample], lexicons) == ([sample] if fires else []), chars
 
 
 TERM_PATTERNS = [

@@ -3,7 +3,16 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from adescope import SampleClass, load_corpus
+from adescope import (
+    CueCategory,
+    SampleClass,
+    default_negation_lexicon,
+    default_speculation_lexicon,
+    find_cues,
+    load_corpus,
+    tokenize,
+)
+from adescope.scope import _PREFIX_CHARS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -61,3 +70,27 @@ def test_long_variant_joins_every_text_with_its_spans(tmp_path):
     assert surfaces(long) == surfaces(test_split)
     for sample in long.samples:
         assert sample.sample_class is (SampleClass.ADE if sample.gold_spans else SampleClass.NO_ADE)
+
+
+def test_long_variant_reaches_both_prefilter_paths(tmp_path):
+    # The output-identity job diffs prefilter on this variant, so it must
+    # hold a post with no trigger, keyed to its end prefix by prefix, and
+    # one whose first trigger lies past the first prefix.
+    script = _load_script("corpus_variants")
+    assert script.main([str(tmp_path)]) == 0
+    lexicons = (default_negation_lexicon(), default_speculation_lexicon())
+    triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
+    firsts = [
+        min(
+            (
+                match.span.start
+                for lexicon in lexicons
+                for match in find_cues(tokenize(sample.text), lexicon)
+                if match.cue.category in triggers
+            ),
+            default=None,
+        )
+        for sample in load_corpus(tmp_path / "test-long.tsv").samples
+    ]
+    assert None in firsts
+    assert any(first is not None and first > _PREFIX_CHARS for first in firsts)
