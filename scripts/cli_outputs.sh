@@ -13,7 +13,12 @@
 # (user-lexicons): terms sharing first words, one term a prefix of longer
 # ones, terms written with a # or a curly apostrophe that posts match
 # without either, and triggers that are prefixes of longer pseudo-triggers,
-# so the shared matcher is diffed on more than the bundled lexicons. Runs on
+# so the shared matcher is diffed on more than the bundled lexicons.
+# detect, filter and prefilter then run on short ASCII texts whose cues
+# touch the edges of the word check that skips a text untokenized
+# (ascii-gate): #No, @no, no., (not), NOT, don't, x'no, no_way, n0 and a
+# cue after a form feed, with user lexicons that hold no_way and n0 (the
+# check on) and a punctuation-only cue (the check off). Runs on
 # small inputs written into OUT follow: a header-only corpus (a logged
 # warning), a malformed row, a prediction for an unknown id, detect and
 # filter on a speculation cue matched across a line break (escaped TSV
@@ -122,6 +127,39 @@ run user-lexicons-detect detect --corpus "$out/user.tsv" --phenomenon neg \
     --lexicon "$out/user-cues.txt" --out "$out/user.scopes.tsv"
 run user-lexicons-prefilter prefilter --corpus "$out/user.tsv" --phenomena neg \
     --neg-lexicon "$out/user-cues.txt" --out "$out/user.kept.tsv"
+# The word gate: short ASCII texts whose cues touch the edges of a word run
+# (#No, @no, no., (not), NOT, don't, x'no, no_way, n0 and a cue after a form
+# feed) and one with no cue. The user negation lexicon holds no_way and n0,
+# and its gate is on; the user speculation lexicon holds a punctuation-only
+# cue, which turns its gate off, so filter meets a gated and an ungated
+# lexicon in one call, and prefilter two gated ones (with the bundled
+# speculation lexicon).
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n' \
+    'w01\t#No rash since the dose\tX\t' \
+    'w02\t@no rash here\tX\t' \
+    'w03\ta rash, then no. itch now\tX\t' \
+    'w04\titching (not) rash\tX\t' \
+    'w05\tNOT a rash today\tX\t' \
+    "w06\\ti don't get a rash\\tX\\t" \
+    "w07\\tx'no rash today\\tX\\t" \
+    'w08\tno_way rash today\tX\t' \
+    'w09\tn0 rash today\tX\t' \
+    'w10\titch\x0cno rash\tX\t' \
+    'w11\tslept fine with a rash\tX\t' \
+    'w12\tis it a rash? maybe\tX\t' >"$out/gate.tsv"
+printf '# cues\nno_way|pre_trigger\nn0|pre_trigger\nno|pre_trigger\nnot|pre_trigger\n' \
+    >"$out/gate-neg.txt"
+printf '# cues\n?|post_trigger\nmaybe|pre_trigger\n' >"$out/gate-spec.txt"
+run ascii-gate-extract extract --corpus "$out/gate.tsv" --out "$out/gate.preds.tsv"
+run ascii-gate-detect-neg detect --corpus "$out/gate.tsv" --phenomenon neg \
+    --out "$out/gate.scopes-neg.tsv"
+run ascii-gate-detect-user detect --corpus "$out/gate.tsv" --phenomenon neg \
+    --lexicon "$out/gate-neg.txt" --out "$out/gate.scopes-user.tsv"
+run ascii-gate-filter filter --corpus "$out/gate.tsv" --predictions "$out/gate.preds.tsv" \
+    --neg-lexicon "$out/gate-neg.txt" --spec-lexicon "$out/gate-spec.txt" \
+    --out "$out/gate.filtered.tsv" --audit "$out/gate.audit.tsv"
+run ascii-gate-prefilter prefilter --corpus "$out/gate.tsv" --phenomena neg+spec \
+    --neg-lexicon "$out/gate-neg.txt" --out "$out/gate.kept.tsv"
 # Error paths, run inside OUT on relative names so that no message names
 # OUT. Their exit codes are recorded but leave the script's status alone.
 fault() {  # fault NAME SUBCOMMAND ARGS...

@@ -18,7 +18,8 @@ cue match, terminal punctuation (. ! ? …), a newline or carriage return
 between tokens, or the edge of the text. Scopes never cross sentence
 boundaries.
 
-:func:`detect` tokenizes a text once for all its lexicons. The cues are
+:func:`detect` tokenizes a text at most once for all its lexicons (not at
+all when a short ASCII text holds none of their first words). The cues are
 matched on the tokens' keys, the scope walk reads token surfaces and the
 gaps between them from the text's split, and character spans are built
 only for the matched cue runs and the scopes they open (see
@@ -43,9 +44,11 @@ from .text import (
     RawText,
     Span,
     Tokens,
+    first_words,
     index_patterns,
     longest_matches,
     text_keys,
+    text_words,
     tokenize,
 )
 
@@ -75,7 +78,7 @@ TERMINAL_TOKENS = frozenset({".", "!", "?", "…"})
 DEFAULT_WINDOW = 5
 
 #: Characters of a text that :func:`prefilter` keys first; a text no longer
-#: is keyed whole.
+#: is keyed whole, and only such a text is checked by :func:`_may_match`.
 _PREFIX_CHARS = 1024
 _SPACE_RE = re.compile(r"\s")
 
@@ -127,6 +130,7 @@ class CueLexicon(Frozen):
         if not kept:
             raise ValidationError("a cue lexicon must contain at least one cue")
         self._set(cues=tuple(kept), phenomenon=phenomenon, _index=index)
+        self._set(_first_words=first_words(index))
 
 
 class CueMatch(Checked, namedtuple("CueMatch", "cue span first_token last_token")):
@@ -271,6 +275,18 @@ def resolve_scopes(
     return scopes
 
 
+def _may_match(content: str, lexicons: tuple[CueLexicon, ...]) -> tuple[CueLexicon, ...]:
+    """Of the lexicons, those with a first word among the words of an ASCII
+    text of at most ``_PREFIX_CHARS`` characters; all of them for any other."""
+    if len(content) > _PREFIX_CHARS or (words := text_words(content)) is None:
+        return lexicons
+    return tuple(
+        lexicon
+        for lexicon in lexicons
+        if lexicon._first_words is None or not lexicon._first_words.isdisjoint(words)
+    )
+
+
 def detect(
     text: Union[str, RawText],
     lexicons: Iterable[CueLexicon],
@@ -279,13 +295,15 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    The text is split and keyed once; only a lexicon with a first key among
-    the text's keys (see :func:`~adescope.text.longest_matches`) is scanned,
-    so a text no lexicon can match in yields no scopes without a character
-    offset, token or span being computed. An empty lexicon collection yields
-    no scopes without tokenizing.
+    A lexicon with no first word among a short ASCII text's words cannot
+    match there and is dropped (:func:`~adescope.text.text_words`); if none
+    is left, as in most short posts, the text is not tokenized. Else it is
+    split and keyed once; only a lexicon with a first key among the text's
+    keys (see :func:`~adescope.text.longest_matches`) is scanned, so a text
+    no lexicon can match in yields no scopes without a character offset,
+    token or span being computed.
     """
-    lexicons = tuple(lexicons)
+    lexicons = _may_match(text.content if isinstance(text, RawText) else text, tuple(lexicons))
     if not lexicons:
         return set()
     tokens = tokenize(text)
@@ -331,7 +349,8 @@ def prefilter(
     post-trigger match in its text. Pseudo-trigger and terminator matches
     do not count: the former are explicit non-triggers and the latter
     merely bound scopes. Order is preserved. No text is tokenized: the cues
-    are matched on the text's keys alone.
+    are matched on the text's keys alone, and a short ASCII text that no
+    lexicon may match in, as in :func:`detect`, is not keyed either.
 
     A text longer than ``_PREFIX_CHARS`` is keyed a slice at a time, each
     cut at a whitespace character at least twice as far in as the last,
@@ -352,6 +371,8 @@ def prefilter(
     kept: list[LabeledSample] = []
     for sample in samples:
         text, keys = sample.text.content, ()
+        if not _may_match(text, lexicons):
+            continue
         start, size = 0, _PREFIX_CHARS
         while True:
             space = _SPACE_RE.search(text, size) if len(text) > size else None

@@ -24,7 +24,9 @@ position. :func:`tokenize` returns :class:`Tokens`, a lazy view of one
 token positions into character offsets, from the running lengths of the
 split's parts; it builds a span only for a run it is asked for, and its
 tokens only when it is indexed or iterated. Cue detection and term
-extraction both match on its keys and locate only the matched runs.
+extraction both match on its keys and locate only the matched runs; cue
+detection tokenizes no short ASCII text whose :func:`text_words` miss
+every lexicon's :func:`first_words`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ __all__ = [
 # group holds the whole token, so findall returns the tokens and split
 # alternates gaps and tokens.
 _TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
+
+# Over ASCII, where \w is [A-Za-z0-9_] and \s is what str.split() splits at:
+# \w lowercased, other non-space characters made spaces, whitespace kept.
+_WORD_TABLE = str.maketrans({
+    c: c.lower() if c.isalnum() or c == "_" else " "
+    for c in map(chr, range(128)) if not c.isspace()
+})
 
 
 class Checked:
@@ -365,9 +374,19 @@ def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
     ``tokenize(text).keys`` are the same keys, but for a text that is only
     keyed, as in :func:`~adescope.scope.prefilter`, building a
     :class:`Tokens` and its split took 6–10 ms more per 5,400 test-split
-    texts than this one ``findall`` (in process, on a 2-vCPU Xeon VM).
+    texts than this one ``findall`` (in process, on a 2-vCPU Xeon VM). A
+    short ASCII text is not keyed at all where its :func:`text_words` miss
+    every lexicon's :func:`first_words`.
     """
     return _keys(_TOKEN_RE.findall(text.content if isinstance(text, RawText) else text))
+
+
+def text_words(text: str) -> list[str] | None:
+    """An ASCII text's lowercased runs of word characters, else None. Each
+    of its :func:`text_keys` but a lone character's starts with one of them,
+    after any ``@``; so a text whose words miss an index's :func:`first_words`
+    has no key at its root. It runs only C-level ``str`` calls."""
+    return text.translate(_WORD_TABLE).split() if text.isascii() else None
 
 
 V = TypeVar("V")
@@ -397,6 +416,14 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
             )
         node[" "] = value
     return root
+
+
+def first_words(index: PatternIndex) -> frozenset[str] | None:
+    """The first of each ASCII root key's :func:`text_words`; None when one
+    holds no word (``"?"``, ``"'"``, the ``""`` of a lone ``#``). A non-ASCII
+    key never equals a key of an ASCII text."""
+    words = [text_words(key) for key in index if key.isascii()]
+    return None if [] in words else frozenset(split[0] for split in words)
 
 
 def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[int, int, V]]:

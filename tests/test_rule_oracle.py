@@ -16,7 +16,10 @@ also checked on pattern lists drawn from a small vocabulary, not only the
 bundled lexicons: patterns share first keys and prefixes, some key alike
 though written differently, and a lone ``#`` keys as the empty string. A
 list with patterns that key alike is refused at the first repeat, and the
-matcher is checked on the patterns that key apart.
+matcher is checked on the patterns that key apart. Last, the word gate
+that lets ``detect`` and ``prefilter`` skip a short ASCII text is checked
+on drawn texts and lexicons: it may reject a text only when none of the
+text's keys is a first key of the lexicon.
 """
 
 from __future__ import annotations
@@ -27,8 +30,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adescope import (
+    Cue,
     CueCategory,
+    CueLexicon,
     LabeledSample,
+    Phenomenon,
     RawText,
     SampleClass,
     ValidationError,
@@ -41,7 +47,7 @@ from adescope import (
     prefilter,
     tokenize,
 )
-from adescope.text import index_patterns, longest_matches
+from adescope.text import index_patterns, longest_matches, text_keys
 
 NEG, SPEC = default_negation_lexicon(), default_speculation_lexicon()
 ADE = default_ade_lexicon()
@@ -257,3 +263,71 @@ def test_longest_matches_follows_the_rules_for_any_lexicon(patterns, content):
     naive = [(keyed[order], (order,), order) for order in kept]
     found = longest_matches(tokens.keys, index_patterns((patterns[o], o) for o in kept))
     assert found == naive_matches([key(t.surface) for t in tokens], naive)
+
+
+# Texts and cues for the word gate: ASCII letters of both cases, digits,
+# _, ', #, @ and punctuation; control characters; the whitespace that \s
+# and str.split() agree on, \x1c-\x1f included; and letters that casefold
+# to ASCII (ſ, the Kelvin sign) or to more than one character (ß, İ).
+# Pieces put cue words next to each edge of a word run.
+GATE_CHARS = "aAsSkKnNoO09_'#@.,?!-()\t\n\r\x0b\x0c\x1c\x1f \x01\x7fſ\u212aßİ"
+GATE_PIECES = ["no", "NOT", "#No", "@no", "no_way", "n0", "don't", "x'no", "so", "ok"]
+GATE_PIECES += ["'no", "no'", "\x01no", "?", "'", "#"]
+GATE_TEXTS = (
+    st.lists(
+        st.one_of(st.sampled_from(GATE_PIECES), st.text(GATE_CHARS, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=8,
+    )
+    .map("".join)
+    .filter(str.strip)
+)
+
+
+@st.composite
+def gate_lexicons(draw):
+    """A negation lexicon of one to four drawn cues, some punctuation only
+    or a lone ``#``, with any category; a cue keyed like an earlier one is
+    left out."""
+    cues, seen = [], set()
+    pieces = st.sampled_from(GATE_PIECES)
+    patterns = st.one_of(pieces, pieces, GATE_TEXTS.map(str.strip))
+    for pattern in draw(st.lists(patterns, min_size=1, max_size=4)):
+        cue = Cue(pattern, draw(st.sampled_from(list(CueCategory))), Phenomenon.NEGATION)
+        if (keys := text_keys(cue.pattern)) not in seen:
+            seen.add(keys)
+            cues.append(cue)
+    return CueLexicon(cues, Phenomenon.NEGATION)
+
+
+def pre_triggers(*patterns: str) -> CueLexicon:
+    cues = [Cue(pattern, CueCategory.PRE_TRIGGER, Phenomenon.NEGATION) for pattern in patterns]
+    return CueLexicon(cues, Phenomenon.NEGATION)
+
+
+@settings(max_examples=500, deadline=None)
+@given(GATE_TEXTS, gate_lexicons(), WINDOWS)
+@example("no' rash", pre_triggers("no"), 5)  # a quote that joins no run
+@example("\x01no rash", pre_triggers("no"), 5)  # a control character
+@example("NO rash", pre_triggers("no"), 5)
+@example("no_way rash", pre_triggers("no_way"), 5)  # _ is a word character
+@example("n0 rash", pre_triggers("n0"), 5)  # so are digits
+@example("rash? no", pre_triggers("?", "no_way"), 5)  # "?" holds no word
+@example("\u017fo rash", pre_triggers("so"), 5)  # not ASCII, keyed "so rash"
+def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, window):
+    text = RawText("t", content)
+    with mock.patch("adescope.scope.tokenize", side_effect=tokenize) as split:
+        found = detect(text, (lexicon,), window)
+    if not split.called:  # the gate rejected the text
+        assert lexicon._index.keys().isdisjoint(text_keys(content))
+    assert {
+        ((s.span.start, s.span.end), tuple(s.trigger.span), s.trigger.cue.pattern)
+        for s in found
+    } == naive_scopes(content, lexicon, window)
+
+    sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
+    keys = [key(t.surface) for t in tokenize(content)]
+    fires = any(
+        cue.category in TRIGGERS for _, _, cue in naive_matches(keys, cue_patterns(lexicon))
+    )
+    assert prefilter([sample], (lexicon,)) == ([sample] if fires else [])

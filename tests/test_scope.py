@@ -32,6 +32,7 @@ from adescope import (
     resolve_scopes,
     tokenize,
 )
+from adescope.text import text_keys
 
 NEG = Phenomenon.NEGATION
 
@@ -368,25 +369,44 @@ class TestDetect:
         assert detect("no pain today", (), 5) == set()
 
     def test_cue_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
-        calls = []
+        # A short ASCII text whose words hold no lexicon's first word is
+        # neither split nor keyed; a non-ASCII one and one longer than
+        # _PREFIX_CHARS skip that check and are split once.
+        calls, keyed = [], []
 
         def counting(text):
             calls.append(text)
             return tokenize(text)
 
+        def keying(text):
+            keyed.append(text)
+            return text_keys(text)
+
         def refuse(*args):
             raise AssertionError("scanned or located a text no cue can match")
 
         monkeypatch.setattr("adescope.scope.tokenize", counting)
+        monkeypatch.setattr("adescope.scope.text_keys", keying)
         monkeypatch.setattr("adescope.scope.find_cues", refuse)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
         monkeypatch.setattr(Tokens, "_running_lengths", refuse)
         both = (default_negation_lexicon(), default_speculation_lexicon())
-        text = RawText("q", "Metoprolol gave me a headache.\nStill here, #fine")
-        assert detect(text, both, 5) == set()
-        assert calls == [text]
-        sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
-        assert prefilter([sample], both) == []
+        patterns = {cue.pattern for lexicon in both for cue in lexicon.cues}
+        content = "Metoprolol gave me a headache.\nStill here, #fine"
+        long = content * (adescope.scope._PREFIX_CHARS // len(content) + 1)
+        for text, splits in [
+            (RawText("q", content), 0),
+            (RawText("n", content + " — ok"), 1),
+            (RawText("l", long), 1),
+        ]:
+            calls.clear()
+            keyed.clear()
+            assert detect(text, both, 5) == set()
+            assert calls == [text] * splits
+            sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
+            assert prefilter([sample], both) == []
+            # prefilter keys the cues (for their length), then only texts.
+            assert bool(splits) == bool(set(keyed) - patterns)
 
     @pytest.mark.parametrize(
         "content,cue",
