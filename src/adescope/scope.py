@@ -129,8 +129,9 @@ class CueLexicon(Frozen):
         index = index_patterns(entries())
         if not kept:
             raise ValidationError("a cue lexicon must contain at least one cue")
-        self._set(cues=tuple(kept), phenomenon=phenomenon, _index=index)
-        self._set(_first_words=first_words(index))
+        self._set(
+            cues=tuple(kept), phenomenon=phenomenon, _index=index, _first_words=first_words(index)
+        )
 
 
 class CueMatch(Checked, namedtuple("CueMatch", "cue span first_token last_token")):
@@ -275,15 +276,14 @@ def resolve_scopes(
     return scopes
 
 
-def _may_match(content: str, lexicons: tuple[CueLexicon, ...]) -> tuple[CueLexicon, ...]:
-    """Of the lexicons, those with a first word among the words of an ASCII
-    text of at most ``_PREFIX_CHARS`` characters; all of them for any other."""
+def _may_match(content: str, lexicons: tuple[CueLexicon, ...]) -> bool:
+    """False only for an ASCII text of at most ``_PREFIX_CHARS`` characters
+    whose words hold no first word of any of the lexicons."""
     if len(content) > _PREFIX_CHARS or (words := text_words(content)) is None:
-        return lexicons
-    return tuple(
-        lexicon
+        return True
+    return any(
+        lexicon._first_words is None or not lexicon._first_words.isdisjoint(words)
         for lexicon in lexicons
-        if lexicon._first_words is None or not lexicon._first_words.isdisjoint(words)
     )
 
 
@@ -295,16 +295,16 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    A lexicon with no first word among a short ASCII text's words cannot
-    match there and is dropped (:func:`~adescope.text.text_words`); if none
-    is left, as in most short posts, the text is not tokenized. Else it is
-    split and keyed once; only a lexicon with a first key among the text's
+    A short ASCII text whose words (:func:`~adescope.text.text_words`) hold
+    no lexicon's first word, as most short posts, is not tokenized. Else it
+    is split and keyed once; only a lexicon with a first key among the text's
     keys (see :func:`~adescope.text.longest_matches`) is scanned, so a text
     no lexicon can match in yields no scopes without a character offset,
     token or span being computed.
     """
-    lexicons = _may_match(text.content if isinstance(text, RawText) else text, tuple(lexicons))
-    if not lexicons:
+    lexicons = tuple(lexicons)
+    content = text.content if isinstance(text, RawText) else text
+    if not lexicons or not _may_match(content, lexicons):
         return set()
     tokens = tokenize(text)
     return {

@@ -24,9 +24,7 @@ position. :func:`tokenize` returns :class:`Tokens`, a lazy view of one
 token positions into character offsets, from the running lengths of the
 split's parts; it builds a span only for a run it is asked for, and its
 tokens only when it is indexed or iterated. Cue detection and term
-extraction both match on its keys and locate only the matched runs; cue
-detection tokenizes no short ASCII text whose :func:`text_words` miss
-every lexicon's :func:`first_words`.
+extraction both match on its keys and locate only the matched runs.
 """
 
 from __future__ import annotations
@@ -374,9 +372,7 @@ def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
     ``tokenize(text).keys`` are the same keys, but for a text that is only
     keyed, as in :func:`~adescope.scope.prefilter`, building a
     :class:`Tokens` and its split took 6–10 ms more per 5,400 test-split
-    texts than this one ``findall`` (in process, on a 2-vCPU Xeon VM). A
-    short ASCII text is not keyed at all where its :func:`text_words` miss
-    every lexicon's :func:`first_words`.
+    texts than this one ``findall`` (in process, on a 2-vCPU Xeon VM).
     """
     return _keys(_TOKEN_RE.findall(text.content if isinstance(text, RawText) else text))
 

@@ -301,6 +301,7 @@ class TestFilter:
             if any(not root.isdisjoint(text_keys(texts[text_id].text)) for root in roots)
         ]
         assert set(cued) <= set(tokenized) <= set(predicted)
+        assert len(tokenized) == len(set(tokenized))
         assert tokenized == sorted(tokenized, key=predicted.index)
         assert any(
             text_id not in tokenized and texts[text_id].text.content.isascii()
