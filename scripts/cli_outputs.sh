@@ -18,8 +18,10 @@
 # touch the edges of the word check that skips a text untokenized
 # (ascii-gate): #No, @no, no., (not), NOT, don't, x'no, no_way, n0 and a
 # cue after a form feed, with user lexicons that hold no_way and n0 (the
-# check on) and a punctuation-only cue (the check off). Runs on
-# small inputs written into OUT follow: a header-only corpus (a logged
+# check on) and a punctuation-only cue (the check off). prefilter
+# --format jsonl keeping no sample, and filter on an empty prediction file
+# (no header, no row), then write outputs of no line (empty-outputs). Runs
+# on small inputs written into OUT follow: a header-only corpus (a logged
 # warning), a malformed row, a prediction for an unknown id, detect and
 # filter on a speculation cue matched across a line break (escaped TSV
 # fields), detect of both phenomena on cue windows that cross a lone
@@ -160,6 +162,17 @@ run ascii-gate-filter filter --corpus "$out/gate.tsv" --predictions "$out/gate.p
     --out "$out/gate.filtered.tsv" --audit "$out/gate.audit.tsv"
 run ascii-gate-prefilter prefilter --corpus "$out/gate.tsv" --phenomena neg+spec \
     --neg-lexicon "$out/gate-neg.txt" --out "$out/gate.kept.tsv"
+# Outputs of no line: a JSON-lines corpus with no cue-bearing sample, which
+# prefilter keeps none of, and a prediction file with neither header nor
+# row, which filter writes back empty (its audit holds only the header).
+printf '{"id": "q1", "text": "all quiet today", "class": "X", "spans": []}\n' \
+    >"$out/quiet.jsonl"
+printf 'id\ttext\tclass\tspans\nq1\tall quiet today\tX\t\n' >"$out/quiet.tsv"
+: >"$out/empty.preds.tsv"
+run empty-outputs-prefilter prefilter --corpus "$out/quiet.jsonl" --format jsonl \
+    --out "$out/quiet.kept.jsonl"
+run empty-outputs-filter filter --corpus "$out/quiet.tsv" --predictions "$out/empty.preds.tsv" \
+    --out "$out/empty.filtered.tsv" --audit "$out/empty.audit.tsv"
 # Error paths, run inside OUT on relative names so that no message names
 # OUT. Their exit codes are recorded but leave the script's status alone.
 fault() {  # fault NAME SUBCOMMAND ARGS...

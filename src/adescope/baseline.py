@@ -72,4 +72,4 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
     """
     tokens = tokenize(text)
     matches = longest_matches(tokens.keys, lexicon._index)
-    return EntitySet(text.id, frozenset([tokens.span(first, last) for first, last, _ in matches]))
+    return EntitySet(text.id, [tokens.span(first, last) for first, last, _ in matches])

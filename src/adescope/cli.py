@@ -21,6 +21,7 @@ import gc
 import os
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -204,7 +205,7 @@ def _cue_text(text: RawText, scope: ScopeSpan) -> str:
 
 def _write_rows(header: str, rows: Iterable[tuple[str, ...]], path: Path) -> None:
     """Write a TSV of sorted rows under its header, fields escaped like corpus text."""
-    write_lines(path, [header, *("\t".join(map(escape_tsv, row)) for row in sorted(rows))])
+    write_lines(path, chain([header], ("\t".join(map(escape_tsv, row)) for row in sorted(rows))))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ValidationError, echo
 from .scope import Phenomenon, ScopeSpan
-from .text import Checked, Span, check_id
+from .text import Checked, Span, check_id, frozen_spans
 
 __all__ = [
     "EntitySet",
@@ -43,9 +43,7 @@ class EntitySet(Checked, namedtuple("EntitySet", "text_id spans")):
 
     def __new__(cls, text_id: str, spans: Iterable[Span]) -> EntitySet:
         check_id(text_id)
-        if not isinstance(spans, frozenset):
-            spans = frozenset(spans)
-        return tuple.__new__(cls, (text_id, spans))
+        return tuple.__new__(cls, (text_id, frozen_spans(spans)))
 
 
 class DiscardedSpan(NamedTuple):
@@ -113,7 +111,7 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
             discarded.append(DiscardedSpan(span, witness, witness.phenomenon))
         else:
             kept.add(span)
-    return FilterReport(EntitySet(ades.text_id, frozenset(kept)), tuple(discarded))
+    return FilterReport(EntitySet(ades.text_id, kept), tuple(discarded))
 
 
 def combine(

@@ -31,11 +31,14 @@ import os
 import re
 import shutil
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_list, echo_span, located
-from .text import REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id
+from .text import (
+    REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id, frozen_spans
+)
 
 __all__ = [
     "CorpusPartition",
@@ -166,8 +169,18 @@ def decode_json(content: str, path: Union[str, Path, None] = None):
 
 
 def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
-    """Write lines as a UTF-8 file, joined by ``\\n`` with one trailing newline."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write lines as a UTF-8 file, joined by ``\\n`` with one trailing newline,
+    so no lines write one ``\\n``.
+
+    Each line is written as ``lines`` yields it, so a write holds one line
+    and the file's buffer, not the whole file. The file is open while
+    ``lines`` runs: a producer must not raise once writing starts, or the
+    file is left cut short.
+    """
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(next(lines, "") + "\n")
+        file.writelines(line + "\n" for line in lines)
 
 
 def write_outputs(
@@ -181,7 +194,10 @@ def write_outputs(
     existing target (a symlink such as ``/dev/stdout``, a FIFO) is written
     directly, because a rename would replace it rather than write into it;
     such writes come after the staged ones, and a directory target fails
-    before anything is written.
+    before anything is written. Writes stream their lines
+    (:func:`write_lines`), so a line producer must not raise once writing
+    starts: a staged sibling would be removed, but a direct target keeps
+    the lines written before the fault.
     """
     outputs = [(Path(target), write) for target, write in outputs]
     for target, _ in outputs:
@@ -314,22 +330,21 @@ def _jsonl_row(line: str) -> LabeledSample | None:
     return _sample(record["id"], record["text"], record["class"], spans)
 
 
-def _tsv_lines(partition: CorpusPartition) -> list[str]:
-    lines = [CORPUS_HEADER]
+def _tsv_lines(partition: CorpusPartition) -> Iterator[str]:
+    yield CORPUS_HEADER
     for sample in partition.samples:
         content = escape_tsv(sample.text.content)
         spans = format_spans(sample.gold_spans)
-        lines.append(f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}")
-    return lines
+        yield f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}"
 
 
-def _jsonl_lines(partition: CorpusPartition) -> list[str]:
+def _jsonl_lines(partition: CorpusPartition) -> Iterator[str]:
     records = (
         {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
          "spans": sorted(s.gold_spans)}
         for s in partition.samples
     )
-    return [json.dumps(record, ensure_ascii=False) for record in records]
+    return (json.dumps(record, ensure_ascii=False) for record in records)
 
 
 # Each corpus format by name: its header (or None), line reader and partition writer.
@@ -473,7 +488,7 @@ def _prediction_row(line: str) -> tuple[str, frozenset[Span]] | None:
     fields = line.split("\t")
     if len(fields) != 2:
         raise ValidationError("expected 'id<TAB>spans'")
-    return fields[0], frozenset(_parse_span_field(fields[1]))
+    return fields[0], frozen_spans(_parse_span_field(fields[1]))
 
 
 def load_predictions(path: Union[str, Path]) -> PredictionFile:
@@ -521,7 +536,7 @@ def write_predictions(predictions: PredictionFile, path: Union[str, Path]) -> No
     canonical and writing after loading reproduces a canonical file byte
     for byte.
     """
-    lines = [f"# {key}: {value}" for key, value in predictions.metadata.items()]
-    for text_id in sorted(predictions.entries):
-        lines.append(f"{text_id}\t{format_spans(predictions.entries[text_id])}")
-    write_lines(path, lines)
+    entries = predictions.entries
+    header = (f"# {key}: {value}" for key, value in predictions.metadata.items())
+    rows = (f"{text_id}\t{format_spans(entries[text_id])}" for text_id in sorted(entries))
+    write_lines(path, chain(header, rows))

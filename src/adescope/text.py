@@ -136,6 +136,17 @@ class Span(Checked, namedtuple("Span", "start end")):
         return tuple.__new__(cls, (start, end))
 
 
+# The one empty span set: most samples and predictions hold no span, and an
+# empty frozenset of their own costs each 216 bytes.
+_NO_SPANS: frozenset = frozenset()
+
+
+def frozen_spans(spans: Iterable[Span]) -> frozenset[Span]:
+    """``spans`` as a frozenset (itself if it is one); every empty one is the same object."""
+    spans = spans if isinstance(spans, frozenset) else frozenset(spans)
+    return spans or _NO_SPANS
+
+
 def disjoint_spans(spans: Iterable[Span], what: str = "spans") -> list[Span]:
     """The spans in sorted order; any overlapping pair is a :class:`ValidationError`."""
     ordered = sorted(spans)
@@ -202,8 +213,7 @@ class LabeledSample(Checked, namedtuple("LabeledSample", "text gold_spans sample
     def __new__(
         cls, text: RawText, gold_spans: Iterable[Span], sample_class: SampleClass
     ) -> LabeledSample:
-        if not isinstance(gold_spans, frozenset):
-            gold_spans = frozenset(gold_spans)
+        gold_spans = frozen_spans(gold_spans)
         length = len(text.content)
         for span in gold_spans:
             if span.end > length:

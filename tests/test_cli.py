@@ -507,6 +507,28 @@ class TestPrefilter:
         assert {s.text.id for s in load_corpus(out).samples} == expected
 
 
+@pytest.mark.parametrize("command", ["prefilter", "filter"])
+def test_an_output_of_no_lines_is_one_newline(tmp_path, command):
+    """prefilter keeping no sample of a JSON-lines corpus, and filter given a
+    prediction file with no header and no row, write no line: the output is
+    exactly one newline, as a file of lines joined by newlines ends with one."""
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text(
+        '{"id": "q1", "text": "all quiet today", "class": "X", "spans": []}\n', encoding="utf-8"
+    )
+    tsv = tmp_path / "corpus.tsv"
+    tsv.write_text(f"{CORPUS_HEADER}\nq1\tall quiet today\tX\t\n", encoding="utf-8")
+    empty = tmp_path / "empty.preds.tsv"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "prefilter": ["prefilter", "--corpus", str(jsonl), "--format", "jsonl"],
+        "filter": ["filter", "--corpus", str(tsv), "--predictions", str(empty)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == b"\n"
+
+
 class TestExitCodes:
     def test_missing_corpus_file_is_usage_error(self, tmp_path, capsys):
         code = main(

@@ -1008,6 +1008,12 @@ class TestPredictionFiles:
         assert predictions.entries["x1"] == frozenset()
         assert set(predictions.entries) == {"a1", "x1", "z1"}
 
+    def test_rows_without_spans_share_one_empty_set(self, tmp_path):
+        path = tmp_path / "preds.tsv"
+        write_lines(path, "# model: m", "x1\t", "a1\t0:2", "x2\t")
+        entries = load_predictions(path).entries
+        assert entries["x1"] == frozenset() and entries["x1"] is entries["x2"]
+
     def test_spans_for_defaults_empty(self):
         predictions = PredictionFile({}, {"a1": frozenset({Span(0, 2)})})
         assert predictions.spans_for("a1") == frozenset({Span(0, 2)})

@@ -1,7 +1,8 @@
 """Filtering, matching, BIO projection and scope detection on one long post
 stay near-linear in its length, term extraction locates every match in
 one, matching costs about the same however many patterns share a first
-key, and prefiltering keys a long post only up to its first trigger.
+key, prefiltering keys a long post only up to its first trigger, and
+writing a large file holds a small part of it at a time.
 
 The post has 10,000 sentences, each 100 characters wide, with one scope,
 one prediction, one gold span and one matched prediction per sentence. An
@@ -15,9 +16,12 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
+from functools import partial
 
 from adescope import (
+    CorpusPartition,
     Cue,
     CueCategory,
     CueMatch,
@@ -25,6 +29,7 @@ from adescope import (
     LabeledSample,
     MatchKind,
     Phenomenon,
+    PredictionFile,
     RawText,
     SampleClass,
     ScopeSpan,
@@ -42,6 +47,8 @@ from adescope import (
     prefilter,
     spans_to_bio,
     tokenize,
+    write_corpus,
+    write_predictions,
 )
 from adescope.baseline import AdeLexicon
 from adescope.text import index_patterns, longest_matches, text_keys
@@ -281,3 +288,35 @@ def test_a_large_term_list_extracts_in_time(corpus_dir):
     assert found == expected * 10
     assert sum(map(len, expected)) > 1_000
     assert elapsed < 0.6, f"extract took {elapsed:.2f}s"
+
+
+def test_writes_stream_their_lines(corpus_dir, tmp_path):
+    # The test split repeated 30 times (16,200 rows) under suffixed ids: a
+    # 1.2 MB TSV and a 1.9 MB JSON-lines corpus, and a prediction file of
+    # its gold spans. A write that built the file's text before writing it
+    # would hold over three times the file.
+    samples = [
+        sample._replace(text=sample.text._replace(id=f"{sample.text.id}-{copy}"))
+        for copy in range(30)
+        for sample in load_corpus(corpus_dir / "test.tsv").samples
+    ]
+    partition = CorpusPartition("generated", samples)
+    predictions = PredictionFile({"model": "m"}, [(s.text.id, s.gold_spans) for s in samples])
+    writes = {
+        "corpus.tsv": partial(write_corpus, partition, format="tsv"),
+        "corpus.jsonl": partial(write_corpus, partition, format="jsonl"),
+        "preds.tsv": partial(write_predictions, predictions),
+    }
+    for name, write in writes.items():
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Rows are written in id order, so a prediction file's write also
+        # holds its sorted ids: a pointer a row, plus the sort's buffer.
+        allowed = 0.05 * path.stat().st_size + (16 * len(samples) if name == "preds.tsv" else 0)
+        assert peak < allowed, f"writing {name} held {peak} B, allowed {allowed:.0f} B"
+    assert load_corpus(tmp_path / "corpus.jsonl", format="jsonl").samples == partition.samples

@@ -148,6 +148,29 @@ def test_scope_text_id_defaults_to_none():
 @pytest.mark.parametrize(
     "build",
     [
+        lambda spans: LabeledSample(TEXT, spans, SampleClass.NEGATED),
+        lambda spans: EntitySet("t1", spans),
+    ],
+    ids=["LabeledSample", "EntitySet"],
+)
+def test_empty_span_sets_are_one_shared_frozenset(build):
+    """Spans given as an empty list, tuple, generator or frozenset become one
+    shared empty frozenset, equal and hashed as any other, so the records
+    compare and hash as they did with a frozenset of their own."""
+    empties = [[], (), (span for span in ()), frozenset()]
+    records = [build(spans) for spans in empties]
+    shared = records[0][1]
+    assert type(shared) is frozenset and shared == frozenset()
+    assert hash(shared) == hash(frozenset())
+    for record in records:
+        assert record[1] is shared
+        assert record == build(frozenset())
+        assert hash(record) == hash((*record[:1], frozenset(), *record[2:]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: TEXT._replace(content=" "),
         lambda: RawText._make(("t1", "")),
         lambda: EntitySet("t1", ())._replace(text_id=""),
