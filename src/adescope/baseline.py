@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .combine import EntitySet
 from .corpus import lexicon_lines, read_located, read_text
@@ -26,26 +26,17 @@ __all__ = [
 
 
 class AdeLexicon(Frozen):
-    """A set of adverse event terms, matched case-insensitively; each is checked and
-    indexed as read, so a term keyed like an earlier one is refused."""
+    """A set of adverse event terms, kept as written and matched
+    case-insensitively; each is checked and indexed as read, so a term that
+    holds no token, or is keyed like an earlier one, is refused."""
 
     _FIELDS = ("terms",)
 
     def __init__(self, terms: Iterable[str]) -> None:
-        kept: list[str] = []
-
-        def entries() -> Iterator[tuple[str, str]]:
-            for term in terms:
-                term = term.strip().casefold()
-                if not term:
-                    raise ValidationError("empty ADE lexicon term")
-                kept.append(term)
-                yield term, term
-
-        index = index_patterns(entries())
-        if not kept:
+        terms, index = index_patterns((term, term) for term in terms)
+        if not terms:
             raise ValidationError("an ADE lexicon must contain at least one term")
-        self._set(terms=tuple(kept), _index=index)
+        self._set(terms=tuple(terms), _index=index)
 
 
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:

@@ -23,7 +23,9 @@ all when a short ASCII text holds none of their first words). The cues are
 matched on the tokens' keys, the scope walk reads token surfaces and the
 gaps between them from the text's split, and character spans are built
 only for the matched cue runs and the scopes they open (see
-:class:`~adescope.text.Tokens`).
+:class:`~adescope.text.Tokens`). :func:`prefilter` matches on the same keys
+and locates nothing. A cue is kept as written and keyed as a text's tokens
+are, so it matches whatever the case of either.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .corpus import lexicon_lines, read_located, read_text
 from .errors import ValidationError, echo
@@ -47,7 +49,6 @@ from .text import (
     first_words,
     index_patterns,
     longest_matches,
-    text_keys,
     text_words,
     tokenize,
 )
@@ -96,41 +97,36 @@ class CueCategory(str, Enum):
 
 
 class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
-    """One lexicon entry: a casefolded phrase with its category."""
+    """One lexicon entry: a phrase, as written, with its category."""
 
     __slots__ = ()
 
     def __new__(cls, pattern: str, category: CueCategory, phenomenon: Phenomenon) -> Cue:
         if not pattern or pattern != pattern.strip():
             raise ValidationError(f"bad cue pattern {echo(pattern)}")
-        return tuple.__new__(cls, (pattern.casefold(), category, phenomenon))
+        return tuple.__new__(cls, (pattern, category, phenomenon))
 
 
 class CueLexicon(Frozen):
     """An ordered collection of cues for one phenomenon; each is checked and
-    indexed as read, so a cue keyed like an earlier one is refused, whatever
-    either's category (see :func:`~adescope.text.index_patterns`)."""
+    indexed as read, so a cue that holds no token, or is keyed like an
+    earlier one whatever either's category, is refused (see
+    :func:`~adescope.text.index_patterns`)."""
 
     _FIELDS = ("cues", "phenomenon")
 
     def __init__(self, cues: Iterable[Cue], phenomenon: Phenomenon) -> None:
-        kept: list[Cue] = []
-
-        def entries() -> Iterator[tuple[str, Cue]]:
-            for cue in cues:
-                if cue.phenomenon is not phenomenon:
-                    raise ValidationError(
-                        f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
-                        f"lexicon is {phenomenon.value}"
-                    )
-                kept.append(cue)
-                yield cue.pattern, cue
-
-        index = index_patterns(entries())
-        if not kept:
+        cues, index = index_patterns((cue.pattern, cue) for cue in cues)
+        if not cues:
             raise ValidationError("a cue lexicon must contain at least one cue")
+        for cue in cues:
+            if cue.phenomenon is not phenomenon:
+                raise ValidationError(
+                    f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
+                    f"lexicon is {phenomenon.value}"
+                )
         self._set(
-            cues=tuple(kept), phenomenon=phenomenon, _index=index, _first_words=first_words(index)
+            cues=tuple(cues), phenomenon=phenomenon, _index=index, _first_words=first_words(index)
         )
 
 
@@ -348,9 +344,10 @@ def prefilter(
     A sample survives when any provided lexicon yields a pre- or
     post-trigger match in its text. Pseudo-trigger and terminator matches
     do not count: the former are explicit non-triggers and the latter
-    merely bound scopes. Order is preserved. No text is tokenized: the cues
-    are matched on the text's keys alone, and a short ASCII text that no
-    lexicon may match in, as in :func:`detect`, is not keyed either.
+    merely bound scopes. Order is preserved. Nothing is located: the cues
+    are matched on the keys of the text's tokens alone, and a short ASCII
+    text that no lexicon may match in, as in :func:`detect`, is not
+    tokenized at all.
 
     A text longer than ``_PREFIX_CHARS`` is keyed a slice at a time, each
     cut at a whitespace character at least twice as far in as the last,
@@ -366,7 +363,7 @@ def prefilter(
     if not lexicons:
         raise ValidationError("prefilter requires at least one lexicon")
     indexes = [lexicon._index for lexicon in lexicons]
-    depth = max(len(text_keys(cue.pattern)) for lexicon in lexicons for cue in lexicon.cues)
+    depth = max(len(tokenize(cue.pattern)) for lexicon in lexicons for cue in lexicon.cues)
     triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
     kept: list[LabeledSample] = []
     for sample in samples:
@@ -377,7 +374,7 @@ def prefilter(
         while True:
             space = _SPACE_RE.search(text, size) if len(text) > size else None
             end = space.start() if space else len(text)
-            keys += text_keys(text[start:end])
+            keys += tokenize(text[start:end]).keys
             final = len(keys) - depth if space else len(keys)
             if any(
                 cue.category in triggers and first <= final

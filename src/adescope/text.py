@@ -15,12 +15,12 @@ immutable classes (:class:`Frozen`). Both are plain Python, with no
 class-generating decorator: importing and applying one took about 20 ms of
 every command-line launch.
 
-Cue phrases and event terms are found by one shared matcher on match keys:
-:func:`text_keys` keys a text's token surfaces in one pass, without building
-tokens, :func:`index_patterns` keys lexicon patterns the same way into a
-trie, and :func:`longest_matches` walks it for the longest pattern at each
-position. :func:`tokenize` returns :class:`Tokens`, a lazy view of one
-``re.split`` of the text that holds its keys and is the only code that turns
+Cue phrases and event terms are found by one shared matcher on match keys.
+:func:`tokenize` returns :class:`Tokens`, a lazy view of one ``re.split`` of
+the text that holds its keys, the only key sequence the package makes: it
+keys a text, and :func:`index_patterns` keys each lexicon pattern, as
+written, into a trie that :func:`longest_matches` walks for the longest
+pattern at each position. :class:`Tokens` is also the only code that turns
 token positions into character offsets, from the running lengths of the
 split's parts; it builds a span only for a run it is asked for, and its
 tokens only when it is indexed or iterated. Cue detection and term
@@ -51,7 +51,6 @@ __all__ = [
     "TagSequence",
     "disjoint_spans",
     "tokenize",
-    "text_keys",
     "index_patterns",
     "longest_matches",
     "spans_to_bio",
@@ -61,8 +60,7 @@ __all__ = [
 # Word runs keep a leading # or @ (hashtags, mentions) and internal
 # apostrophes (contractions such as "don't", "there's"). Every other
 # non-space character becomes a single-character token. The one capturing
-# group holds the whole token, so findall returns the tokens and split
-# alternates gaps and tokens.
+# group holds the whole token, so split alternates gaps and tokens.
 _TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
 
 # Over ASCII, where \w is [A-Za-z0-9_] and \s is what str.split() splits at:
@@ -283,7 +281,7 @@ class Tokens(Frozen, Sequence):
     """The tokens of one text, read from one ``re.split`` of it.
 
     The split alternates gaps and tokens: gap, token, gap, ..., token, gap.
-    :attr:`keys` holds every token's match key (exactly :func:`text_keys`),
+    :attr:`keys` holds every token's match key (see :func:`_keys`),
     :meth:`surface` and :meth:`gap` read the split's parts, and
     :meth:`span` turns a run of token positions into character offsets from
     the running lengths of the parts, computed on first use. :class:`Token`
@@ -363,7 +361,10 @@ def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
     """The match key of each token surface: casefolded, curly apostrophes
     straightened and a leading hashtag marker dropped, so that "#Headache"
     compares equal to the lexicon entry "headache". Mention markers are
-    kept: usernames are names, not words.
+    kept: usernames are names, not words. Lexicon entries are tokenized as
+    written and keyed here too, so this is the one place case is folded:
+    folding before tokenizing could change where tokens break ("İ" folds
+    to "i" and a combining mark, which is not a word character).
 
     The surfaces are keyed together in one pass. That is exact: no surface
     holds a space, ``str.casefold`` maps each code point on its own, and no
@@ -376,22 +377,12 @@ def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
     return tuple(keys[1:])
 
 
-def text_keys(text: Union[str, RawText]) -> tuple[str, ...]:
-    """The match key of every token of the text, without tokenizing it.
-
-    ``tokenize(text).keys`` are the same keys, but for a text that is only
-    keyed, as in :func:`~adescope.scope.prefilter`, building a
-    :class:`Tokens` and its split took 6–10 ms more per 5,400 test-split
-    texts than this one ``findall`` (in process, on a 2-vCPU Xeon VM).
-    """
-    return _keys(_TOKEN_RE.findall(text.content if isinstance(text, RawText) else text))
-
-
 def text_words(text: str) -> list[str] | None:
     """An ASCII text's lowercased runs of word characters, else None. Each
-    of its :func:`text_keys` but a lone character's starts with one of them,
-    after any ``@``; so a text whose words miss an index's :func:`first_words`
-    has no key at its root. It runs only C-level ``str`` calls."""
+    key of its tokens (:attr:`Tokens.keys`) but a lone character's starts
+    with one of them, after any ``@``; so a text whose words miss an index's
+    :func:`first_words` has no key at its root. It runs only C-level ``str``
+    calls."""
     return text.translate(_WORD_TABLE).split() if text.isascii() else None
 
 
@@ -401,19 +392,24 @@ V = TypeVar("V")
 PatternIndex = Mapping[str, Any]
 
 
-def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
-    """Index ``(pattern, value)`` pairs for :func:`longest_matches` as a trie.
+def index_patterns(entries: Iterable[tuple[str, V]]) -> tuple[list[V], PatternIndex]:
+    """Check ``(pattern, value)`` pairs and index them for :func:`longest_matches`.
 
-    Each pattern is keyed the way texts are (:func:`text_keys`), so it must
-    hold at least one token, and each key steps one level down; no key holds
-    a space. A pattern keyed like an earlier one could never match, so it is
-    a :class:`ValidationError` as its entry is read: the one rule for when two
-    lexicon entries are the same.
+    Returns the values, in order, and a trie of the patterns' keys. Each
+    pattern is keyed as written, exactly as a text is (:attr:`Tokens.keys`),
+    and each key steps one level down; no key holds a space. A pattern that
+    holds no token, or that is keyed like an earlier one, could never match,
+    so it is a :class:`ValidationError` as its entry is read: the one rule
+    for which lexicon entries are kept.
     """
+    values: list[V] = []
     root: dict[str, Any] = {}
     for pattern, value in entries:
+        keys = Tokens(pattern).keys
+        if not keys:
+            raise ValidationError(f"lexicon entry {echo(pattern)} holds no token")
         node = root
-        for key in (keys := text_keys(pattern)):
+        for key in keys:
             node = node.setdefault(key, {})
         if " " in node:
             raise ValidationError(
@@ -421,7 +417,8 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> PatternIndex:
                 f"an earlier entry has the match keys {echo(' '.join(keys))}"
             )
         node[" "] = value
-    return root
+        values.append(value)
+    return values, root
 
 
 def first_words(index: PatternIndex) -> frozenset[str] | None:

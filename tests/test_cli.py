@@ -26,7 +26,6 @@ from adescope import (
 from adescope.cli import AUDIT_HEADER, DETECT_HEADER, main
 from adescope.corpus import escape_tsv, format_spans
 from adescope.scope import DEFAULT_WINDOW
-from adescope.text import text_keys
 
 E2E_IDS = {f"s{i:02d}" for i in range(1, 13)}
 
@@ -298,7 +297,7 @@ class TestFilter:
         cued = [
             text_id
             for text_id in predicted
-            if any(not root.isdisjoint(text_keys(texts[text_id].text)) for root in roots)
+            if any(not root.isdisjoint(tokenize(texts[text_id].text).keys) for root in roots)
         ]
         assert set(cued) <= set(tokenized) <= set(predicted)
         assert len(tokenized) == len(set(tokenized))
@@ -900,7 +899,7 @@ LINE_FAULTS = {
     ),
     "term-list": (
         "terms.txt", "# terms\nheadache\nHeadache\n", 3,
-        "duplicate lexicon entry 'headache': an earlier entry has the match keys 'headache'",
+        "duplicate lexicon entry 'Headache': an earlier entry has the match keys 'headache'",
         ["extract", "--corpus", "{corpus}", "--ade-lexicon", "{bad}"],
     ),
     "config": (
@@ -1028,7 +1027,7 @@ class TestDataErrorsNameTheirFiles:
         argv = ["extract", "--corpus", str(e2e_corpus_path), "--ade-lexicon", str(terms)]
         assert main([*argv, "--out", str(tmp_path / "p.tsv")]) == 2
         assert capsys.readouterr().err == (
-            f"adescope: error: {terms}:3: duplicate lexicon entry 'headache': "
+            f"adescope: error: {terms}:3: duplicate lexicon entry 'Headache': "
             "an earlier entry has the match keys 'headache'\n"
         )
 
@@ -1037,7 +1036,7 @@ class TestDataErrorsNameTheirFiles:
         "setting,args,content,shown,keys",
         [
             ("ade_lexicon", ["extract"], "skin rash\nskin #rash\n", "skin #rash", "skin rash"),
-            ("ade_lexicon", ["extract"], "can't\nCAN’T\n", "can’t", "can't"),
+            ("ade_lexicon", ["extract"], "can't\nCAN’T\n", "CAN’T", "can't"),
             (
                 "negation_lexicon", ["detect", "--phenomenon", "neg"],
                 "no doubt|pseudo_trigger\nno doubt|pre_trigger\n", "no doubt", "no doubt",

@@ -51,7 +51,7 @@ from adescope import (
     write_predictions,
 )
 from adescope.baseline import AdeLexicon
-from adescope.text import index_patterns, longest_matches, text_keys
+from adescope.text import index_patterns, longest_matches
 
 SENTENCES = 10_000
 WIDTH = 100
@@ -223,7 +223,7 @@ def test_patterns_sharing_a_long_prefix_scan_in_time():
     # 100 patterns of 100 keys share their first 99, so the walk from each of
     # 20,000 keys follows 99 of them; only the last 100 keys match a pattern.
     patterns = ["a " * 99 + f"b{i}" for i in range(100)]
-    index = index_patterns((pattern, i) for i, pattern in enumerate(patterns))
+    _, index = index_patterns((pattern, i) for i, pattern in enumerate(patterns))
     keys = ("a",) * 19_999 + ("b7",)
 
     started = time.perf_counter()
@@ -282,7 +282,7 @@ def test_a_large_term_list_extracts_in_time(corpus_dir):
     lexicon = AdeLexicon(terms)
     found = [extract(text, lexicon).spans for text in texts]
     elapsed = time.perf_counter() - started
-    patterns = {text_keys(term) for term in terms}
+    patterns = {tokenize(term).keys for term in terms}
     longest = max(map(len, patterns))
     expected = [reference_spans(content, patterns, longest) for content in contents]
     assert found == expected * 10

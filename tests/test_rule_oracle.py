@@ -7,7 +7,7 @@ hashtags and with curly apostrophes, with filler words, punctuation,
 newlines, lone carriage returns and tabs. So texts with and without a
 lexicon key are both common, and each path is checked on both sides:
 ``detect``, which keys a text from its one tokenization and scans only the
-lexicons with a key in it; ``prefilter``, which tokenizes none, and again
+lexicons with a key in it; ``prefilter``, which locates nothing, and again
 with its first prefix shrunk to a few characters, on longer texts; and
 ``extract``, which keys and locates its matches from one split of the text
 and builds no token. Cue windows cross gaps with and without a line break,
@@ -19,7 +19,10 @@ list with patterns that key alike is refused at the first repeat, and the
 matcher is checked on the patterns that key apart. Last, the word gate
 that lets ``detect`` and ``prefilter`` skip a short ASCII text is checked
 on drawn texts and lexicons: it may reject a text only when none of the
-text's keys is a first key of the lexicon.
+text's keys is a first key of the lexicon. The oracles above key a cue's
+pattern as the code does, so they cannot tell whether an entry keys like
+the same words in a text; a last property checks that directly, on
+patterns with letters whose casefolding moves token breaks.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adescope import (
+    AdeLexicon,
     Cue,
     CueCategory,
     CueLexicon,
@@ -47,7 +51,7 @@ from adescope import (
     prefilter,
     tokenize,
 )
-from adescope.text import index_patterns, longest_matches, text_keys
+from adescope.text import index_patterns, longest_matches
 
 NEG, SPEC = default_negation_lexicon(), default_speculation_lexicon()
 ADE = default_ade_lexicon()
@@ -261,7 +265,8 @@ def test_longest_matches_follows_the_rules_for_any_lexicon(patterns, content):
         assert str(caught.value).startswith(f"duplicate lexicon entry {patterns[repeats[0]]!r}:")
     kept = [order for order in range(len(patterns)) if order not in repeats]
     naive = [(keyed[order], (order,), order) for order in kept]
-    found = longest_matches(tokens.keys, index_patterns((patterns[o], o) for o in kept))
+    _, index = index_patterns((patterns[o], o) for o in kept)
+    found = longest_matches(tokens.keys, index)
     assert found == naive_matches([key(t.surface) for t in tokens], naive)
 
 
@@ -294,7 +299,7 @@ def gate_lexicons(draw):
     patterns = st.one_of(pieces, pieces, GATE_TEXTS.map(str.strip))
     for pattern in draw(st.lists(patterns, min_size=1, max_size=4)):
         cue = Cue(pattern, draw(st.sampled_from(list(CueCategory))), Phenomenon.NEGATION)
-        if (keys := text_keys(cue.pattern)) not in seen:
+        if (keys := tokenize(cue.pattern).keys) not in seen:
             seen.add(keys)
             cues.append(cue)
     return CueLexicon(cues, Phenomenon.NEGATION)
@@ -319,7 +324,7 @@ def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, wind
     with mock.patch("adescope.scope.tokenize", side_effect=tokenize) as split:
         found = detect(text, (lexicon,), window)
     if not split.called:  # the gate rejected the text
-        assert lexicon._index.keys().isdisjoint(text_keys(content))
+        assert lexicon._index.keys().isdisjoint(tokenize(content).keys)
     assert {
         ((s.span.start, s.span.end), tuple(s.trigger.span), s.trigger.cue.pattern)
         for s in found
@@ -331,3 +336,23 @@ def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, wind
         cue.category in TRIGGERS for _, _, cue in naive_matches(keys, cue_patterns(lexicon))
     )
     assert prefilter([sample], (lexicon,)) == ([sample] if fires else [])
+
+
+# Letters whose casefolding moves token breaks: "İ" folds to "i" and a
+# combining dot, which is not a word character; U+0345, a combining mark,
+# folds to a letter; "ΐ" folds to a letter and two combining marks.
+WRITTEN_CHARS = "aBz#’ İ\u0345\u0390"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(WRITTEN_CHARS, min_size=1, max_size=8).map(str.strip).filter(bool))
+@example("İyi")
+@example("a\u0345b")
+@example("\u0390")
+def test_an_entry_matches_the_same_words_written_as_a_text(pattern):
+    text = RawText("t", pattern)
+    assert extract(text, AdeLexicon((pattern,))).spans == {(0, len(pattern))}
+    cue = Cue(pattern, CueCategory.PRE_TRIGGER, Phenomenon.NEGATION)
+    tokens = tokenize(text)
+    matches = find_cues(tokens, CueLexicon((cue,), Phenomenon.NEGATION))
+    assert [(m.cue, m.first_token, m.last_token) for m in matches] == [(cue, 0, len(tokens) - 1)]

@@ -32,7 +32,6 @@ from adescope import (
     resolve_scopes,
     tokenize,
 )
-from adescope.text import text_keys
 
 NEG = Phenomenon.NEGATION
 
@@ -91,7 +90,7 @@ class TestLexiconIO:
                 lines = f"{first}|{earlier.value}\n{second}|{later.value}\nbut|terminator\n"
                 parse_lexicon(lines, NEG)
             assert str(caught.value) == (
-                f"<string>:2: duplicate lexicon entry {second.casefold()!r}: "
+                f"<string>:2: duplicate lexicon entry {second!r}: "
                 f"an earlier entry has the match keys {keys!r}"
             )
 
@@ -129,7 +128,7 @@ class TestLexiconIO:
     def test_lexicon_file_loads_back_equal(self, tmp_path):
         path = tmp_path / "cues.txt"
         path.write_text("# cues\nno|pre_trigger\n\nBut | terminator\n", encoding="utf-8")
-        lex = lexicon(("no", CueCategory.PRE_TRIGGER), ("but", CueCategory.TERMINATOR))
+        lex = lexicon(("no", CueCategory.PRE_TRIGGER), ("But", CueCategory.TERMINATOR))
         assert load_lexicon(path, NEG) == lex
 
     def test_bundled_lexicons_load(self):
@@ -361,6 +360,13 @@ class TestDetect:
         ) | detect_speculation(text, spec, window)
         assert detect(text, (), window) == set()
 
+    def test_a_cue_matches_the_same_words_in_a_text(self):
+        # Casefolding "İ" adds a combining mark, which is not a word
+        # character: a cue folded before it is tokenized keys as three tokens.
+        lex = parse_lexicon("İyi|pre_trigger\n", NEG)
+        scopes = detect(RawText("t", "İyi değil bu"), (lex,), 5)
+        assert [(s.span, s.trigger.cue.pattern) for s in scopes] == [((4, 12), "İyi")]
+
     def test_no_lexicons_skip_tokenizing(self, monkeypatch):
         def refuse(text):
             raise AssertionError("tokenized with no lexicons")
@@ -370,23 +376,18 @@ class TestDetect:
 
     def test_cue_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
         # A short ASCII text whose words hold no lexicon's first word is
-        # neither split nor keyed; a non-ASCII one and one longer than
-        # _PREFIX_CHARS skip that check and are split once.
-        calls, keyed = [], []
+        # not split; a non-ASCII one and one longer than _PREFIX_CHARS skip
+        # that check and are split once by detect.
+        calls = []
 
         def counting(text):
             calls.append(text)
             return tokenize(text)
 
-        def keying(text):
-            keyed.append(text)
-            return text_keys(text)
-
         def refuse(*args):
             raise AssertionError("scanned or located a text no cue can match")
 
         monkeypatch.setattr("adescope.scope.tokenize", counting)
-        monkeypatch.setattr("adescope.scope.text_keys", keying)
         monkeypatch.setattr("adescope.scope.find_cues", refuse)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
         monkeypatch.setattr(Tokens, "_running_lengths", refuse)
@@ -400,13 +401,13 @@ class TestDetect:
             (RawText("l", long), 1),
         ]:
             calls.clear()
-            keyed.clear()
             assert detect(text, both, 5) == set()
             assert calls == [text] * splits
+            calls.clear()
             sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
             assert prefilter([sample], both) == []
-            # prefilter keys the cues (for their length), then only texts.
-            assert bool(splits) == bool(set(keyed) - patterns)
+            # prefilter splits the cues (for their length), then only texts.
+            assert bool(splits) == bool(set(calls) - patterns)
 
     @pytest.mark.parametrize(
         "content,cue",
@@ -424,15 +425,20 @@ class TestDetect:
         text = RawText("c", content)
         scopes = detect(text, both, 5)
         assert {content[s.trigger.span.start : s.trigger.span.end] for s in scopes} == {cue}
+        assert calls == [text]
+        calls.clear()
         sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
         assert prefilter([sample], both) == [sample]
-        assert calls == [text]
+        patterns = {entry.pattern for lexicon in both for entry in lexicon.cues}
+        assert [call for call in calls if call not in patterns] == [content]
 
-    def test_prefilter_keeps_a_cue_bearing_sample_without_tokenizing(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("prefilter tokenized a text")
+    def test_prefilter_keeps_a_cue_bearing_sample_without_locating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("prefilter located a cue")
 
-        monkeypatch.setattr("adescope.scope.tokenize", refuse)
+        monkeypatch.setattr("adescope.scope.find_cues", refuse)
+        # Every offset, Token and Span of a Tokens comes from its running lengths.
+        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
         both = (default_negation_lexicon(), default_speculation_lexicon())
         kept = LabeledSample(RawText("k", "I DON’T have #nausea"), frozenset(), SampleClass.NO_ADE)
         dropped = LabeledSample(RawText("d", "slept well"), frozenset(), SampleClass.NO_ADE)

@@ -22,7 +22,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import _TOKEN_RE, index_patterns, longest_matches, text_keys
+from adescope.text import _TOKEN_RE, index_patterns, longest_matches
 
 
 def surfaces(text: str) -> list[str]:
@@ -188,7 +188,7 @@ class TestTokenize:
         expected = [Token(m.group(), Span(*m.span())) for m in _TOKEN_RE.finditer(text)]
         assert list(tokens) == expected
         assert len(tokens) == len(expected)
-        assert tokens.keys == text_keys(text)
+        assert tokens.keys == tuple(naive_key(token.surface) for token in expected)
         for first in range(len(tokens)):
             for last in range(first, len(tokens)):
                 assert tokens.span(first, last) == Span(
@@ -466,10 +466,10 @@ def naive_key(surface: str) -> str:
 
 
 class TestMatchable:
-    """The lexicon gate: a text's keys, found with or without tokenizing it,
-    are the keys of its tokens, and an index disjoint from them has no match.
-    Patterns that key alike are refused; the gate is then checked on the
-    first pattern of each key sequence."""
+    """The lexicon gate: a text's keys are the keys of its tokens, and an
+    index disjoint from them has no match. Patterns that key alike are
+    refused; the gate is then checked on the first pattern of each key
+    sequence."""
 
     @settings(max_examples=400)
     @given(st.one_of(
@@ -485,23 +485,31 @@ class TestMatchable:
     @example(("＃pain #＃ ＃", [["pain"], ["＃pain"], ["＃"]]))
     def test_a_dropped_index_has_no_match(self, case):
         text, pattern_lists = case
-        tokens = tokenize(text)
-        keys = text_keys(text)
-        assert keys == tuple(naive_key(t.surface) for t in tokens)
-        assert tokens.keys == keys
+        keys = tokenize(text).keys
+        assert keys == tuple(naive_key(t.surface) for t in tokenize(text))
         for patterns in pattern_lists:
             first = {}  # each pattern's keys to the first pattern keyed so
             for pattern in patterns:
-                first.setdefault(text_keys(pattern), pattern)
+                first.setdefault(tokenize(pattern).keys, pattern)
             if len(first) < len(patterns):
                 with pytest.raises(ValidationError):
                     index_patterns((p, p) for p in patterns)
-            index = index_patterns((p, p) for p in first.values())
+            values, index = index_patterns((p, p) for p in first.values())
+            assert values == list(first.values())
             if index.keys().isdisjoint(keys):
                 assert longest_matches(keys, index) == []
 
+    @pytest.mark.parametrize("pattern", ["", "  ", "\t\n"])
+    def test_a_pattern_without_a_token_is_refused(self, pattern):
+        # Its value would sit at the trie's root, where no match reaches it,
+        # and no first word could be read from such a root.
+        with pytest.raises(ValidationError) as caught:
+            index_patterns([("no", 1), (pattern, 2), ("rash", 3)])
+        assert str(caught.value) == f"lexicon entry {pattern!r} holds no token"
+        assert index_patterns([("no", 1), ("#", 2)]) == ([1, 2], {"no": {" ": 1}, "": {" ": 2}})
+
     def test_no_code_point_folds_to_a_key_separator_or_mark(self):
-        # text_keys casefolds a text's surfaces joined by " " in one call and
+        # _keys casefolds a text's surfaces joined by " " in one call and
         # then splits on " " and strips " #": exact only if casefold maps
         # each code point on its own and nothing else folds to " ", "#" or "’".
         chars = [chr(point) for point in range(0x110000)]
@@ -522,5 +530,5 @@ class TestMatchable:
         index = lexicon._index
         for sample in corpus.samples:
             walked = any(naive_key(t.surface) in index for t in tokenize(sample.text))
-            gated = not index.keys().isdisjoint(text_keys(sample.text))
+            gated = not index.keys().isdisjoint(tokenize(sample.text).keys)
             assert gated == walked, sample.text.id
