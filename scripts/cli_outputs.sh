@@ -14,11 +14,13 @@
 # ones, terms written with a # or a curly apostrophe that posts match
 # without either, and triggers that are prefixes of longer pseudo-triggers,
 # so the shared matcher is diffed on more than the bundled lexicons.
-# detect, filter and prefilter then run on short ASCII texts whose cues
-# touch the edges of the word check that skips a text untokenized
-# (ascii-gate): #No, @no, no., (not), NOT, don't, x'no, no_way, n0 and a
-# cue after a form feed, with user lexicons that hold no_way and n0 (the
-# check on) and a punctuation-only cue (the check off). prefilter
+# extract, detect, filter and prefilter then run on short ASCII texts whose
+# cues and terms touch the edges of the word check that skips a text
+# untokenized (ascii-gate): #No, @no, no., (not), NOT, don't, x'no, no_way,
+# n0, rash_x, #Rash and a cue after a form feed, with user lexicons that
+# hold no_way and n0 (the check on) and a punctuation-only cue (the check
+# off), and term lists that hold Rash, rash_x, n0 and don't (the check on)
+# and a punctuation-only term (the check off). prefilter
 # --format jsonl keeping no sample, and filter on an empty prediction file
 # (no header, no row), then write outputs of no line (empty-outputs). Runs
 # on small inputs written into OUT follow: a header-only corpus (a logged
@@ -129,14 +131,17 @@ run user-lexicons-detect detect --corpus "$out/user.tsv" --phenomenon neg \
     --lexicon "$out/user-cues.txt" --out "$out/user.scopes.tsv"
 run user-lexicons-prefilter prefilter --corpus "$out/user.tsv" --phenomena neg \
     --neg-lexicon "$out/user-cues.txt" --out "$out/user.kept.tsv"
-# The word gate: short ASCII texts whose cues touch the edges of a word run
-# (#No, @no, no., (not), NOT, don't, x'no, no_way, n0 and a cue after a form
-# feed) and one with no cue. The user negation lexicon holds no_way and n0,
-# and its gate is on; the user speculation lexicon holds a punctuation-only
-# cue, which turns its gate off, so filter meets a gated and an ungated
-# lexicon in one call, and prefilter two gated ones (with the bundled
-# speculation lexicon).
-printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n' \
+# The word gate: short ASCII texts whose cues and terms touch the edges of a
+# word run (#No, @no, no., (not), NOT, don't, x'no, no_way, n0, rash_x, #Rash
+# and a cue after a form feed) and one with no cue. The user negation lexicon
+# holds no_way and n0, and its gate is on; the user speculation lexicon
+# holds a punctuation-only cue, which turns its gate off, so filter meets a
+# gated and an ungated lexicon in one call, and prefilter two gated ones
+# (with the bundled speculation lexicon). extract runs with the bundled
+# terms, with Rash, rash_x, n0 and don't (gated; a term file line starting
+# with # is a comment, so the hashtag is on the text side), and with a term
+# list holding the punctuation-only term "?" (ungated).
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n' \
     'w01\t#No rash since the dose\tX\t' \
     'w02\t@no rash here\tX\t' \
     'w03\ta rash, then no. itch now\tX\t' \
@@ -148,11 +153,18 @@ printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n
     'w09\tn0 rash today\tX\t' \
     'w10\titch\x0cno rash\tX\t' \
     'w11\tslept fine with a rash\tX\t' \
-    'w12\tis it a rash? maybe\tX\t' >"$out/gate.tsv"
+    'w12\tis it a rash? maybe\tX\t' \
+    'w13\ta rash_x, not a #Rash\tX\t' >"$out/gate.tsv"
 printf '# cues\nno_way|pre_trigger\nn0|pre_trigger\nno|pre_trigger\nnot|pre_trigger\n' \
     >"$out/gate-neg.txt"
 printf '# cues\n?|post_trigger\nmaybe|pre_trigger\n' >"$out/gate-spec.txt"
+printf "# terms\\nRash\\nrash_x\\nn0\\ndon't\\n" >"$out/gate-terms.txt"
+printf '# terms\n?\nitch\n' >"$out/gate-terms-punct.txt"
 run ascii-gate-extract extract --corpus "$out/gate.tsv" --out "$out/gate.preds.tsv"
+run ascii-gate-extract-user extract --corpus "$out/gate.tsv" \
+    --ade-lexicon "$out/gate-terms.txt" --out "$out/gate.preds-user.tsv"
+run ascii-gate-extract-punct extract --corpus "$out/gate.tsv" \
+    --ade-lexicon "$out/gate-terms-punct.txt" --out "$out/gate.preds-punct.tsv"
 run ascii-gate-detect-neg detect --corpus "$out/gate.tsv" --phenomenon neg \
     --out "$out/gate.scopes-neg.tsv"
 run ascii-gate-detect-user detect --corpus "$out/gate.tsv" --phenomenon neg \

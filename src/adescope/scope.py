@@ -19,7 +19,8 @@ between tokens, or the edge of the text. Scopes never cross sentence
 boundaries.
 
 :func:`detect` tokenizes a text at most once for all its lexicons (not at
-all when a short ASCII text holds none of their first words). The cues are
+all when the word gate, :func:`~adescope.text.may_match`, finds that a
+short ASCII text holds none of their first words). The cues are
 matched on the tokens' keys, the scope walk reads token surfaces and the
 gaps between them from the text's split, and character spans are built
 only for the matched cue runs and the scopes they open (see
@@ -46,10 +47,11 @@ from .text import (
     RawText,
     Span,
     Tokens,
+    _PREFIX_CHARS,
     first_words,
     index_patterns,
     longest_matches,
-    text_words,
+    may_match,
     tokenize,
 )
 
@@ -78,9 +80,6 @@ TERMINAL_TOKENS = frozenset({".", "!", "?", "…"})
 
 DEFAULT_WINDOW = 5
 
-#: Characters of a text that :func:`prefilter` keys first; a text no longer
-#: is keyed whole, and only such a text is checked by :func:`_may_match`.
-_PREFIX_CHARS = 1024
 _SPACE_RE = re.compile(r"\s")
 
 
@@ -272,17 +271,6 @@ def resolve_scopes(
     return scopes
 
 
-def _may_match(content: str, lexicons: tuple[CueLexicon, ...]) -> bool:
-    """False only for an ASCII text of at most ``_PREFIX_CHARS`` characters
-    whose words hold no first word of any of the lexicons."""
-    if len(content) > _PREFIX_CHARS or (words := text_words(content)) is None:
-        return True
-    return any(
-        lexicon._first_words is None or not lexicon._first_words.isdisjoint(words)
-        for lexicon in lexicons
-    )
-
-
 def detect(
     text: Union[str, RawText],
     lexicons: Iterable[CueLexicon],
@@ -291,16 +279,17 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    A short ASCII text whose words (:func:`~adescope.text.text_words`) hold
-    no lexicon's first word, as most short posts, is not tokenized. Else it
-    is split and keyed once; only a lexicon with a first key among the text's
-    keys (see :func:`~adescope.text.longest_matches`) is scanned, so a text
-    no lexicon can match in yields no scopes without a character offset,
+    A text the word gate (:func:`~adescope.text.may_match`) rejects, a
+    short ASCII one whose words hold no lexicon's first word, as most short
+    posts, is not tokenized. Else it is split and keyed once; only a lexicon
+    with a first key among the text's keys (see
+    :func:`~adescope.text.longest_matches`) is scanned, so a text no
+    lexicon can match in yields no scopes without a character offset,
     token or span being computed.
     """
     lexicons = tuple(lexicons)
     content = text.content if isinstance(text, RawText) else text
-    if not lexicons or not _may_match(content, lexicons):
+    if not lexicons or not may_match(content, lexicons):
         return set()
     tokens = tokenize(text)
     return {
@@ -345,9 +334,9 @@ def prefilter(
     post-trigger match in its text. Pseudo-trigger and terminator matches
     do not count: the former are explicit non-triggers and the latter
     merely bound scopes. Order is preserved. Nothing is located: the cues
-    are matched on the keys of the text's tokens alone, and a short ASCII
-    text that no lexicon may match in, as in :func:`detect`, is not
-    tokenized at all.
+    are matched on the keys of the text's tokens alone, and a text the word
+    gate rejects (:func:`~adescope.text.may_match`), as in :func:`detect`,
+    is not tokenized at all.
 
     A text longer than ``_PREFIX_CHARS`` is keyed a slice at a time, each
     cut at a whitespace character at least twice as far in as the last,
@@ -368,7 +357,7 @@ def prefilter(
     kept: list[LabeledSample] = []
     for sample in samples:
         text, keys = sample.text.content, ()
-        if not _may_match(text, lexicons):
+        if not may_match(text, lexicons):
             continue
         start, size = 0, _PREFIX_CHARS
         while True:

@@ -25,6 +25,11 @@ token positions into character offsets, from the running lengths of the
 split's parts; it builds a span only for a run it is asked for, and its
 tokens only when it is indexed or iterated. Cue detection and term
 extraction both match on its keys and locate only the matched runs.
+
+Every lexicon scan is gated by :func:`may_match`: a short ASCII text none of
+whose words (:func:`text_words`, one C-level pass over its bytes) is the
+first word of a lexicon's entry (:func:`first_words`) cannot match, so it
+is not tokenized.
 """
 
 from __future__ import annotations
@@ -63,12 +68,19 @@ __all__ = [
 # group holds the whole token, so split alternates gaps and tokens.
 _TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
 
-# Over ASCII, where \w is [A-Za-z0-9_] and \s is what str.split() splits at:
-# \w lowercased, other non-space characters made spaces, whitespace kept.
-_WORD_TABLE = str.maketrans({
-    c: c.lower() if c.isalnum() or c == "_" else " "
-    for c in map(chr, range(128)) if not c.isspace()
-})
+# Over the bytes of an ASCII text, where \w is [A-Za-z0-9_]: \w lowercased and
+# every other byte made a space. bytes.split() splits only at space, \t, \n,
+# \v, \f and \r, where str.split() and \s also split at \x1c-\x1f, so
+# whitespace is made a space too.
+_WORD_BYTES = bytes(
+    ord(c.lower()) if c.isascii() and (c.isalnum() or c == "_") else 0x20
+    for c in map(chr, range(256))
+)
+
+#: The longest text :func:`may_match` checks; a longer one always passes.
+#: :func:`~adescope.scope.prefilter` keys a longer text a slice at a time,
+#: the first slice this long.
+_PREFIX_CHARS = 1024
 
 
 class Checked:
@@ -377,13 +389,30 @@ def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
     return tuple(keys[1:])
 
 
-def text_words(text: str) -> list[str] | None:
-    """An ASCII text's lowercased runs of word characters, else None. Each
-    key of its tokens (:attr:`Tokens.keys`) but a lone character's starts
-    with one of them, after any ``@``; so a text whose words miss an index's
-    :func:`first_words` has no key at its root. It runs only C-level ``str``
-    calls."""
-    return text.translate(_WORD_TABLE).split() if text.isascii() else None
+def text_words(text: str) -> list[bytes] | None:
+    """An ASCII text's lowercased runs of word characters, as bytes, else
+    None. Each key of its tokens (:attr:`Tokens.keys`) but a lone
+    character's starts with one of them, after any ``@``; so a text whose
+    words miss an index's :func:`first_words` has no key at its root. It is
+    three C-level calls: ``str.encode``, ``bytes.translate`` through a
+    256-byte table, and ``bytes.split``."""
+    return text.encode().translate(_WORD_BYTES).split() if text.isascii() else None
+
+
+def may_match(text: str, lexicons: Iterable[Any]) -> bool:
+    """The word gate in front of every lexicon scan. False only for an ASCII
+    text of at most ``_PREFIX_CHARS`` characters whose :func:`text_words`
+    hold no first word (``_first_words``, see :func:`first_words`) of any
+    of the lexicons: no key of its tokens is then a root key of their
+    tries, so :func:`longest_matches` finds nothing and the text need not
+    be tokenized."""
+    if len(text) > _PREFIX_CHARS or (words := text_words(text)) is None:
+        return True
+    for lexicon in lexicons:
+        firsts = lexicon._first_words
+        if firsts is None or not firsts.isdisjoint(words):
+            return True
+    return False
 
 
 V = TypeVar("V")
@@ -421,10 +450,11 @@ def index_patterns(entries: Iterable[tuple[str, V]]) -> tuple[list[V], PatternIn
     return values, root
 
 
-def first_words(index: PatternIndex) -> frozenset[str] | None:
-    """The first of each ASCII root key's :func:`text_words`; None when one
-    holds no word (``"?"``, ``"'"``, the ``""`` of a lone ``#``). A non-ASCII
-    key never equals a key of an ASCII text."""
+def first_words(index: PatternIndex) -> frozenset[bytes] | None:
+    """The first of each ASCII root key's :func:`text_words`, as bytes, for
+    :func:`may_match`; None when one holds no word (``"?"``, ``"'"``, the
+    ``""`` of a lone ``#``), which turns the gate off. A non-ASCII key never
+    equals a key of an ASCII text."""
     words = [text_words(key) for key in index if key.isascii()]
     return None if [] in words else frozenset(split[0] for split in words)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import adescope.baseline
+import adescope.text
 from adescope import (
     AdeLexicon,
     ParseError,
@@ -95,6 +96,9 @@ class TestExtract:
         assert spans_of("the pain is back") == {("pain", 4, 8)}
 
     def test_term_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
+        # A short ASCII text whose words hold no term's first word is not
+        # split; a non-ASCII one and one longer than _PREFIX_CHARS skip that
+        # check and are split once.
         calls = []
 
         def counting(text):
@@ -107,9 +111,17 @@ class TestExtract:
         monkeypatch.setattr("adescope.baseline.tokenize", counting)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
         monkeypatch.setattr(Tokens, "_running_lengths", refuse)
-        assert spans_of("slept well, #fine\nthanks") == set()
-        assert spans_of("slept well", default_ade_lexicon()) == set()
-        assert calls == [RawText("t", "slept well, #fine\nthanks"), RawText("t", "slept well")]
+        content = "slept well, #fine\nthanks"
+        long = content * (adescope.text._PREFIX_CHARS // len(content) + 1)
+        for lexicon in (LEXICON, default_ade_lexicon()):
+            for text, splits in [
+                (RawText("q", content), 0),
+                (RawText("n", content + " — ok"), 1),
+                (RawText("l", long), 1),
+            ]:
+                calls.clear()
+                assert extract(text, lexicon).spans == frozenset()
+                assert calls == [text] * splits
 
     @pytest.mark.parametrize(
         "content,found",

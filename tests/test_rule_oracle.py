@@ -17,12 +17,13 @@ bundled lexicons: patterns share first keys and prefixes, some key alike
 though written differently, and a lone ``#`` keys as the empty string. A
 list with patterns that key alike is refused at the first repeat, and the
 matcher is checked on the patterns that key apart. Last, the word gate
-that lets ``detect`` and ``prefilter`` skip a short ASCII text is checked
-on drawn texts and lexicons: it may reject a text only when none of the
-text's keys is a first key of the lexicon. The oracles above key a cue's
-pattern as the code does, so they cannot tell whether an entry keys like
-the same words in a text; a last property checks that directly, on
-patterns with letters whose casefolding moves token breaks.
+that lets ``detect``, ``prefilter`` and ``extract`` skip a short ASCII
+text is checked on drawn texts and cue and term lexicons: it may reject a
+text only when none of the text's keys is a first key of the lexicon. The
+oracles above key a cue's pattern as the code does, so they cannot tell
+whether an entry keys like the same words in a text; a last property
+checks that directly, on patterns with letters whose casefolding moves
+token breaks.
 """
 
 from __future__ import annotations
@@ -221,22 +222,26 @@ def test_prefilter_on_shrunk_prefixes_follows_the_rules(content, lexicons):
             assert prefilter([sample], lexicons) == ([sample] if fires else []), chars
 
 
-TERM_PATTERNS = [
-    (tuple(key(t.surface) for t in tokenize(term)), (order,), term)
-    for order, term in enumerate(ADE.terms)
-]
+def term_patterns(terms):
+    return [
+        (tuple(key(t.surface) for t in tokenize(term)), (order,), term)
+        for order, term in enumerate(terms)
+    ]
+
+
+def naive_term_spans(content: str, terms) -> set[tuple[int, int]]:
+    tokens = tokenize(content)
+    return {
+        (tokens[first].span.start, tokens[last].span.end)
+        for first, last, _ in naive_matches([key(t.surface) for t in tokens], term_patterns(terms))
+    }
 
 
 @settings(max_examples=300, deadline=None)
 @given(TEXTS)
 def test_extract_follows_the_rules(content):
-    tokens = tokenize(content)
-    expected = {
-        (tokens[first].span.start, tokens[last].span.end)
-        for first, last, _ in naive_matches([key(t.surface) for t in tokens], TERM_PATTERNS)
-    }
     found = {(s.start, s.end) for s in extract(RawText("t", content), ADE).spans}
-    assert found == expected
+    assert found == naive_term_spans(content, ADE.terms)
 
 
 # "A", "#a" and "a" key alike, as do the three spellings of "don't"; "#"
@@ -290,18 +295,26 @@ GATE_TEXTS = (
 
 
 @st.composite
-def gate_lexicons(draw):
-    """A negation lexicon of one to four drawn cues, some punctuation only
-    or a lone ``#``, with any category; a cue keyed like an earlier one is
-    left out."""
-    cues, seen = [], set()
+def gate_patterns(draw):
+    """One to four drawn patterns, some punctuation only or a lone ``#``; a
+    pattern keyed like an earlier one is left out."""
+    kept, seen = [], set()
     pieces = st.sampled_from(GATE_PIECES)
     patterns = st.one_of(pieces, pieces, GATE_TEXTS.map(str.strip))
     for pattern in draw(st.lists(patterns, min_size=1, max_size=4)):
-        cue = Cue(pattern, draw(st.sampled_from(list(CueCategory))), Phenomenon.NEGATION)
-        if (keys := tokenize(cue.pattern).keys) not in seen:
+        if (keys := tokenize(pattern).keys) not in seen:
             seen.add(keys)
-            cues.append(cue)
+            kept.append(pattern)
+    return kept
+
+
+@st.composite
+def gate_lexicons(draw):
+    """A negation lexicon of :func:`gate_patterns` cues with any category."""
+    cues = [
+        Cue(pattern, draw(st.sampled_from(list(CueCategory))), Phenomenon.NEGATION)
+        for pattern in draw(gate_patterns())
+    ]
     return CueLexicon(cues, Phenomenon.NEGATION)
 
 
@@ -336,6 +349,21 @@ def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, wind
         cue.category in TRIGGERS for _, _, cue in naive_matches(keys, cue_patterns(lexicon))
     )
     assert prefilter([sample], (lexicon,)) == ([sample] if fires else [])
+
+
+@settings(max_examples=500, deadline=None)
+@given(GATE_TEXTS, gate_patterns())
+@example("is it a rash? maybe", ["?", "rash"])  # "?" holds no word: the gate is off
+@example("#Rash again", ["rash", "rash_x", "n0"])
+@example("a rash_x, n0 rash", ["#Rash", "rash_x", "n0"])  # _ and digits join a word
+@example("itch\x1crash", ["rash"])  # \x1c splits words, as it splits tokens
+def test_word_gate_never_drops_a_text_extract_can_match_in(content, terms):
+    lexicon = AdeLexicon(terms)
+    with mock.patch("adescope.baseline.tokenize", side_effect=tokenize) as split:
+        found = extract(RawText("t", content), lexicon)
+    if not split.called:  # the gate rejected the text
+        assert lexicon._index.keys().isdisjoint(tokenize(content).keys)
+    assert {(s.start, s.end) for s in found.spans} == naive_term_spans(content, terms)
 
 
 # Letters whose casefolding moves token breaks: "İ" folds to "i" and a

@@ -22,7 +22,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import _TOKEN_RE, index_patterns, longest_matches
+from adescope.text import _TOKEN_RE, index_patterns, longest_matches, may_match, text_words
 
 
 def surfaces(text: str) -> list[str]:
@@ -526,9 +526,43 @@ class TestMatchable:
     def test_bundled_lexicons_pass_exactly_the_texts_holding_a_first_key(
         self, lexicon, corpus_dir
     ):
+        # The word gate in front of the scan may reject a text only when none
+        # of its keys is a root key, and it does reject some.
         corpus = load_corpus(corpus_dir / "test.tsv")
         index = lexicon._index
+        rejected = 0
         for sample in corpus.samples:
             walked = any(naive_key(t.surface) in index for t in tokenize(sample.text))
             gated = not index.keys().isdisjoint(tokenize(sample.text).keys)
             assert gated == walked, sample.text.id
+            if not may_match(sample.text.content, (lexicon,)):
+                rejected += 1
+                assert not gated, sample.text.id
+        assert rejected > 0
+
+
+# The reference for text_words' byte table: the word rule over str. Over
+# ASCII, \w lowercased, every other non-space character made a space, and
+# whitespace (\x1c-\x1f included) kept for str.split() to split at.
+STR_WORD_TABLE = str.maketrans({
+    c: c.lower() if c.isalnum() or c == "_" else " "
+    for c in map(chr, range(128)) if not c.isspace()
+})
+
+
+class TestTextWords:
+    def test_the_byte_table_follows_the_str_rule_at_every_ascii_code_point(self):
+        # Each code point alone, between two letters and before an upper-case
+        # letter: a word character joins a run and is lowercased; any other
+        # character, \x1c-\x1f included, splits the run.
+        wrong = []
+        for char in map(chr, range(128)):
+            for text in (char, f"a{char}b", f"{char}B"):
+                expected = [word.encode() for word in text.translate(STR_WORD_TABLE).split()]
+                if text_words(text) != expected:
+                    wrong.append((text, text_words(text), expected))
+        assert wrong == []
+
+    @pytest.mark.parametrize("text", ["café au lait", "\u017fo", "\u212a", "no\xa0rash"])
+    def test_a_non_ascii_text_has_no_words(self, text):
+        assert text_words(text) is None
