@@ -14,13 +14,16 @@
 # ones, terms written with a # or a curly apostrophe that posts match
 # without either, and triggers that are prefixes of longer pseudo-triggers,
 # so the shared matcher is diffed on more than the bundled lexicons.
-# extract, detect, filter and prefilter then run on short ASCII texts whose
+# extract, detect, filter and prefilter then run on short texts whose
 # cues and terms touch the edges of the word check that skips a text
-# untokenized (ascii-gate): #No, @no, no., (not), NOT, don't, x'no, no_way,
-# n0, rash_x, #Rash and a cue after a form feed, with user lexicons that
-# hold no_way and n0 (the check on) and a punctuation-only cue (the check
-# off), and term lists that hold Rash, rash_x, n0 and don't (the check on)
-# and a punctuation-only term (the check off). prefilter
+# untokenized (word-gate): #No, @no, no., (not), NOT, don't, x'no, no_way,
+# n0, rash_x, #Rash and a cue after a form feed, and texts that are not
+# ASCII: ſo, the Kelvin sign, İyi değil, STRAßE, an em dash, a curly
+# apostrophe, an emoji sequence and a no-break space. The user lexicons
+# hold no_way, n0, İyi and ſo (the check on) and a punctuation-only cue
+# (the check off), and term lists hold Rash, rash_x, n0, don't, STRAßE and
+# the Kelvin sign (the check on) and a punctuation-only term (the check
+# off). prefilter
 # --format jsonl keeping no sample, and filter on an empty prediction file
 # (no header, no row), then write outputs of no line (empty-outputs). Runs
 # on small inputs written into OUT follow: a header-only corpus (a logged
@@ -131,17 +134,21 @@ run user-lexicons-detect detect --corpus "$out/user.tsv" --phenomenon neg \
     --lexicon "$out/user-cues.txt" --out "$out/user.scopes.tsv"
 run user-lexicons-prefilter prefilter --corpus "$out/user.tsv" --phenomena neg \
     --neg-lexicon "$out/user-cues.txt" --out "$out/user.kept.tsv"
-# The word gate: short ASCII texts whose cues and terms touch the edges of a
+# The word gate: short texts whose cues and terms touch the edges of a
 # word run (#No, @no, no., (not), NOT, don't, x'no, no_way, n0, rash_x, #Rash
-# and a cue after a form feed) and one with no cue. The user negation lexicon
-# holds no_way and n0, and its gate is on; the user speculation lexicon
-# holds a punctuation-only cue, which turns its gate off, so filter meets a
-# gated and an ungated lexicon in one call, and prefilter two gated ones
-# (with the bundled speculation lexicon). extract runs with the bundled
-# terms, with Rash, rash_x, n0 and don't (gated; a term file line starting
-# with # is a comment, so the hashtag is on the text side), and with a term
-# list holding the punctuation-only term "?" (ungated).
-printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n' \
+# and a cue after a form feed), texts that are not ASCII (ſo and the Kelvin
+# sign fold to ASCII, İ to i and a combining dot, ß to ss; an em dash, a
+# curly apostrophe, a ZWJ emoji sequence and a no-break space split words)
+# and one of each with no cue. The user negation lexicon holds no_way, n0,
+# İyi and ſo, and its gate is on; the user speculation lexicon holds a
+# punctuation-only cue, which turns its gate off, so filter meets a gated
+# and an ungated lexicon in one call, and prefilter two gated ones (with the
+# bundled speculation lexicon). extract runs with the bundled terms, with
+# Rash, rash_x, n0, don't, STRAßE and the Kelvin sign (gated; a term file
+# line starting with # is a comment, so the hashtag is on the text side),
+# and with a term list holding the punctuation-only term "?" (ungated).
+printf 'id\ttext\tclass\tspans\n' >"$out/gate.tsv"
+printf '%b\n' \
     'w01\t#No rash since the dose\tX\t' \
     'w02\t@no rash here\tX\t' \
     'w03\ta rash, then no. itch now\tX\t' \
@@ -154,25 +161,34 @@ printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n%b\n
     'w10\titch\x0cno rash\tX\t' \
     'w11\tslept fine with a rash\tX\t' \
     'w12\tis it a rash? maybe\tX\t' \
-    'w13\ta rash_x, not a #Rash\tX\t' >"$out/gate.tsv"
-printf '# cues\nno_way|pre_trigger\nn0|pre_trigger\nno|pre_trigger\nnot|pre_trigger\n' \
+    'w13\ta rash_x, not a #Rash\tX\t' \
+    'w14\tſo rash today\tX\t' \
+    'w15\tthe \xe2\x84\xaa test, no rash\tX\t' \
+    'w16\tİyi değil, rash yok\tX\t' \
+    'w17\tSTRAßE rash, maybe itch\tX\t' \
+    'w18\titch — no rash\tX\t' \
+    'w19\ti don’t get a rash\tX\t' \
+    'w20\trash again 👨\xe2\x80\x8d👩\xe2\x80\x8d👧 not now\tX\t' \
+    'w21\tno\xc2\xa0rash today\tX\t' \
+    'w22\tcafé — slept fine ’til noon 🙏\tX\t' >>"$out/gate.tsv"
+printf '# cues\nno_way|pre_trigger\nn0|pre_trigger\nno|pre_trigger\nnot|pre_trigger\nİyi|pre_trigger\nſo|pre_trigger\n' \
     >"$out/gate-neg.txt"
 printf '# cues\n?|post_trigger\nmaybe|pre_trigger\n' >"$out/gate-spec.txt"
-printf "# terms\\nRash\\nrash_x\\nn0\\ndon't\\n" >"$out/gate-terms.txt"
+printf "# terms\\nRash\\nrash_x\\nn0\\ndon't\\nSTRAßE\\n\\xe2\\x84\\xaa\\n" >"$out/gate-terms.txt"
 printf '# terms\n?\nitch\n' >"$out/gate-terms-punct.txt"
-run ascii-gate-extract extract --corpus "$out/gate.tsv" --out "$out/gate.preds.tsv"
-run ascii-gate-extract-user extract --corpus "$out/gate.tsv" \
+run word-gate-extract extract --corpus "$out/gate.tsv" --out "$out/gate.preds.tsv"
+run word-gate-extract-user extract --corpus "$out/gate.tsv" \
     --ade-lexicon "$out/gate-terms.txt" --out "$out/gate.preds-user.tsv"
-run ascii-gate-extract-punct extract --corpus "$out/gate.tsv" \
+run word-gate-extract-punct extract --corpus "$out/gate.tsv" \
     --ade-lexicon "$out/gate-terms-punct.txt" --out "$out/gate.preds-punct.tsv"
-run ascii-gate-detect-neg detect --corpus "$out/gate.tsv" --phenomenon neg \
+run word-gate-detect-neg detect --corpus "$out/gate.tsv" --phenomenon neg \
     --out "$out/gate.scopes-neg.tsv"
-run ascii-gate-detect-user detect --corpus "$out/gate.tsv" --phenomenon neg \
+run word-gate-detect-user detect --corpus "$out/gate.tsv" --phenomenon neg \
     --lexicon "$out/gate-neg.txt" --out "$out/gate.scopes-user.tsv"
-run ascii-gate-filter filter --corpus "$out/gate.tsv" --predictions "$out/gate.preds.tsv" \
+run word-gate-filter filter --corpus "$out/gate.tsv" --predictions "$out/gate.preds.tsv" \
     --neg-lexicon "$out/gate-neg.txt" --spec-lexicon "$out/gate-spec.txt" \
     --out "$out/gate.filtered.tsv" --audit "$out/gate.audit.tsv"
-run ascii-gate-prefilter prefilter --corpus "$out/gate.tsv" --phenomena neg+spec \
+run word-gate-prefilter prefilter --corpus "$out/gate.tsv" --phenomena neg+spec \
     --neg-lexicon "$out/gate-neg.txt" --out "$out/gate.kept.tsv"
 # Outputs of no line: a JSON-lines corpus with no cue-bearing sample, which
 # prefilter keeps none of, and a prediction file with neither header nor

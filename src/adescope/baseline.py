@@ -15,7 +15,7 @@ from typing import Iterable, Union
 from .combine import EntitySet
 from .corpus import lexicon_lines, read_located, read_text
 from .errors import ValidationError
-from .text import Frozen, RawText, first_words, index_patterns, longest_matches, may_match, tokenize
+from .text import Lexicon, RawText, longest_matches, may_match, tokenize
 
 __all__ = [
     "AdeLexicon",
@@ -25,20 +25,19 @@ __all__ = [
 ]
 
 
-class AdeLexicon(Frozen):
+class AdeLexicon(Lexicon):
     """A set of adverse event terms, kept as written and matched
-    case-insensitively; each is checked and indexed as read, so a term that
-    holds no token, or is keyed like an earlier one, is refused. The terms'
-    first words (:func:`~adescope.text.first_words`) are kept for the word
-    gate."""
+    case-insensitively; each is checked and indexed as read (see
+    :class:`~adescope.text.Lexicon`), so a term that holds no token, or is
+    keyed like an earlier one, is refused."""
 
     _FIELDS = ("terms",)
 
     def __init__(self, terms: Iterable[str]) -> None:
-        terms, index = index_patterns((term, term) for term in terms)
-        if not terms:
+        super().__init__((term, term) for term in terms)
+        if not self.values:
             raise ValidationError("an ADE lexicon must contain at least one term")
-        self._set(terms=tuple(terms), _index=index, _first_words=first_words(index))
+        self._set(terms=self.values)
 
 
 def load_ade_lexicon(path: Union[str, Path]) -> AdeLexicon:
@@ -62,11 +61,11 @@ def extract(text: RawText, lexicon: AdeLexicon) -> EntitySet:
     :func:`~adescope.scope.find_cues`, the terms are matched on the keys of
     the text's :class:`~adescope.text.Tokens`, and a span is built only for
     a matched run; no :class:`~adescope.text.Token` is built. A text the
-    word gate rejects (:func:`~adescope.text.may_match`), a short ASCII one
-    whose words hold no term's first word, is not tokenized at all.
+    word gate rejects (:func:`~adescope.text.may_match`), a short one whose
+    words hold no term's first word, is not tokenized at all.
     """
     if not may_match(text.content, (lexicon,)):
         return EntitySet(text.id, ())
     tokens = tokenize(text)
-    matches = longest_matches(tokens.keys, lexicon._index)
+    matches = longest_matches(tokens.keys, lexicon)
     return EntitySet(text.id, [tokens.span(first, last) for first, last, _ in matches])

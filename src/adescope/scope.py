@@ -18,12 +18,13 @@ cue match, terminal punctuation (. ! ? …), a newline or carriage return
 between tokens, or the edge of the text. Scopes never cross sentence
 boundaries.
 
-:func:`detect` tokenizes a text at most once for all its lexicons (not at
-all when the word gate, :func:`~adescope.text.may_match`, finds that a
-short ASCII text holds none of their first words). The cues are
-matched on the tokens' keys, the scope walk reads token surfaces and the
-gaps between them from the text's split, and character spans are built
-only for the matched cue runs and the scopes they open (see
+:func:`detect` tokenizes a text at most once for all its lexicons, and scans
+only the lexicons the word gate (:func:`~adescope.text.may_match`) lets
+through: for a short text, those with a first word among the text's words.
+A text no lexicon passes is not tokenized at all. The cues are matched on
+the tokens' keys, the scope walk reads token surfaces and the gaps between
+them from the text's split, and character spans are built only for the
+matched cue runs and the scopes they open (see
 :class:`~adescope.text.Tokens`). :func:`prefilter` matches on the same keys
 and locates nothing. A cue is kept as written and keyed as a text's tokens
 are, so it matches whatever the case of either.
@@ -42,14 +43,12 @@ from .corpus import lexicon_lines, read_located, read_text
 from .errors import ValidationError, echo
 from .text import (
     Checked,
-    Frozen,
     LabeledSample,
+    Lexicon,
     RawText,
     Span,
     Tokens,
     _PREFIX_CHARS,
-    first_words,
-    index_patterns,
     longest_matches,
     may_match,
     tokenize,
@@ -106,27 +105,25 @@ class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
         return tuple.__new__(cls, (pattern, category, phenomenon))
 
 
-class CueLexicon(Frozen):
+class CueLexicon(Lexicon):
     """An ordered collection of cues for one phenomenon; each is checked and
     indexed as read, so a cue that holds no token, or is keyed like an
     earlier one whatever either's category, is refused (see
-    :func:`~adescope.text.index_patterns`)."""
+    :class:`~adescope.text.Lexicon`)."""
 
     _FIELDS = ("cues", "phenomenon")
 
     def __init__(self, cues: Iterable[Cue], phenomenon: Phenomenon) -> None:
-        cues, index = index_patterns((cue.pattern, cue) for cue in cues)
-        if not cues:
+        super().__init__((cue.pattern, cue) for cue in cues)
+        if not self.values:
             raise ValidationError("a cue lexicon must contain at least one cue")
-        for cue in cues:
+        for cue in self.values:
             if cue.phenomenon is not phenomenon:
                 raise ValidationError(
                     f"cue {echo(cue.pattern)} is tagged {cue.phenomenon.value}, "
                     f"lexicon is {phenomenon.value}"
                 )
-        self._set(
-            cues=tuple(cues), phenomenon=phenomenon, _index=index, _first_words=first_words(index)
-        )
+        self._set(cues=self.values, phenomenon=phenomenon)
 
 
 class CueMatch(Checked, namedtuple("CueMatch", "cue span first_token last_token")):
@@ -210,7 +207,7 @@ def find_cues(tokens: Tokens, lexicon: CueLexicon) -> list[CueMatch]:
     """
     return [
         CueMatch(cue, tokens.span(first, last), first, last)
-        for first, last, cue in longest_matches(tokens.keys, lexicon._index)
+        for first, last, cue in longest_matches(tokens.keys, lexicon)
     ]
 
 
@@ -279,23 +276,20 @@ def detect(
     """Scopes of every given lexicon over one tokenization of the text.
 
     The result is the union of the scopes each lexicon resolves on its own.
-    A text the word gate (:func:`~adescope.text.may_match`) rejects, a
-    short ASCII one whose words hold no lexicon's first word, as most short
-    posts, is not tokenized. Else it is split and keyed once; only a lexicon
-    with a first key among the text's keys (see
-    :func:`~adescope.text.longest_matches`) is scanned, so a text no
-    lexicon can match in yields no scopes without a character offset,
-    token or span being computed.
+    Only the lexicons the word gate (:func:`~adescope.text.may_match`) lets
+    through are scanned: for a short text, those with a first word among
+    the text's words. A text no lexicon passes, as most short posts, is not
+    tokenized; else it is split and keyed once for them all. Character
+    offsets are computed only for the cues found and their scopes.
     """
-    lexicons = tuple(lexicons)
     content = text.content if isinstance(text, RawText) else text
-    if not lexicons or not may_match(content, lexicons):
+    lexicons = may_match(content, lexicons)
+    if not lexicons:
         return set()
     tokens = tokenize(text)
     return {
         scope
         for lexicon in lexicons
-        if not lexicon._index.keys().isdisjoint(tokens.keys)
         for scope in resolve_scopes(text, tokens, find_cues(tokens, lexicon), window)
     }
 
@@ -334,9 +328,10 @@ def prefilter(
     post-trigger match in its text. Pseudo-trigger and terminator matches
     do not count: the former are explicit non-triggers and the latter
     merely bound scopes. Order is preserved. Nothing is located: the cues
-    are matched on the keys of the text's tokens alone, and a text the word
-    gate rejects (:func:`~adescope.text.may_match`), as in :func:`detect`,
-    is not tokenized at all.
+    are matched on the keys of the text's tokens alone, and, as in
+    :func:`detect`, only the lexicons the word gate
+    (:func:`~adescope.text.may_match`) lets through are scanned, and a text
+    none passes is not tokenized at all.
 
     A text longer than ``_PREFIX_CHARS`` is keyed a slice at a time, each
     cut at a whitespace character at least twice as far in as the last,
@@ -351,13 +346,12 @@ def prefilter(
     lexicons = tuple(lexicons)
     if not lexicons:
         raise ValidationError("prefilter requires at least one lexicon")
-    indexes = [lexicon._index for lexicon in lexicons]
-    depth = max(len(tokenize(cue.pattern)) for lexicon in lexicons for cue in lexicon.cues)
+    depth = max(lexicon.depth for lexicon in lexicons)
     triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
     kept: list[LabeledSample] = []
     for sample in samples:
         text, keys = sample.text.content, ()
-        if not may_match(text, lexicons):
+        if not (passed := may_match(text, lexicons)):
             continue
         start, size = 0, _PREFIX_CHARS
         while True:
@@ -367,8 +361,8 @@ def prefilter(
             final = len(keys) - depth if space else len(keys)
             if any(
                 cue.category in triggers and first <= final
-                for index in indexes
-                for first, _, cue in longest_matches(keys, index)
+                for lexicon in passed
+                for first, _, cue in longest_matches(keys, lexicon)
             ):
                 kept.append(sample)
                 break

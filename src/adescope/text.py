@@ -18,18 +18,17 @@ every command-line launch.
 Cue phrases and event terms are found by one shared matcher on match keys.
 :func:`tokenize` returns :class:`Tokens`, a lazy view of one ``re.split`` of
 the text that holds its keys, the only key sequence the package makes: it
-keys a text, and :func:`index_patterns` keys each lexicon pattern, as
-written, into a trie that :func:`longest_matches` walks for the longest
-pattern at each position. :class:`Tokens` is also the only code that turns
-token positions into character offsets, from the running lengths of the
-split's parts; it builds a span only for a run it is asked for, and its
-tokens only when it is indexed or iterated. Cue detection and term
-extraction both match on its keys and locate only the matched runs.
+keys a text, and a :class:`Lexicon` keys each of its patterns, as written,
+into a trie that :func:`longest_matches` walks for the longest pattern at
+each position. :class:`Tokens` is also the only code that turns token
+positions into character offsets, from the running lengths of the split's
+parts; it builds a span only for a run it is asked for, and its tokens only
+when it is indexed or iterated. Cue detection and term extraction both
+match on its keys and locate only the matched runs.
 
-Every lexicon scan is gated by :func:`may_match`: a short ASCII text none of
-whose words (:func:`text_words`, one C-level pass over its bytes) is the
-first word of a lexicon's entry (:func:`first_words`) cannot match, so it
-is not tokenized.
+Every lexicon scan is gated by :func:`may_match`: a lexicon none of whose
+first words is among a short text's words (:func:`text_words`) is not
+scanned, and a text no lexicon passes is not tokenized.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, repeat
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Union
 
 from .errors import ValidationError, echo, echo_span
 
@@ -56,7 +55,7 @@ __all__ = [
     "TagSequence",
     "disjoint_spans",
     "tokenize",
-    "index_patterns",
+    "Lexicon",
     "longest_matches",
     "spans_to_bio",
     "bio_to_spans",
@@ -68,16 +67,13 @@ __all__ = [
 # group holds the whole token, so split alternates gaps and tokens.
 _TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
 
-# Over the bytes of an ASCII text, where \w is [A-Za-z0-9_]: \w lowercased and
-# every other byte made a space. bytes.split() splits only at space, \t, \n,
-# \v, \f and \r, where str.split() and \s also split at \x1c-\x1f, so
-# whitespace is made a space too.
-_WORD_BYTES = bytes(
-    ord(c.lower()) if c.isascii() and (c.isalnum() or c == "_") else 0x20
-    for c in map(chr, range(256))
-)
+# Over UTF-8 bytes: an ASCII word character (\w of a bytes pattern) kept and
+# every other byte made a space, whitespace too: bytes.split() splits only at
+# space, \t, \n, \v, \f and \r, where str.split() and \s also split at
+# \x1c-\x1f.
+_WORD_BYTES = bytes(byte if re.match(rb"\w", bytes([byte])) else 0x20 for byte in range(256))
 
-#: The longest text :func:`may_match` checks; a longer one always passes.
+#: The longest text :func:`may_match` checks; a longer one passes to every lexicon.
 #: :func:`~adescope.scope.prefilter` keys a longer text a slice at a time,
 #: the first slice this long.
 _PREFIX_CHARS = 1024
@@ -389,90 +385,94 @@ def _keys(surfaces: Iterable[str]) -> tuple[str, ...]:
     return tuple(keys[1:])
 
 
-def text_words(text: str) -> list[bytes] | None:
-    """An ASCII text's lowercased runs of word characters, as bytes, else
-    None. Each key of its tokens (:attr:`Tokens.keys`) but a lone
-    character's starts with one of them, after any ``@``; so a text whose
-    words miss an index's :func:`first_words` has no key at its root. It is
-    three C-level calls: ``str.encode``, ``bytes.translate`` through a
-    256-byte table, and ``bytes.split``."""
-    return text.encode().translate(_WORD_BYTES).split() if text.isascii() else None
+def text_words(text: str) -> list[bytes]:
+    """The runs of ASCII word characters in ``text.casefold()``, as bytes,
+    in four C-level passes: ``str.casefold``, ``str.encode``,
+    ``bytes.translate`` and ``bytes.split``.
+
+    A token's key is its surface casefolded, and ``str.casefold`` maps each
+    code point on its own, so a key that holds a word has its first word
+    among the text's: as a test checks at every code point, no non-word
+    character, such as those next to a token, folds to an ASCII word
+    character, no word character folds to an ASCII non-word one, and a
+    folded key folds to itself.
+    """
+    return text.casefold().encode().translate(_WORD_BYTES).split()
 
 
-def may_match(text: str, lexicons: Iterable[Any]) -> bool:
-    """The word gate in front of every lexicon scan. False only for an ASCII
-    text of at most ``_PREFIX_CHARS`` characters whose :func:`text_words`
-    hold no first word (``_first_words``, see :func:`first_words`) of any
-    of the lexicons: no key of its tokens is then a root key of their
-    tries, so :func:`longest_matches` finds nothing and the text need not
-    be tokenized."""
-    if len(text) > _PREFIX_CHARS or (words := text_words(text)) is None:
-        return True
+class Lexicon(Frozen):
+    """Checked ``(pattern, value)`` entries, indexed for
+    :func:`longest_matches` and the word gate (:func:`may_match`).
+
+    :attr:`values` holds the values in order, and :attr:`depth` the most
+    keys a pattern holds. Each pattern is keyed as written, exactly as a
+    text is (:attr:`Tokens.keys`), into a trie where each key steps one level
+    down and the node where a pattern ends maps " " to its value. A pattern
+    that holds no token, or that is keyed like an earlier one, could never
+    match, so it is a :class:`ValidationError` as its entry is read: the one
+    rule for which lexicon entries are kept. The gate reads the first of
+    each root key's :func:`text_words`; a root key with no word (``"?"``,
+    ``"é"``, the ``""`` of a lone ``#``) lets every text through.
+    """
+
+    _FIELDS = ("values",)
+
+    def __init__(self, entries: Iterable[tuple[str, Any]]) -> None:
+        values: list = []
+        root: dict[str, Any] = {}
+        depth = 0
+        for pattern, value in entries:
+            keys = Tokens(pattern).keys
+            if not keys:
+                raise ValidationError(f"lexicon entry {echo(pattern)} holds no token")
+            node = root
+            for key in keys:
+                node = node.setdefault(key, {})
+            if " " in node:
+                raise ValidationError(
+                    f"duplicate lexicon entry {echo(pattern)}: "
+                    f"an earlier entry has the match keys {echo(' '.join(keys))}"
+                )
+            node[" "] = value
+            values.append(value)
+            depth = max(depth, len(keys))
+        words = [text_words(key) for key in root]
+        firsts = None if [] in words else frozenset(split[0] for split in words)
+        self._set(values=tuple(values), depth=depth, _index=root, _first_words=firsts)
+
+
+def may_match(text: str, lexicons: Iterable[Lexicon]) -> list[Lexicon]:
+    """The word gate in front of every lexicon scan: the lexicons that may
+    match in ``text``, in order. For a text of at most ``_PREFIX_CHARS``
+    characters, those whose first words (see :class:`Lexicon`) hold none of
+    its :func:`text_words` are dropped: no key of its tokens is a root key
+    of their tries. A text no lexicon passes need not be tokenized."""
+    if len(text) > _PREFIX_CHARS:
+        return list(lexicons)
+    words = text_words(text)
+    passed = []  # a loop: a comprehension's own frame costs more than the check
     for lexicon in lexicons:
         firsts = lexicon._first_words
         if firsts is None or not firsts.isdisjoint(words):
-            return True
-    return False
+            passed.append(lexicon)
+    return passed
 
 
-V = TypeVar("V")
-
-#: A trie of match keys; the node where a pattern ends maps " " to its value.
-PatternIndex = Mapping[str, Any]
-
-
-def index_patterns(entries: Iterable[tuple[str, V]]) -> tuple[list[V], PatternIndex]:
-    """Check ``(pattern, value)`` pairs and index them for :func:`longest_matches`.
-
-    Returns the values, in order, and a trie of the patterns' keys. Each
-    pattern is keyed as written, exactly as a text is (:attr:`Tokens.keys`),
-    and each key steps one level down; no key holds a space. A pattern that
-    holds no token, or that is keyed like an earlier one, could never match,
-    so it is a :class:`ValidationError` as its entry is read: the one rule
-    for which lexicon entries are kept.
-    """
-    values: list[V] = []
-    root: dict[str, Any] = {}
-    for pattern, value in entries:
-        keys = Tokens(pattern).keys
-        if not keys:
-            raise ValidationError(f"lexicon entry {echo(pattern)} holds no token")
-        node = root
-        for key in keys:
-            node = node.setdefault(key, {})
-        if " " in node:
-            raise ValidationError(
-                f"duplicate lexicon entry {echo(pattern)}: "
-                f"an earlier entry has the match keys {echo(' '.join(keys))}"
-            )
-        node[" "] = value
-        values.append(value)
-    return values, root
-
-
-def first_words(index: PatternIndex) -> frozenset[bytes] | None:
-    """The first of each ASCII root key's :func:`text_words`, as bytes, for
-    :func:`may_match`; None when one holds no word (``"?"``, ``"'"``, the
-    ``""`` of a lone ``#``), which turns the gate off. A non-ASCII key never
-    equals a key of an ASCII text."""
-    words = [text_words(key) for key in index if key.isascii()]
-    return None if [] in words else frozenset(split[0] for split in words)
-
-
-def longest_matches(keys: tuple[str, ...], index: PatternIndex) -> list[tuple[int, int, V]]:
+def longest_matches(keys: tuple[str, ...], lexicon: Lexicon) -> list[tuple[int, int, Any]]:
     """Greedy leftmost-longest, non-overlapping pattern matches over match keys.
 
     A key run matches a pattern when it equals the pattern's keys. At each
     position the longest pattern starting there wins and the scan resumes
     after it. Returns ``(first, last, value)`` in order; ``first`` and
     ``last`` are inclusive token positions. A match starts only at a key of
-    the trie's root, so keys disjoint from ``index.keys()`` match nothing.
+    the lexicon's trie's root, so keys disjoint from those match nothing.
     From there the trie is walked while the keys follow it, and the deepest
     pattern end passed wins. A scan costs about N·L_max for N keys and L_max
     keys in the longest pattern, whatever the lexicon's size, so a pattern of
     thousands of keys that a text follows far is still slow.
     """
-    matches: list[tuple[int, int, V]] = []
+    index = lexicon._index
+    matches: list[tuple[int, int, Any]] = []
     resume = 0  # the first position after the last match
     for position, key in enumerate(keys):
         if key in index and position >= resume:

@@ -96,9 +96,9 @@ class TestExtract:
         assert spans_of("the pain is back") == {("pain", 4, 8)}
 
     def test_term_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
-        # A short ASCII text whose words hold no term's first word is not
-        # split; a non-ASCII one and one longer than _PREFIX_CHARS skip that
-        # check and are split once.
+        # A short text whose words hold no term's first word, ASCII or not,
+        # is not split; one longer than _PREFIX_CHARS skips that check and
+        # is split once.
         calls = []
 
         def counting(text):
@@ -116,7 +116,7 @@ class TestExtract:
         for lexicon in (LEXICON, default_ade_lexicon()):
             for text, splits in [
                 (RawText("q", content), 0),
-                (RawText("n", content + " — ok"), 1),
+                (RawText("n", content + " — ok"), 0),
                 (RawText("l", long), 1),
             ]:
                 calls.clear()

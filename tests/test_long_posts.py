@@ -51,7 +51,7 @@ from adescope import (
     write_predictions,
 )
 from adescope.baseline import AdeLexicon
-from adescope.text import index_patterns, longest_matches
+from adescope.text import Lexicon, longest_matches
 
 SENTENCES = 10_000
 WIDTH = 100
@@ -142,7 +142,7 @@ def test_extract_locates_every_term_of_a_long_post():
     tokens = tokenize(text)
     expected = {
         tokens.span(first, last)
-        for first, last, _ in longest_matches(tokens.keys, lexicon._index)
+        for first, last, _ in longest_matches(tokens.keys, lexicon)
     }
     assert len(expected) > 2 * SENTENCES
     assert extract(text, lexicon).spans == expected
@@ -223,11 +223,11 @@ def test_patterns_sharing_a_long_prefix_scan_in_time():
     # 100 patterns of 100 keys share their first 99, so the walk from each of
     # 20,000 keys follows 99 of them; only the last 100 keys match a pattern.
     patterns = ["a " * 99 + f"b{i}" for i in range(100)]
-    _, index = index_patterns((pattern, i) for i, pattern in enumerate(patterns))
+    lexicon = Lexicon((pattern, i) for i, pattern in enumerate(patterns))
     keys = ("a",) * 19_999 + ("b7",)
 
     started = time.perf_counter()
-    matches = longest_matches(keys, index)
+    matches = longest_matches(keys, lexicon)
     elapsed = time.perf_counter() - started
     assert matches == [(19_900, 19_999, 7)]
     assert elapsed < 1.0, f"longest_matches took {elapsed:.2f}s"

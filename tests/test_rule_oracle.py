@@ -52,7 +52,7 @@ from adescope import (
     prefilter,
     tokenize,
 )
-from adescope.text import index_patterns, longest_matches
+from adescope.text import Lexicon, longest_matches
 
 NEG, SPEC = default_negation_lexicon(), default_speculation_lexicon()
 ADE = default_ade_lexicon()
@@ -266,23 +266,27 @@ def test_longest_matches_follows_the_rules_for_any_lexicon(patterns, content):
         # The first pattern keyed like an earlier one is refused; the
         # matcher is then checked on the patterns that key apart.
         with pytest.raises(ValidationError) as caught:
-            index_patterns((p, o) for o, p in enumerate(patterns))
+            Lexicon((p, o) for o, p in enumerate(patterns))
         assert str(caught.value).startswith(f"duplicate lexicon entry {patterns[repeats[0]]!r}:")
     kept = [order for order in range(len(patterns)) if order not in repeats]
     naive = [(keyed[order], (order,), order) for order in kept]
-    _, index = index_patterns((patterns[o], o) for o in kept)
-    found = longest_matches(tokens.keys, index)
+    found = longest_matches(tokens.keys, Lexicon((patterns[o], o) for o in kept))
     assert found == naive_matches([key(t.surface) for t in tokens], naive)
 
 
 # Texts and cues for the word gate: ASCII letters of both cases, digits,
 # _, ', #, @ and punctuation; control characters; the whitespace that \s
-# and str.split() agree on, \x1c-\x1f included; and letters that casefold
-# to ASCII (ſ, the Kelvin sign) or to more than one character (ß, İ).
-# Pieces put cue words next to each edge of a word run.
+# and str.split() agree on, \x1c-\x1f and NBSP included; letters that
+# casefold to ASCII (ſ, the Kelvin sign) or to more than one character
+# (ß, İ); and what real posts hold besides: a dash, a curly apostrophe, an
+# accent, a combining mark that folds to a letter (U+0345) and a ZWJ emoji
+# sequence. Pieces put cue words next to each edge of a word run.
+FAMILY = "\U0001f468\u200d\U0001f469\u200d\U0001f467"
 GATE_CHARS = "aAsSkKnNoO09_'#@.,?!-()\t\n\r\x0b\x0c\x1c\x1f \x01\x7fſ\u212aßİ"
+GATE_CHARS += "—’é\xa0\u0345" + FAMILY
 GATE_PIECES = ["no", "NOT", "#No", "@no", "no_way", "n0", "don't", "x'no", "so", "ok"]
 GATE_PIECES += ["'no", "no'", "\x01no", "?", "'", "#"]
+GATE_PIECES += ["—", "’", "é", "no\xa0way", "\u0345", FAMILY]
 GATE_TEXTS = (
     st.lists(
         st.one_of(st.sampled_from(GATE_PIECES), st.text(GATE_CHARS, min_size=1, max_size=3)),
@@ -332,12 +336,15 @@ def pre_triggers(*patterns: str) -> CueLexicon:
 @example("n0 rash", pre_triggers("n0"), 5)  # so are digits
 @example("rash? no", pre_triggers("?", "no_way"), 5)  # "?" holds no word
 @example("\u017fo rash", pre_triggers("so"), 5)  # not ASCII, keyed "so rash"
+@example("İyi değil", pre_triggers("İyi"), 5)  # a cue with no ASCII first key
+@example("café — no’s gone " + FAMILY, pre_triggers("not"), 5)  # not ASCII, rejected
 def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, window):
     text = RawText("t", content)
     with mock.patch("adescope.scope.tokenize", side_effect=tokenize) as split:
         found = detect(text, (lexicon,), window)
     if not split.called:  # the gate rejected the text
-        assert lexicon._index.keys().isdisjoint(tokenize(content).keys)
+        roots = {keys[0] for keys, _, _ in cue_patterns(lexicon)}
+        assert roots.isdisjoint(key(t.surface) for t in tokenize(content))
     assert {
         ((s.span.start, s.span.end), tuple(s.trigger.span), s.trigger.cue.pattern)
         for s in found
@@ -357,12 +364,15 @@ def test_word_gate_rejects_only_texts_without_a_first_key(content, lexicon, wind
 @example("#Rash again", ["rash", "rash_x", "n0"])
 @example("a rash_x, n0 rash", ["#Rash", "rash_x", "n0"])  # _ and digits join a word
 @example("itch\x1crash", ["rash"])  # \x1c splits words, as it splits tokens
+@example("İyi değil", ["İyi"])  # a term with no ASCII first key
+@example("café — no’s gone " + FAMILY, ["rash", "#sore"])  # not ASCII, rejected
 def test_word_gate_never_drops_a_text_extract_can_match_in(content, terms):
     lexicon = AdeLexicon(terms)
     with mock.patch("adescope.baseline.tokenize", side_effect=tokenize) as split:
         found = extract(RawText("t", content), lexicon)
     if not split.called:  # the gate rejected the text
-        assert lexicon._index.keys().isdisjoint(tokenize(content).keys)
+        roots = {key(tokenize(term)[0].surface) for term in terms}
+        assert roots.isdisjoint(key(t.surface) for t in tokenize(content))
     assert {(s.start, s.end) for s in found.spans} == naive_term_spans(content, terms)
 
 

@@ -375,39 +375,44 @@ class TestDetect:
         assert detect("no pain today", (), 5) == set()
 
     def test_cue_free_text_is_split_once_and_located_nowhere(self, monkeypatch):
-        # A short ASCII text whose words hold no lexicon's first word is
-        # not split; a non-ASCII one and one longer than _PREFIX_CHARS skip
-        # that check and are split once by detect.
-        calls = []
+        # A short text whose words hold no lexicon's first word, ASCII or
+        # not, is not split; one longer than _PREFIX_CHARS skips that check,
+        # is split once by detect and scanned with every lexicon.
+        calls, scans = [], []
 
         def counting(text):
             calls.append(text)
             return tokenize(text)
 
+        def scanning(tokens, lexicon):
+            scans.append(lexicon)
+            return find_cues(tokens, lexicon)
+
         def refuse(*args):
-            raise AssertionError("scanned or located a text no cue can match")
+            raise AssertionError("located a text no cue can match")
 
         monkeypatch.setattr("adescope.scope.tokenize", counting)
-        monkeypatch.setattr("adescope.scope.find_cues", refuse)
+        monkeypatch.setattr("adescope.scope.find_cues", scanning)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
         monkeypatch.setattr(Tokens, "_running_lengths", refuse)
         both = (default_negation_lexicon(), default_speculation_lexicon())
-        patterns = {cue.pattern for lexicon in both for cue in lexicon.cues}
         content = "Metoprolol gave me a headache.\nStill here, #fine"
         long = content * (adescope.scope._PREFIX_CHARS // len(content) + 1)
         for text, splits in [
             (RawText("q", content), 0),
-            (RawText("n", content + " — ok"), 1),
+            (RawText("n", content + " — ok"), 0),
             (RawText("l", long), 1),
         ]:
             calls.clear()
+            scans.clear()
             assert detect(text, both, 5) == set()
             assert calls == [text] * splits
+            assert scans == list(both) * splits
             calls.clear()
             sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
             assert prefilter([sample], both) == []
-            # prefilter splits the cues (for their length), then only texts.
-            assert bool(splits) == bool(set(calls) - patterns)
+            # prefilter splits no cue, and a long text a slice at a time.
+            assert "".join(calls) == text.content * splits
 
     @pytest.mark.parametrize(
         "content,cue",
@@ -429,8 +434,7 @@ class TestDetect:
         calls.clear()
         sample = LabeledSample(text, frozenset(), SampleClass.NO_ADE)
         assert prefilter([sample], both) == [sample]
-        patterns = {entry.pattern for lexicon in both for entry in lexicon.cues}
-        assert [call for call in calls if call not in patterns] == [content]
+        assert calls == [content]
 
     def test_prefilter_keeps_a_cue_bearing_sample_without_locating(self, monkeypatch):
         def refuse(*args):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+import string
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import _TOKEN_RE, index_patterns, longest_matches, may_match, text_words
+from adescope.text import _TOKEN_RE, Lexicon, longest_matches, may_match, text_words
 
 
 def surfaces(text: str) -> list[str]:
@@ -465,11 +467,16 @@ def naive_key(surface: str) -> str:
     return word[1:] if word.startswith("#") else word
 
 
+def root_keys(patterns: Iterable[str]) -> set[str]:
+    """The first key of each pattern: the root keys of a lexicon's trie."""
+    return {tokenize(pattern).keys[0] for pattern in patterns}
+
+
 class TestMatchable:
-    """The lexicon gate: a text's keys are the keys of its tokens, and an
-    index disjoint from them has no match. Patterns that key alike are
-    refused; the gate is then checked on the first pattern of each key
-    sequence."""
+    """The lexicon gate: a text's keys are the keys of its tokens, and a
+    lexicon whose root keys are disjoint from them has no match, nor does
+    one the word gate drops. Patterns that key alike are refused; the gate
+    is then checked on the first pattern of each key sequence."""
 
     @settings(max_examples=400)
     @given(st.one_of(
@@ -493,20 +500,28 @@ class TestMatchable:
                 first.setdefault(tokenize(pattern).keys, pattern)
             if len(first) < len(patterns):
                 with pytest.raises(ValidationError):
-                    index_patterns((p, p) for p in patterns)
-            values, index = index_patterns((p, p) for p in first.values())
-            assert values == list(first.values())
-            if index.keys().isdisjoint(keys):
-                assert longest_matches(keys, index) == []
+                    Lexicon((p, p) for p in patterns)
+            lexicon = Lexicon((p, p) for p in first.values())
+            assert lexicon.values == tuple(first.values())
+            disjoint = root_keys(first.values()).isdisjoint(keys)
+            if disjoint:
+                assert longest_matches(keys, lexicon) == []
+            if not may_match(text, [lexicon]):
+                assert disjoint
 
     @pytest.mark.parametrize("pattern", ["", "  ", "\t\n"])
     def test_a_pattern_without_a_token_is_refused(self, pattern):
         # Its value would sit at the trie's root, where no match reaches it,
         # and no first word could be read from such a root.
         with pytest.raises(ValidationError) as caught:
-            index_patterns([("no", 1), (pattern, 2), ("rash", 3)])
+            Lexicon([("no", 1), (pattern, 2), ("rash", 3)])
         assert str(caught.value) == f"lexicon entry {pattern!r} holds no token"
-        assert index_patterns([("no", 1), ("#", 2)]) == ([1, 2], {"no": {" ": 1}, "": {" ": 2}})
+        lexicon = Lexicon([("no", 1), ("#", 2)])
+        assert lexicon.values == (1, 2)
+        assert longest_matches(tokenize("# no").keys, lexicon) == [(0, 0, 2), (1, 1, 1)]
+
+    def test_depth_is_the_most_keys_an_entry_holds(self):
+        assert Lexicon([("no", 1), ("#No way!", 2), ("don’t", 3)]).depth == 3
 
     def test_no_code_point_folds_to_a_key_separator_or_mark(self):
         # _keys casefolds a text's surfaces joined by " " in one call and
@@ -517,6 +532,26 @@ class TestMatchable:
         assert "".join(chars).casefold() == "".join(folded)
         for mark in " #’":
             assert [c for c, f in zip(chars, folded) if mark in f] == [mark]
+
+    def test_no_code_point_folds_across_an_ascii_word_boundary(self):
+        # text_words reads a key's first word in the casefolded text, as a
+        # whole run of ASCII word characters; sound only if the non-word
+        # characters around a token fold to no ASCII word character, a word
+        # character folds to no ASCII non-word character, and a key, already
+        # folded, folds to itself.
+        word = re.compile(r"\w").match
+        ascii_words = set(string.ascii_letters + string.digits + "_")
+        glued, broken, refolded = [], [], []
+        for char in map(chr, range(0x110000)):
+            folded = char.casefold()
+            ascii = {c for c in folded if c.isascii()}
+            if not word(char) and ascii & ascii_words:
+                glued.append(char)
+            if word(char) and ascii - ascii_words:
+                broken.append(char)
+            if folded.casefold() != folded:
+                refolded.append(char)
+        assert (glued, broken, refolded) == ([], [], [])
 
     @pytest.mark.parametrize(
         "lexicon",
@@ -529,11 +564,11 @@ class TestMatchable:
         # The word gate in front of the scan may reject a text only when none
         # of its keys is a root key, and it does reject some.
         corpus = load_corpus(corpus_dir / "test.tsv")
-        index = lexicon._index
+        roots = root_keys(getattr(value, "pattern", value) for value in lexicon.values)
         rejected = 0
         for sample in corpus.samples:
-            walked = any(naive_key(t.surface) in index for t in tokenize(sample.text))
-            gated = not index.keys().isdisjoint(tokenize(sample.text).keys)
+            walked = any(naive_key(t.surface) in roots for t in tokenize(sample.text))
+            gated = not roots.isdisjoint(tokenize(sample.text).keys)
             assert gated == walked, sample.text.id
             if not may_match(sample.text.content, (lexicon,)):
                 rejected += 1
@@ -563,6 +598,17 @@ class TestTextWords:
                     wrong.append((text, text_words(text), expected))
         assert wrong == []
 
-    @pytest.mark.parametrize("text", ["café au lait", "\u017fo", "\u212a", "no\xa0rash"])
-    def test_a_non_ascii_text_has_no_words(self, text):
-        assert text_words(text) is None
+    @pytest.mark.parametrize(
+        "text,words",
+        [
+            ("café au lait", [b"caf", b"au", b"lait"]),
+            ("\u017fo", [b"so"]),
+            ("\u212a", [b"k"]),
+            ("no\xa0rash", [b"no", b"rash"]),
+        ],
+        ids=["café au lait", "\u017fo", "\u212a", "no\xa0rash"],
+    )
+    def test_a_non_ascii_text_has_the_words_of_its_casefold(self, text, words):
+        # Each byte of a non-ASCII character splits a run, and letters that
+        # fold to ASCII ("ſ", the Kelvin sign) join one.
+        assert text_words(text) == words
