@@ -25,9 +25,13 @@
 # the Kelvin sign (the check on) and a punctuation-only term (the check
 # off). prefilter
 # --format jsonl keeping no sample, and filter on an empty prediction file
-# (no header, no row), then write outputs of no line (empty-outputs). Runs
-# on small inputs written into OUT follow: a header-only corpus (a logged
-# warning), a malformed row, a prediction for an unknown id, detect and
+# (no header, no row), then write outputs of no line (empty-outputs).
+# compose then runs on a small base and pools, once as TSV and once as JSON
+# lines, with samples of all four classes, class A ones holding two or
+# three spans out of order, and texts holding a tab, a newline, a backslash
+# and a backslash before an n (compose-multispan), so both writers sort and
+# join spans and escape text. Runs on small inputs written into OUT
+# follow: a header-only corpus (a logged warning), a malformed row, a prediction for an unknown id, detect and
 # filter on a speculation cue matched across a line break (escaped TSV
 # fields), detect of both phenomena on cue windows that cross a lone
 # carriage return, a tab, a … token and a CRLF (the gaps a scope may or
@@ -201,6 +205,27 @@ run empty-outputs-prefilter prefilter --corpus "$out/quiet.jsonl" --format jsonl
     --out "$out/quiet.kept.jsonl"
 run empty-outputs-filter filter --corpus "$out/quiet.tsv" --predictions "$out/empty.preds.tsv" \
     --out "$out/empty.filtered.tsv" --audit "$out/empty.audit.tsv"
+# Compose on multi-span, escaped rows: m1 and m2 hold spans out of order,
+# m1's text a tab and a newline, m2's two backslashes, one before an n, and
+# the X, N and S rows a tab, a tab and a backslash, and a newline.
+printf 'id\ttext\tclass\tspans\n%b\n%b\n%b\n' \
+    'm1\tmy\\theadache, no\\nrash\tA\t16:20;0:2;3:11' \
+    'm2\tC:\\\\dose\\\\nausea! then rash\tA\t21:25;8:14' \
+    'x1\tall quiet\\there\tX\t' >"$out/ms-base.tsv"
+printf 'id\ttext\tclass\tspans\n%b\n' 'n1\tno rash\\ttoday\\\\anyway\tN\t' >"$out/ms-n.tsv"
+printf 'id\ttext\tclass\tspans\n%b\n' 's1\tmaybe a rash?\\nor not\tS\t' >"$out/ms-s.tsv"
+printf '%s\n' \
+    '{"id": "m1", "text": "my\theadache, no\nrash", "class": "A", "spans": [[16, 20], [0, 2], [3, 11]]}' \
+    '{"id": "m2", "text": "C:\\dose\\nausea! then rash", "class": "A", "spans": [[21, 25], [8, 14]]}' \
+    '{"id": "x1", "text": "all quiet\there", "class": "X", "spans": []}' >"$out/ms-base.jsonl"
+printf '%s\n' '{"id": "n1", "text": "no rash\ttoday\\anyway", "class": "N", "spans": []}' \
+    >"$out/ms-n.jsonl"
+printf '%s\n' '{"id": "s1", "text": "maybe a rash?\nor not", "class": "S", "spans": []}' \
+    >"$out/ms-s.jsonl"
+run compose-multispan compose --base "$out/ms-base.tsv" --n-pool "$out/ms-n.tsv" \
+    --s-pool "$out/ms-s.tsv" --add-n --add-s --out "$out/ms.tsv"
+run compose-multispan-jsonl compose --format jsonl --base "$out/ms-base.jsonl" \
+    --n-pool "$out/ms-n.jsonl" --s-pool "$out/ms-s.jsonl" --add-n --add-s --out "$out/ms.jsonl"
 # Error paths, run inside OUT on relative names so that no message names
 # OUT. Their exit codes are recorded but leave the script's status alone.
 fault() {  # fault NAME SUBCOMMAND ARGS...

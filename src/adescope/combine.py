@@ -62,11 +62,12 @@ class FilterReport(NamedTuple):
 
 
 def _witness_order(scope: ScopeSpan) -> tuple:
-    # Earliest scope wins; ties go to the longest, then stable extras.
+    # Earliest scope wins; ties go to the longest, then stable extras. A
+    # phenomenon, a str-mixin member, sorts as its value.
     return (
         scope.span.start,
         -scope.span.end,
-        scope.phenomenon.value,
+        scope.phenomenon,
         scope.trigger.span.start,
         scope.trigger.cue.pattern,
     )

@@ -33,11 +33,12 @@ import shutil
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .errors import ValidationError, echo, echo_list, echo_span, located
 from .text import (
-    REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id, frozen_spans
+    CLASS_LETTER, REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id,
+    frozen_spans,
 )
 
 __all__ = [
@@ -68,8 +69,10 @@ _JSONL_KEYS = ("id", "text", "class", "spans")
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_RE = re.compile(r"\\(.?)", re.S)
 
-# The member of each class letter, without an enum call per row.
-_CLASS_BY_LETTER = {cls.value: cls for cls in SampleClass}
+# The member of each class letter, without an enum call per row, and the
+# classes a compose base may hold.
+_CLASS_BY_LETTER = {letter: cls for cls, letter in CLASS_LETTER.items()}
+_BASE_CLASSES = (SampleClass.ADE, SampleClass.NO_ADE)
 
 _Record = TypeVar("_Record")
 
@@ -235,33 +238,34 @@ def _unescape(match: re.Match) -> str:
         raise ValidationError("bad escape sequence in text field") from None
 
 
-def _offset(digits: str) -> int:
-    # int() alone would also take signs, spaces, "_" and non-ASCII digits.
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(digits)
-    return int(digits)
-
-
 def _parse_span_field(field: str) -> list[Span]:
     spans: list[Span] = []
     if not field:
         return spans
     for chunk in field.split(";"):
-        parts = chunk.split(":")
-        if len(parts) != 2:
+        start, colon, end = chunk.partition(":")
+        if not colon or ":" in end:
             raise ValidationError(f"malformed span {echo(chunk)}, expected start:end")
+        # int() alone would also take signs, spaces, "_" and non-ASCII digits;
+        # it refuses an integer literal longer than the interpreter converts.
         try:
-            start, end = _offset(parts[0]), _offset(parts[1])
+            if not (chunk.isascii() and start.isdigit() and end.isdigit()):
+                raise ValueError(chunk)
+            start, end = int(start), int(end)
         except ValueError:
             raise ValidationError(f"non-integer span offsets in {echo(chunk)}") from None
         spans.append(Span(start, end))
     return spans
 
 
-def format_spans(spans: Iterable[Span]) -> str:
-    """Spans as sorted ``start:end`` pairs joined by ``;``, as files hold them."""
+def format_spans(spans: Collection[Span]) -> str:
+    """Spans as sorted ``start:end`` pairs joined by ``;``, as files hold them.
+    A lone span, as most rows hold, is formatted without a sort or a list."""
     if not spans:
         return ""
+    if len(spans) == 1:
+        (span,) = spans
+        return f"{span.start}:{span.end}"
     return ";".join([f"{s.start}:{s.end}" for s in sorted(spans)])
 
 
@@ -335,12 +339,12 @@ def _tsv_lines(partition: CorpusPartition) -> Iterator[str]:
     for sample in partition.samples:
         content = escape_tsv(sample.text.content)
         spans = format_spans(sample.gold_spans)
-        yield f"{sample.text.id}\t{content}\t{sample.sample_class.value}\t{spans}"
+        yield f"{sample.text.id}\t{content}\t{CLASS_LETTER[sample.sample_class]}\t{spans}"
 
 
 def _jsonl_lines(partition: CorpusPartition) -> Iterator[str]:
     records = (
-        {"id": s.text.id, "text": s.text.content, "class": s.sample_class.value,
+        {"id": s.text.id, "text": s.text.content, "class": CLASS_LETTER[s.sample_class],
          "spans": sorted(s.gold_spans)}
         for s in partition.samples
     )
@@ -408,7 +412,7 @@ def compose_training_set(
     when its add flag is set: an unused pool is refused, not dropped.
     """
     for sample in base.samples:
-        if sample.sample_class not in (SampleClass.ADE, SampleClass.NO_ADE):
+        if sample.sample_class not in _BASE_CLASSES:
             raise ValidationError(
                 f"base sample {echo(sample.text.id)} has class "
                 f"{sample.sample_class.value}; base must contain only A and X"

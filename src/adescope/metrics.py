@@ -26,6 +26,7 @@ from .combine import overlap_length, overlaps
 from .corpus import unknown_ids_error, write_lines
 from .errors import ValidationError, echo
 from .text import (
+    CLASS_LETTER,
     REPORT_CLASS_ORDER,
     Checked,
     Frozen,
@@ -56,20 +57,28 @@ class MatchKind(str, Enum):
     FN = "FN"
 
 
+# Outcomes are built per match, so their kinds are bound once. Tuples, not
+# sets: ``in`` compares by identity, then equality, for any kind, unhashable too.
+_TP, _PARTIAL, _FP, _FN = MatchKind
+_NEEDS_GOLD = (_TP, _PARTIAL, _FN)
+_NEEDS_PRED = (_TP, _PARTIAL, _FP)
+_KIND_NAME = {kind: kind.value for kind in MatchKind}
+
+
 class MatchOutcome(Checked, namedtuple("MatchOutcome", "kind gold predicted")):
     """One matched (or unmatched) span pair."""
 
     __slots__ = ()
 
     def __new__(cls, kind: MatchKind, gold: Span | None, predicted: Span | None) -> MatchOutcome:
-        needs_gold = kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FN)
-        needs_pred = kind in (MatchKind.TP, MatchKind.PARTIAL, MatchKind.FP)
+        needs_gold = kind in _NEEDS_GOLD
+        needs_pred = kind in _NEEDS_PRED
         if needs_gold != (gold is not None) or needs_pred != (predicted is not None):
             raise ValidationError(f"{kind.value} outcome with gold={gold} predicted={predicted}")
-        if kind is MatchKind.TP and gold != predicted:
+        if kind is _TP and gold != predicted:
             raise ValidationError("TP requires identical gold and predicted spans")
         if (
-            kind is MatchKind.PARTIAL
+            kind is _PARTIAL
             and gold is not None
             and predicted is not None
             and not overlaps(gold, predicted)
@@ -128,7 +137,7 @@ def match_spans(
     pred_open = set(predicted_set)
     for span in gold_list:
         if span in pred_open:
-            outcomes.append(MatchOutcome(MatchKind.TP, span, span))
+            outcomes.append(MatchOutcome(_TP, span, span))
             gold_open.discard(span)
             pred_open.discard(span)
 
@@ -147,14 +156,14 @@ def match_spans(
     candidates.sort()  # most overlap first, then by gold and predicted span
     for _, gld, pred in candidates:
         if gld in gold_open and pred in pred_open:
-            outcomes.append(MatchOutcome(MatchKind.PARTIAL, gld, pred))
+            outcomes.append(MatchOutcome(_PARTIAL, gld, pred))
             gold_open.discard(gld)
             pred_open.discard(pred)
 
     for span in sorted(pred_open):
-        outcomes.append(MatchOutcome(MatchKind.FP, None, span))
+        outcomes.append(MatchOutcome(_FP, None, span))
     for span in sorted(gold_open):
-        outcomes.append(MatchOutcome(MatchKind.FN, span, None))
+        outcomes.append(MatchOutcome(_FN, span, None))
     return outcomes
 
 
@@ -223,7 +232,7 @@ def evaluate_corpus(
         rows.append(SampleOutcomes(sample.text.id, sample.sample_class, outcomes))
         for outcome in outcomes:
             tally[outcome.kind] += 1
-            if outcome.kind is MatchKind.FP:
+            if outcome.kind is _FP:
                 fp_by_class[sample.sample_class] += 1
     tp, par, fp, fn = tally.values()  # in MatchKind's order: TP, Partial, FP, FN
     return MatchReport(tuple(rows), tp, par, fp, fn, fp_by_class)
@@ -256,10 +265,10 @@ def report_to_dict(report: MatchReport, verbose: bool = False) -> dict:
         payload["samples"] = [
             {
                 "id": row.text_id,
-                "class": row.sample_class.value,
+                "class": CLASS_LETTER[row.sample_class],
                 "outcomes": [
                     {
-                        "kind": outcome.kind.value,
+                        "kind": _KIND_NAME[outcome.kind],
                         "gold": _span_pair(outcome.gold),
                         "predicted": _span_pair(outcome.predicted),
                     }

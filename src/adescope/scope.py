@@ -94,6 +94,12 @@ class CueCategory(str, Enum):
     TERMINATOR = "terminator"
 
 
+# Bound once: resolve_scopes and prefilter read a category per cue match.
+_PRE, _POST, _PSEUDO = (
+    CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER, CueCategory.PSEUDO_TRIGGER
+)
+
+
 class Cue(Checked, namedtuple("Cue", "pattern category phenomenon")):
     """One lexicon entry: a phrase, as written, with its category."""
 
@@ -235,7 +241,7 @@ def resolve_scopes(
     count = len(tokens)
     occupied: set[int] = set()
     for match in matches:
-        if match.cue.category is not CueCategory.PSEUDO_TRIGGER:
+        if match.cue.category is not _PSEUDO:
             occupied.update(range(match.first_token, match.last_token + 1))
 
     def extends(previous: int, position: int) -> bool:
@@ -250,9 +256,9 @@ def resolve_scopes(
     scopes: list[ScopeSpan] = []
     for match in matches:
         category = match.cue.category
-        if category is CueCategory.PRE_TRIGGER:
+        if category is _PRE:
             edge, step = match.last_token, 1
-        elif category is CueCategory.POST_TRIGGER:
+        elif category is _POST:
             edge, step = match.first_token, -1
         else:
             continue
@@ -347,7 +353,7 @@ def prefilter(
     if not lexicons:
         raise ValidationError("prefilter requires at least one lexicon")
     depth = max(lexicon.depth for lexicon in lexicons)
-    triggers = (CueCategory.PRE_TRIGGER, CueCategory.POST_TRIGGER)
+    triggers = (_PRE, _POST)
     kept: list[LabeledSample] = []
     for sample in samples:
         text, keys = sample.text.content, ()

@@ -6,7 +6,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adescope import (
     CORPUS_HEADER,
@@ -1249,25 +1249,38 @@ def holdable(text_id: str) -> bool:
 
 @st.composite
 def sample_rows(draw):
-    """Arguments of ``make`` for up to six samples with distinct ids."""
+    """Arguments of ``make`` for up to six samples with distinct ids; a
+    class A sample holds 1–3 disjoint spans, touching or apart, in any order."""
     rows = []
     for sid in draw(st.lists(ids, max_size=6, unique=True)):
         content = draw(contents)
         cls = draw(st.sampled_from(list(SampleClass)))
         spans: list[Span] = []
         if cls is SampleClass.ADE:
-            start = draw(st.integers(min_value=0, max_value=len(content) - 1))
-            end = draw(st.integers(min_value=start + 1, max_value=len(content)))
-            spans.append(Span(start, end))
+            offsets = st.integers(min_value=0, max_value=len(content))
+            bounds = sorted(draw(st.sets(offsets, min_size=2, max_size=4)))
+            pieces = [Span(start, end) for start, end in zip(bounds, bounds[1:])]
+            spans = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3, unique=True))
         rows.append((sid, content, cls, *spans))
     return rows
+
+
+MULTI_SPAN_ROWS = [
+    ("m1", "my\theadache, no\nrash", SampleClass.ADE, Span(16, 20), Span(0, 2), Span(3, 11)),
+    ("m2", "C:\\dose\\nausea!", SampleClass.ADE, Span(8, 14), Span(2, 8)),
+    ("x1", "all quiet", SampleClass.NO_ADE),
+]
 
 
 class TestRoundTripProperties:
     """Making a record either raises ValidationError, or its write succeeds
     and gives a file that loads back equal."""
 
+    # Few drawn partitions hold only ids every file holds, and fewer a class
+    # A sample of several spans, so one such partition is always tried.
     @given(sample_rows(), st.sampled_from(["tsv", "jsonl"]))
+    @example(MULTI_SPAN_ROWS, "tsv")
+    @example(MULTI_SPAN_ROWS, "jsonl")
     def test_any_partition_survives_serialisation(self, tmp_path_factory, rows, format):
         try:
             partition = CorpusPartition("custom", tuple(make(*row) for row in rows))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,37 @@ class TestMatchSpans:
     def test_overlapping_gold_rejected(self):
         with pytest.raises(ValidationError):
             match_spans([Span(0, 5), Span(3, 8)], [])
+
+    # Every (kind, gold given, prediction given) shape, and whether an outcome
+    # takes it. A TP's prediction is its gold span; the others' overlaps it.
+    @pytest.mark.parametrize(
+        "kind,gold,predicted,accepted",
+        [
+            (MatchKind.TP, Span(0, 4), Span(0, 4), True),
+            (MatchKind.TP, Span(0, 4), None, False),
+            (MatchKind.TP, None, Span(0, 4), False),
+            (MatchKind.TP, None, None, False),
+            (MatchKind.PARTIAL, Span(0, 4), Span(2, 6), True),
+            (MatchKind.PARTIAL, Span(0, 4), None, False),
+            (MatchKind.PARTIAL, None, Span(2, 6), False),
+            (MatchKind.PARTIAL, None, None, False),
+            (MatchKind.FP, Span(0, 4), Span(2, 6), False),
+            (MatchKind.FP, Span(0, 4), None, False),
+            (MatchKind.FP, None, Span(2, 6), True),
+            (MatchKind.FP, None, None, False),
+            (MatchKind.FN, Span(0, 4), Span(2, 6), False),
+            (MatchKind.FN, Span(0, 4), None, True),
+            (MatchKind.FN, None, Span(2, 6), False),
+            (MatchKind.FN, None, None, False),
+        ],
+    )
+    def test_every_outcome_shape(self, kind, gold, predicted, accepted):
+        if accepted:
+            assert MatchOutcome(kind, gold, predicted) == (kind, gold, predicted)
+            return
+        message = f"{kind.value} outcome with gold={gold} predicted={predicted}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            MatchOutcome(kind, gold, predicted)
 
     def test_outcome_field_constraints(self):
         with pytest.raises(ValidationError):

@@ -36,6 +36,7 @@ from adescope import (
     Span,
     TagSequence,
 )
+from adescope.text import Frozen
 
 NEG = Phenomenon.NEGATION
 CUE = Cue("No", CueCategory.PRE_TRIGGER, NEG)
@@ -139,6 +140,25 @@ class TestRecord:
             with pytest.raises(AttributeError):
                 delattr(obj, name)
             assert hasattr(obj, name)
+
+
+FROZEN_CASES = [case[:3] for case in CASES if issubclass(case[0], Frozen)]
+
+
+@pytest.mark.parametrize(
+    "cls,fields,args", FROZEN_CASES, ids=[case[0].__name__ for case in FROZEN_CASES]
+)
+def test_repr_shows_fields_not_yet_set(cls, fields, args):
+    """An instance whose ``__init__`` raised before it set every field, as a
+    traceback that shows locals meets it, still has a repr."""
+    first, *rest = fields.split()
+    obj = cls.__new__(cls)
+    unset = ", ".join(f"{name}=<unset>" for name in [first, *rest])
+    assert repr(obj) == f"{cls.__name__}({unset})"
+    obj._set(**{first: args[0]})
+    assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+        [f"{first}={args[0]!r}", *(f"{name}=<unset>" for name in rest)]
+    ) + ")"
 
 
 def test_scope_text_id_defaults_to_none():
