@@ -242,18 +242,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    """Drop each prediction inside a detected scope and audit the drops.
-    Scopes are detected only in texts with a predicted span (a text with
-    none has nothing to drop), so the scope work scales with those texts.
-    """
+    """Drop each prediction inside a detected scope and audit the drops."""
     corpus = _load_corpus_arg(args)
     predictions = _load_predictions_arg(args, corpus)
     lexicons = _selected_lexicons(args, args.filters)
     texts = [corpus.by_id[text_id].text for text_id in predictions.entries]
     reports = [
-        filter_by_scopes(
-            EntitySet(text.id, spans), detect(text, lexicons, args.window) if spans else ()
-        )
+        filter_by_scopes(EntitySet(text.id, spans), detect(text, lexicons, args.window))
         for text, spans in zip(texts, predictions.entries.values())
     ]
     filtered = PredictionFile(dict(predictions.metadata), (report.kept for report in reports))
@@ -319,7 +314,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_prefilter(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     kept = prefilter(corpus.samples, _selected_lexicons(args, args.phenomena))
-    kept_corpus = CorpusPartition(corpus.name, tuple(kept))
+    kept_corpus = CorpusPartition(corpus.name, kept)
     write_outputs([(args.out, partial(write_corpus, kept_corpus, format=args.format))])
     return EXIT_OK
 

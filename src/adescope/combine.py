@@ -79,9 +79,9 @@ def filter_by_scopes(ades: EntitySet, scopes: Iterable[ScopeSpan]) -> FilterRepo
     Every input span lands in exactly one of ``kept`` and ``discarded``.
     Each discarded span records a witness scope: the earliest-starting
     overlapping scope, ties broken by the longest. Scopes bound to a
-    different text id are a validation error; an empty scope set returns
-    ``ades`` itself as ``kept``, with no sort or sweep, so a caller that
-    detects scopes only in texts with predictions pays nothing for the rest.
+    different text id are a validation error. An empty scope set, which
+    :func:`~adescope.scope.detect` finds in most texts (they fail the word
+    gate), returns ``ades`` itself as ``kept``, with no sort or sweep.
 
     One sweep finds the witnesses: the spans, sorted by start, walk a
     pointer through the scopes in witness order, which only moves forward

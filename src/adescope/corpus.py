@@ -37,8 +37,8 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ValidationError, echo, echo_list, echo_span, located
 from .text import (
-    CLASS_LETTER, REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, check_id,
-    frozen_spans,
+    CLASS_LETTER, REPORT_CLASS_ORDER, Frozen, LabeledSample, RawText, SampleClass, Span, _NO_SPANS,
+    check_id, frozen_spans,
 )
 
 __all__ = [
@@ -435,7 +435,7 @@ def compose_training_set(
                     f"{sample.sample_class.value}, expected {wanted.value}"
                 )
         samples.extend(pool.samples)
-    return CorpusPartition(base.name, tuple(samples))
+    return CorpusPartition(base.name, samples)
 
 
 def distribution_report(partition: CorpusPartition) -> DistributionReport:
@@ -482,7 +482,7 @@ class PredictionFile(Frozen):
 
     def spans_for(self, text_id: str) -> frozenset[Span]:
         """Spans predicted for a text; ids without an entry are empty."""
-        return self.entries.get(text_id, frozenset())
+        return self.entries.get(text_id, _NO_SPANS)
 
 
 def _prediction_row(line: str) -> tuple[str, frozenset[Span]] | None:

@@ -44,6 +44,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Any, Iterable, Iterator, NamedTuple, Union
 
@@ -102,9 +103,9 @@ class Checked:
 class Frozen:
     """Base of the package's plain (non-tuple) classes.
 
-    ``__init__`` sets every attribute once, through :meth:`_set`, as does the
-    first use of an attribute built lazily; assigning or deleting one
-    afterwards raises :class:`AttributeError`. The repr is
+    ``__init__`` sets every attribute once, through :meth:`_set`; a lazy one
+    is a :func:`functools.cached_property`, kept in the instance ``__dict__``.
+    Assigning or deleting one raises :class:`AttributeError`. The repr is
     ``Name(field=…)`` over ``_FIELDS``, a field not yet set (its ``__init__``
     raised first) shown as ``<unset>``, and two instances of one class are
     equal, and hash alike, when their ``_FIELDS`` are; a class compared by
@@ -316,31 +317,25 @@ class Tokens(Frozen, Sequence):
 
     _FIELDS = ("content",)
     __hash__ = None  # type: ignore[assignment]
-    # Built on first use, then kept on the instance.
-    _ends: list[int] | None = None
-    _tokens: list[Token] | None = None
 
     def __init__(self, text: Union[str, RawText]) -> None:
         content = text.content if isinstance(text, RawText) else text
         parts = _TOKEN_RE.split(content)
         self._set(content=content, parts=parts, keys=_keys(parts[1::2]))
 
-    def _running_lengths(self) -> list[int]:
+    @cached_property
+    def _ends(self) -> list[int]:
         """The running lengths of the parts: token starts at even positions
         and token ends at odd ones."""
-        if self._ends is None:
-            self._set(_ends=list(accumulate(map(len, self.parts))))
-        return self._ends
+        return list(accumulate(map(len, self.parts)))
 
-    def _token_list(self) -> list[Token]:
+    @cached_property
+    def _tokens(self) -> list[Token]:
         # A token is a non-empty match, so its offsets are a valid span by
         # construction and are built unchecked.
-        if self._tokens is None:
-            ends = self._running_lengths()
-            spans = map(tuple.__new__, repeat(Span), zip(ends[0::2], ends[1::2]))
-            tokens = map(tuple.__new__, repeat(Token), zip(self.parts[1::2], spans))
-            self._set(_tokens=list(tokens))
-        return self._tokens
+        ends = self._ends
+        spans = map(tuple.__new__, repeat(Span), zip(ends[0::2], ends[1::2]))
+        return list(map(tuple.__new__, repeat(Token), zip(self.parts[1::2], spans)))
 
     def surface(self, position: int) -> str:
         """The text of the token at ``position``."""
@@ -353,22 +348,22 @@ class Tokens(Frozen, Sequence):
 
     def span(self, first: int, last: int) -> Span:
         """The character span that tokens ``first..last`` (inclusive) cover."""
-        ends = self._running_lengths()
+        ends = self._ends
         return Span(ends[2 * first], ends[2 * last + 1])
 
     def __len__(self) -> int:
         return len(self.parts) // 2
 
     def __getitem__(self, position: Union[int, slice]) -> Union[Token, list[Token]]:
-        return self._token_list()[position]
+        return self._tokens[position]
 
     def __iter__(self) -> Iterator[Token]:
-        return iter(self._token_list())
+        return iter(self._tokens)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Tokens):
-            other = other._token_list()
-        return self._token_list() == other if isinstance(other, list) else NotImplemented
+            other = other._tokens
+        return self._tokens == other if isinstance(other, list) else NotImplemented
 
 
 def tokenize(text: Union[str, RawText]) -> Tokens:
@@ -526,7 +521,7 @@ def spans_to_bio(tokens: Sequence[Token], spans: Iterable[Span]) -> TagSequence:
         while position < len(tokens) and tokens[position].span.start < span.end:
             tags[position] = tag
             position, tag = position + 1, "I"
-    return TagSequence(tuple(tags))
+    return TagSequence(tags)
 
 
 def bio_to_spans(

@@ -110,7 +110,7 @@ class TestExtract:
 
         monkeypatch.setattr("adescope.baseline.tokenize", counting)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
-        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
+        monkeypatch.setattr(Tokens, "_ends", property(refuse))
         content = "slept well, #fine\nthanks"
         long = content * (adescope.text._PREFIX_CHARS // len(content) + 1)
         for lexicon in (LEXICON, default_ade_lexicon()):
@@ -135,7 +135,7 @@ class TestExtract:
         def refuse(self):
             raise AssertionError("extract built a Token")
 
-        monkeypatch.setattr(Tokens, "_token_list", refuse)
+        monkeypatch.setattr(Tokens, "_tokens", property(refuse))
         assert spans_of(content, AdeLexicon(("nausea", "can't sleep", "pain"))) == found
 
     @pytest.mark.parametrize(

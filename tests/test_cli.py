@@ -275,34 +275,40 @@ class TestFilter:
             f"{AUDIT_HEADER}\ns1\t21:29\tspeculation\t14:30\tnot\\nsure\n"
         )
 
-    def test_scopes_are_detected_only_in_texts_with_predictions(
+    def test_every_entry_is_detected_once_and_the_gate_skips_tokenizing(
         self, tmp_path, monkeypatch, e2e_corpus_path, preds_path
     ):
-        tokenized = []
+        detected, tokenized = [], []
+
+        def detecting(text, lexicons, window):
+            detected.append(text)
+            return detect(text, lexicons, window)
 
         def counting(text):
             tokenized.append(text.id)
             return tokenize(text)
 
+        monkeypatch.setattr("adescope.cli.detect", detecting)
         monkeypatch.setattr("adescope.scope.tokenize", counting)
         self.run_filter(tmp_path, e2e_corpus_path, preds_path, "neg+spec")
         entries = load_predictions(preds_path).entries
-        predicted = [text_id for text_id, spans in entries.items() if spans]
-        assert 0 < len(predicted) < len(entries)
-        # Of those, a text is tokenized when it holds a cue's first key; a
-        # short text without a lexicon's first word is not.
         texts = load_corpus(e2e_corpus_path).by_id
+        # Every entry takes one path, those without a predicted span too.
+        assert any(spans for spans in entries.values())
+        assert any(not spans for spans in entries.values())
+        assert detected == [texts[text_id].text for text_id in entries]
+        # Of those, a text is tokenized, once, when it holds a cue's first
+        # key; a short text without a lexicon's first word is not.
         lexicons = (default_negation_lexicon(), default_speculation_lexicon())
         roots = [{tokenize(cue.pattern).keys[0] for cue in lexicon.cues} for lexicon in lexicons]
         cued = [
             text_id
-            for text_id in predicted
+            for text_id in entries
             if any(not root.isdisjoint(tokenize(texts[text_id].text).keys) for root in roots)
         ]
-        assert set(cued) <= set(tokenized) <= set(predicted)
-        assert len(tokenized) == len(set(tokenized))
-        assert tokenized == sorted(tokenized, key=predicted.index)
-        assert any(text_id not in tokenized for text_id in predicted)
+        assert set(cued) <= set(tokenized)
+        assert tokenized == [text_id for text_id in entries if text_id in tokenized]
+        assert len(tokenized) < len(entries)
 
     def test_sparse_predictions_filter_as_every_text_detected(self, tmp_path, sparse_paths):
         corpus_path, preds_path = sparse_paths

@@ -32,7 +32,7 @@ from adescope import (
 from adescope import corpus as corpus_module
 from adescope.combine import EntitySet
 from adescope.corpus import escape_tsv, write_outputs
-from adescope.text import check_id
+from adescope.text import _NO_SPANS, check_id
 
 
 def make(sid: str, content: str, cls: SampleClass, *gold: Span) -> LabeledSample:
@@ -1018,6 +1018,8 @@ class TestPredictionFiles:
         predictions = PredictionFile({}, {"a1": frozenset({Span(0, 2)})})
         assert predictions.spans_for("a1") == frozenset({Span(0, 2)})
         assert predictions.spans_for("missing") == frozenset()
+        # Every span-less record shares the one empty set.
+        assert predictions.spans_for("missing") is predictions.spans_for("other") is _NO_SPANS
 
     def test_write_sorts_ids_and_round_trips(self, tmp_path):
         predictions = PredictionFile(
@@ -1225,11 +1227,15 @@ class TestValidatePredictions:
 
 
 # Ids and metadata may hold what a file cannot: the record must then refuse
-# them when made. Besides separators anywhere, ids may be whitespace only or
-# start with "#" or a byte order mark.
-ids = st.one_of(
-    st.text(alphabet="abcdefghij0123456789_- \t\n\r:#\ufeff", max_size=8),
-    st.text(alphabet=" \t\u00a0\u3000\x1c", min_size=1, max_size=3),
+# them when made. Refused ids hold a separator anywhere, are blank or empty,
+# or start with "#" or a byte order mark.
+refused_ids = st.one_of(
+    st.tuples(
+        st.text(alphabet="ab1 :#\ufeff", max_size=3),
+        st.sampled_from("\t\n\r"),
+        st.text(alphabet="ab1 \t\n\r:#", max_size=3),
+    ).map("".join),
+    st.text(alphabet=" \t\u00a0\u3000\x1c", max_size=3),
     st.tuples(st.sampled_from("#\ufeff"), st.text(alphabet="ab1 #", max_size=4)).map("".join),
 )
 metadata_fields = st.text(alphabet="ab_ \t\n\r:#", max_size=6)
@@ -1247,12 +1253,45 @@ def holdable(text_id: str) -> bool:
     )
 
 
+# Ids every file holds, most draws passing the filter: "#" and U+FEFF
+# anywhere but at the start, spaces anywhere in an id that is not blank.
+holdable_ids = st.text(
+    alphabet="abcdefghij0123456789_- :#\ufeff\u00a0", min_size=1, max_size=8
+).filter(holdable)
+holdable_pairs = st.tuples(
+    st.text(alphabet="ab_ \t#", max_size=6).map(str.strip),
+    st.text(alphabet="ab_ \t:#", max_size=6).map(str.strip),
+)
+# A pair no line holds: a key ending in a line break, ":" or whitespace, or
+# a value starting in a line break or whitespace.
+refused_pairs = st.one_of(
+    st.tuples(metadata_fields, st.sampled_from("\n\r: \t"), metadata_fields).map(
+        lambda t: (t[0] + t[1], t[2])
+    ),
+    st.tuples(metadata_fields, st.sampled_from("\n\r \t"), metadata_fields).map(
+        lambda t: (t[0], t[1] + t[2])
+    ),
+)
+prediction_entries = st.dictionaries(
+    holdable_ids,
+    st.frozensets(
+        st.builds(
+            lambda s, w: Span(s, s + w),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=1, max_value=10),
+        ),
+        max_size=4,
+    ),
+    max_size=5,
+)
+
+
 @st.composite
 def sample_rows(draw):
-    """Arguments of ``make`` for up to six samples with distinct ids; a
-    class A sample holds 1–3 disjoint spans, touching or apart, in any order."""
+    """Arguments of ``make`` for up to six samples with distinct holdable ids;
+    a class A sample holds 1–3 disjoint spans, touching or apart, in any order."""
     rows = []
-    for sid in draw(st.lists(ids, max_size=6, unique=True)):
+    for sid in draw(st.lists(holdable_ids, max_size=6, unique=True)):
         content = draw(contents)
         cls = draw(st.sampled_from(list(SampleClass)))
         spans: list[Span] = []
@@ -1273,51 +1312,46 @@ MULTI_SPAN_ROWS = [
 
 
 class TestRoundTripProperties:
-    """Making a record either raises ValidationError, or its write succeeds
-    and gives a file that loads back equal."""
+    """A record of ids and metadata every file holds writes a file that loads
+    back equal; one holding an id or a metadata pair no file holds is refused
+    when made."""
 
-    # Few drawn partitions hold only ids every file holds, and fewer a class
-    # A sample of several spans, so one such partition is always tried.
+    # Texts holding a tab, a newline and backslashes, in samples of several
+    # spans out of order, are always tried.
     @given(sample_rows(), st.sampled_from(["tsv", "jsonl"]))
     @example(MULTI_SPAN_ROWS, "tsv")
     @example(MULTI_SPAN_ROWS, "jsonl")
     def test_any_partition_survives_serialisation(self, tmp_path_factory, rows, format):
-        try:
-            partition = CorpusPartition("custom", tuple(make(*row) for row in rows))
-        except ValidationError:
-            assert not all(holdable(row[0]) for row in rows)
-            return
-        assert all(holdable(row[0]) for row in rows)
+        partition = CorpusPartition("custom", [make(*row) for row in rows])
         path = tmp_path_factory.mktemp("prop") / f"corpus.{format}"
         write_corpus(partition, path, format=format)
         loaded = load_corpus(path, format=format)
         assert loaded.samples == partition.samples
 
-    @given(
-        st.dictionaries(
-            ids,
-            st.frozensets(
-                st.builds(
-                    lambda s, w: Span(s, s + w),
-                    st.integers(min_value=0, max_value=40),
-                    st.integers(min_value=1, max_value=10),
-                ),
-                max_size=4,
-            ),
-            max_size=5,
-        ),
-        st.dictionaries(metadata_fields, metadata_fields, max_size=3),
-    )
+    @given(prediction_entries, st.lists(holdable_pairs, max_size=3).map(dict))
     def test_any_prediction_table_survives_serialisation(
         self, tmp_path_factory, entries, metadata
     ):
-        try:
-            predictions = PredictionFile(metadata, entries)
-        except ValidationError:
-            return
-        assert all(map(holdable, entries))
+        predictions = PredictionFile(metadata, entries)
         path = tmp_path_factory.mktemp("prop") / "preds.tsv"
         write_predictions(predictions, path)
         loaded = load_predictions(path)
         assert loaded.entries == dict(entries)
         assert loaded.metadata == metadata
+
+    @given(sample_rows(), refused_ids, st.integers(min_value=0, max_value=6))
+    def test_a_refused_id_refuses_its_record(self, rows, text_id, position):
+        rows.insert(position, (text_id, "all quiet", SampleClass.NO_ADE))
+        with pytest.raises(ValidationError) as caught:
+            CorpusPartition("custom", [make(*row) for row in rows])
+        assert str(caught.value).endswith(ID_RULE)
+        entries = [(row[0], frozenset(row[3:])) for row in rows]
+        with pytest.raises(ValidationError) as caught:
+            PredictionFile({}, entries)
+        assert str(caught.value).endswith(ID_RULE)
+
+    @given(prediction_entries, st.lists(holdable_pairs, max_size=2), refused_pairs)
+    def test_a_refused_metadata_pair_refuses_its_predictions(self, entries, pairs, refused):
+        metadata = dict([*pairs, refused])
+        with pytest.raises(ValidationError, match="prediction metadata"):
+            PredictionFile(metadata, entries)

@@ -394,7 +394,7 @@ class TestDetect:
         monkeypatch.setattr("adescope.scope.tokenize", counting)
         monkeypatch.setattr("adescope.scope.find_cues", scanning)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
-        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
+        monkeypatch.setattr(Tokens, "_ends", property(refuse))
         both = (default_negation_lexicon(), default_speculation_lexicon())
         content = "Metoprolol gave me a headache.\nStill here, #fine"
         long = content * (adescope.scope._PREFIX_CHARS // len(content) + 1)
@@ -442,7 +442,7 @@ class TestDetect:
 
         monkeypatch.setattr("adescope.scope.find_cues", refuse)
         # Every offset, Token and Span of a Tokens comes from its running lengths.
-        monkeypatch.setattr(Tokens, "_running_lengths", refuse)
+        monkeypatch.setattr(Tokens, "_ends", property(refuse))
         both = (default_negation_lexicon(), default_speculation_lexicon())
         kept = LabeledSample(RawText("k", "I DON’T have #nausea"), frozenset(), SampleClass.NO_ADE)
         dropped = LabeledSample(RawText("d", "slept well"), frozenset(), SampleClass.NO_ADE)

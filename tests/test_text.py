@@ -204,8 +204,16 @@ class TestTokenize:
     def test_builds_tokens_only_when_read(self):
         tokens = tokenize("no pain")
         assert tokens.keys == ("no", "pain") and len(tokens) == 2
-        assert tokens._tokens is None and tokens._ends is None
+        assert "_tokens" not in vars(tokens) and "_ends" not in vars(tokens)
+        assert tokens.span(1, 1) == Span(3, 7)
+        assert "_ends" in vars(tokens) and "_tokens" not in vars(tokens)
         assert tokens[1] == Token("pain", Span(3, 7))
+        assert vars(tokens)["_tokens"] is tokens._tokens
+        for name in ("_ends", "_tokens", "keys"):
+            with pytest.raises(AttributeError):
+                setattr(tokens, name, [])
+            with pytest.raises(AttributeError):
+                delattr(tokens, name)
         assert tokens == tokenize("no pain") == list(tokens)
         with pytest.raises(TypeError):
             hash(tokens)
