@@ -23,9 +23,13 @@
 # hold no_way, n0, İyi and ſo (the check on) and a punctuation-only cue
 # (the check off), and term lists hold Rash, rash_x, n0, don't, STRAßE and
 # the Kelvin sign (the check on) and a punctuation-only term (the check
-# off). prefilter
-# --format jsonl keeping no sample, and filter on an empty prediction file
-# (no header, no row), then write outputs of no line (empty-outputs).
+# off). extract, detect and filter then run on short texts whose cues and
+# terms sit next to the tokenizer's edges (tokenizer): \v, \f, \x1c-\x1f,
+# U+0085, U+00A0, U+2028 and U+3000, # and @ before a non-word character,
+# ##x, trailing, doubled and curly apostrophes, _ runs, digits and a
+# combining mark. prefilter --format jsonl keeping no sample, and filter on
+# an empty prediction file (no header, no row), then write outputs of no
+# line (empty-outputs).
 # compose then runs on a small base and pools, once as TSV and once as JSON
 # lines, with samples of all four classes, class A ones holding two or
 # three spans out of order, and texts holding a tab, a newline, a backslash
@@ -194,6 +198,30 @@ run word-gate-filter filter --corpus "$out/gate.tsv" --predictions "$out/gate.pr
     --out "$out/gate.filtered.tsv" --audit "$out/gate.audit.tsv"
 run word-gate-prefilter prefilter --corpus "$out/gate.tsv" --phenomena neg+spec \
     --neg-lexicon "$out/gate-neg.txt" --out "$out/gate.kept.tsv"
+# The tokenizer: cues and terms next to whitespace that str.split() and \s
+# split at but a space check may miss (\v, \f, \x1c-\x1f, U+0085, U+00A0,
+# U+2028, U+3000), a # or @ before a non-word character, ##x, trailing,
+# doubled and curly apostrophes, _ runs, digits and a combining mark.
+printf 'id\ttext\tclass\tspans\n' >"$out/tok.tsv"
+printf '%b\n' \
+    't01\tno\x0brash, maybe\x0citch and nausea\tX\t' \
+    't02\tnot\x1crash\x1dmaybe\x1enausea\x1fnow\tX\t' \
+    't03\tno\xc2\x85rash, maybe\xc2\xa0headache\tX\t' \
+    't04\tnot\xe2\x80\xa8rash, maybe\xe3\x80\x80nausea\tX\t' \
+    't05\t#!no rash @.maybe #-nausea @\tX\t' \
+    't06\t##no rash, @@not a ##rash or #nausea\tX\t' \
+    "t07\\tno rash' maybe'' nausea' not''\\tX\\t" \
+    't08\tnot’ rash’’ maybe’s nausea’\tX\t' \
+    't09\t__no__ rash _ not_ rash __maybe nausea_ no _ rash\tX\t' \
+    't10\tno2 rash 3 not 4rash maybe 5 nausea\tX\t' \
+    't11\tno\xcc\x81 rash, not ra\xcc\x81sh, maybe nausea\xcc\x81 rash\tX\t' >>"$out/tok.tsv"
+run tokenizer-extract extract --corpus "$out/tok.tsv" --out "$out/tok.preds.tsv"
+run tokenizer-detect-neg detect --corpus "$out/tok.tsv" --phenomenon neg \
+    --out "$out/tok.scopes-neg.tsv"
+run tokenizer-detect-spec detect --corpus "$out/tok.tsv" --phenomenon spec \
+    --out "$out/tok.scopes-spec.tsv"
+run tokenizer-filter filter --corpus "$out/tok.tsv" --predictions "$out/tok.preds.tsv" \
+    --filters neg+spec --out "$out/tok.filtered.tsv" --audit "$out/tok.audit.tsv"
 # Outputs of no line: a JSON-lines corpus with no cue-bearing sample, which
 # prefilter keeps none of, and a prediction file with neither header nor
 # row, which filter writes back empty (its audit holds only the header).

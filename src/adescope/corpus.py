@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import codecs
 import errno
-import json
 import os
 import re
 import shutil
@@ -158,6 +157,8 @@ def read_located(
 def decode_json(content: str, path: Union[str, Path, None] = None):
     """Parse one JSON document. A fault raises :class:`ValidationError`, or,
     given the document's ``path``, a ``ParseError`` at its line there."""
+    import json  # imported where it is used, not by every launch
+
     lineno = None
     try:
         return json.loads(content)
@@ -329,6 +330,8 @@ def _jsonl_row(line: str) -> LabeledSample | None:
         # type(), not isinstance(): JSON true loads as a bool, an int subclass.
         offsets_ok = isinstance(pair, list) and all(type(offset) is int for offset in pair)
         if not offsets_ok or len(pair) != 2:
+            import json
+
             raise ValidationError(f"malformed span {echo(pair, json.dumps)}, expected [start, end]")
     spans = [Span(start, end) for start, end in pairs]
     return _sample(record["id"], record["text"], record["class"], spans)
@@ -343,6 +346,8 @@ def _tsv_lines(partition: CorpusPartition) -> Iterator[str]:
 
 
 def _jsonl_lines(partition: CorpusPartition) -> Iterator[str]:
+    import json
+
     records = (
         {"id": s.text.id, "text": s.text.content, "class": CLASS_LETTER[s.sample_class],
          "spans": sorted(s.gold_spans)}

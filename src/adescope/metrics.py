@@ -14,7 +14,6 @@ with the convention that an undefined ratio (0/0) is 0.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
@@ -278,5 +277,7 @@ def write_report(
     report: MatchReport, path: Union[str, Path], verbose: bool = False
 ) -> None:
     """Serialise a report as UTF-8 JSON with a trailing newline."""
+    import json  # imported where it is used, not by every launch
+
     payload = report_to_dict(report, verbose=verbose)
     write_lines(path, [json.dumps(payload, indent=2, ensure_ascii=False)])

@@ -1169,16 +1169,16 @@ class TestEntryPoints:
         assert (result.returncode, result.stdout.strip()) == (0, "[]")
 
     def test_import_leaves_dataclasses_and_logging_unloaded(self):
-        # They cost about 30 ms of every launch, and importlib.resources,
-        # which imports zipfile, tempfile, shutil, bz2 and lzma, about 8 ms
-        # more. -S skips site's .pth files, which may import them on some
-        # installs.
+        # They cost about 30 ms of every launch, importlib.resources, which
+        # imports zipfile, tempfile, shutil, bz2 and lzma, about 8 ms more,
+        # and json, which only some commands read or write, about 1.5 ms.
+        # -S skips site's .pth files, which may import them on some installs.
         src = str(Path(adescope.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-S", "-c",
              f"import sys; sys.path.insert(0, {src!r}); import adescope, adescope.cli; "
-             "print([m for m in ('dataclasses', 'inspect', 'logging', 'importlib.resources') "
-             "if m in sys.modules])"],
+             "print([m for m in ('dataclasses', 'inspect', 'logging', 'importlib.resources', "
+             "'json') if m in sys.modules])"],
             capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stdout.strip()) == (0, "[]")

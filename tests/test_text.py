@@ -24,7 +24,7 @@ from adescope import (
     spans_to_bio,
     tokenize,
 )
-from adescope.text import _TOKEN_RE, Lexicon, longest_matches, may_match, text_words
+from adescope.text import _TOKEN_RE, Lexicon, _keys, longest_matches, may_match, text_words
 
 
 def surfaces(text: str) -> list[str]:
@@ -123,6 +123,21 @@ def split_texts(draw):
     return gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
 
 
+# The token pattern as first written, the reference for the split of
+# _TOKEN_RE, which reorders its branches behind a lookahead.
+PLAIN_TOKEN_RE = re.compile(r"([#@]\w+(?:['’]\w+)*|\w+(?:['’]\w+)*|[^\w\s])")
+
+# Word characters, marks and every kind of whitespace: \x1c-\x1f, U+0085,
+# U+00A0, U+2028 and U+3000 are \s too. Then letters that casefold to more
+# than one code point or to a combining mark, combining marks, a non-ASCII
+# digit, a fullwidth letter, an emoji with a ZWJ and a variation selector,
+# a titlecase digraph and a ligature.
+TOKENIZER_ALPHABET = [
+    *"ab_Z9#@'’", *" \t\n\r\x0b\x0c\x1c\x1f\xa0\x85\u2028\u3000", *".!?…,;-",
+    *"éİß\u0345\u0301٣ｈ👨\u200d\ufe0fǅﬂ",
+]
+
+
 class TestTokenize:
     def test_empty_text_yields_no_tokens(self):
         assert tokenize("") == []
@@ -217,6 +232,24 @@ class TestTokenize:
         assert tokens == tokenize("no pain") == list(tokens)
         with pytest.raises(TypeError):
             hash(tokens)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(TOKENIZER_ALPHABET), max_size=16).map("".join))
+    @example("#a @b’c ##d #! a#b")
+    def test_the_split_is_that_of_the_plain_pattern(self, text):
+        assert _TOKEN_RE.split(text) == PLAIN_TOKEN_RE.split(text)
+
+    @settings(max_examples=500)
+    @given(st.lists(
+        st.text([c for c in TOKENIZER_ALPHABET if not c.isspace()], min_size=1, max_size=4),
+        max_size=6,
+    ))
+    @example([])
+    @example(["#"])
+    @example(["#x", "#"])
+    @example(["##x", "#Y", "’#"])
+    def test_keys_are_each_surface_keyed_alone(self, surfaces):
+        assert _keys(surfaces) == tuple(naive_key(surface) for surface in surfaces)
 
 
 def make_tokens(*pairs: tuple[int, int]) -> list[Token]:
